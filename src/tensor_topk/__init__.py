@@ -1,73 +1,6 @@
-"""Top-k entry retrieval from CP-format tensors."""
+"""Top-k entry retrieval from CP-format tensors.
 
-from .cp import (
-    CpTensor,
-    add,
-    cp_indicator,
-    cp_ones,
-    drop_zero_columns,
-    element,
-    elements_at,
-    frob_norm,
-    hadamard,
-    inner,
-    linear_index,
-    materialize,
-    negate,
-    scale,
-    shift,
-    ttm,
-)
-from .cpt_io import read_cpt, write_cpt
-from .errors import (
-    CapacityError,
-    CptFormatError,
-    DegenerateInputError,
-    InfeasibleKError,
-    SelectionExhaustedError,
-    ShapeMismatchError,
-)
-from .baselines import ORACLE_CAP_DEFAULT, PowerIterConfig, oracle_topk, power_iteration_max
-from .generators import (
-    DISTRIBUTIONS,
-    RandomSpec,
-    gen_griewank,
-    gen_random_cp,
-    gen_schwefel,
-    griewank,
-    griewank_grids,
-    schwefel,
-    schwefel_grids,
-    uniform_grid,
-)
-from .qft import (
-    GateOp,
-    MeasurementResult,
-    QubitLayout,
-    apply_gate,
-    qft_circuit,
-    qft_reference,
-    random_product_state,
-    reverse_qubit_order,
-    run_qft,
-    simulate_and_measure,
-    square_layout,
-    statevector,
-)
-from .recompress import rank_one_argmax, recompress
-from .solver import (
-    CandidateSet,
-    OrderingKey,
-    SolverConfig,
-    TopKResult,
-    auto_block_size,
-    block_schedule,
-    compute_alpha,
-    init_candidates,
-    key_values,
-    solve,
-    solve_subproblem,
-    subproblem_tensor,
-)
+Import the submodules directly, e.g. ``from tensor_topk import cp, solver``.
+"""
 
 __version__ = "0.1.0"

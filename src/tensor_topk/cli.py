@@ -3,7 +3,8 @@
 Subcommands: ``topk`` (retrieve the k best entries of a CPT file), ``bench``
 (random-tensor accuracy benchmark), ``func`` (Griewank/Schwefel grid
 minimization), ``qft`` (grouped-qubit QFT measurement).  Exit codes: 0
-success, 1 I/O or parse failure, 2 infeasible k, 3 capacity exceeded.
+success, 1 I/O or parse failure, 2 infeasible k, 3 capacity exceeded, 4
+invalid arguments (usage errors, out-of-range values, mismatched shapes).
 """
 
 from __future__ import annotations
@@ -22,6 +23,15 @@ from .qft import square_layout
 from .solver import OrderingKey, SolverConfig, solve
 
 KEY_CHOICES = ["max", "min", "maxabs", "maxreal", "maximag"]
+EXIT_INVALID = 4
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_INVALID, not argparse's 2 (infeasible k)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
 def _fmt_scalar(v):
@@ -186,7 +196,7 @@ def _run_qft(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tensor-topk",
         description="Top-k entry retrieval from CP-format tensors.",
     )
@@ -214,6 +224,9 @@ def main(argv=None):
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

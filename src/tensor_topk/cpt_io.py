@@ -70,6 +70,8 @@ def _parse_factor(raw, n, rank, is_complex, p):
             if isinstance(v, (list, dict, str, bool)) or v is None:
                 raise CptFormatError(f"factor {p + 1} entry {t} is not a real number")
             out[t] = float(v)
+    if not np.all(np.isfinite(out)):
+        raise CptFormatError(f"factor {p + 1} holds NaN or infinite entries")
     return out.reshape(n, rank)
 
 

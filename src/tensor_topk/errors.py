@@ -17,9 +17,5 @@ class DegenerateInputError(ValueError):
     """The input tensor is identically zero where a nonzero one is required."""
 
 
-class SelectionExhaustedError(RuntimeError):
-    """Every cell of a subproblem tensor is blocked by an earlier candidate."""
-
-
 class CptFormatError(ValueError):
     """A CPT file is malformed or internally inconsistent."""

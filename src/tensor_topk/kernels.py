@@ -1,29 +1,9 @@
-"""Hot numeric kernels, compiled with numba when available.
-
-Setting the environment variable ``TENSOR_TOPK_NO_NUMBA=1`` (checked at import
-time) forces the pure-numpy implementations; the same fallback is used when
-numba is not importable.  Both paths compute the same quantities; floating
-sums may differ in the last bits because the reduction orders differ.
-"""
-
-import os
+"""Hot numeric kernels: batched element evaluation, block expansion, masked argmax."""
 
 import numpy as np
 
-
-def _numba_disabled():
-    flag = os.environ.get("TENSOR_TOPK_NO_NUMBA", "").strip().lower()
-    return flag not in ("", "0", "false", "no")
-
-
+# There is no compiled path; perfbench/run.py reports this flag.
 NUMBA_ENABLED = False
-if not _numba_disabled():
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:
-        NUMBA_ENABLED = False
 
 
 def stack_factors(factors):
@@ -37,107 +17,13 @@ def stack_factors(factors):
     return np.ascontiguousarray(np.vstack(factors)), offsets
 
 
-def _eval_elements_np(stacked, offsets, tuples):
-    m = tuples.shape[0]
-    nmodes = offsets.shape[0] - 1
-    prod = np.ones((m, stacked.shape[1]), dtype=stacked.dtype)
-    for p in range(nmodes):
-        prod *= stacked[offsets[p] + tuples[:, p], :]
-    return prod.sum(axis=1)
-
-
-def _block_expand_np(stacked, offsets, modes, dims):
-    rank = stacked.shape[1]
-    acc = stacked[offsets[modes[0]]:offsets[modes[0]] + dims[0]].copy()
-    for t in range(1, len(modes)):
-        f = stacked[offsets[modes[t]]:offsets[modes[t]] + dims[t]]
-        # C-order reshape of (n_t, vol_prev, R) makes the earlier modes fastest
-        acc = (f[:, None, :] * acc[None, :, :]).reshape(-1, rank)
-    return acc
-
-
-def _masked_argmax_np(keyed, forbidden):
-    if forbidden.shape[0]:
-        buf = keyed.copy()
-        buf[forbidden] = -np.inf
-    else:
-        buf = keyed
-    lin = int(np.argmax(buf))
-    if np.isneginf(buf[lin]):
-        return -1
-    return lin
-
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _eval_elements_nb(stacked, offsets, tuples):
-        m = tuples.shape[0]
-        nmodes = offsets.shape[0] - 1
-        rank = stacked.shape[1]
-        out = np.zeros(m, dtype=stacked.dtype)
-        for j in range(m):
-            for r in range(rank):
-                prod = stacked[offsets[0] + tuples[j, 0], r]
-                for p in range(1, nmodes):
-                    prod = prod * stacked[offsets[p] + tuples[j, p], r]
-                out[j] += prod
-        return out
-
-    @njit(cache=True)
-    def _block_expand_nb(stacked, offsets, modes, dims):
-        s = modes.shape[0]
-        rank = stacked.shape[1]
-        vol = 1
-        for t in range(s):
-            vol *= dims[t]
-        out = np.empty((vol, rank), dtype=stacked.dtype)
-        n0 = dims[0]
-        base0 = offsets[modes[0]]
-        for lin in range(vol):
-            rem = lin // n0
-            row0 = base0 + lin % n0
-            for r in range(rank):
-                out[lin, r] = stacked[row0, r]
-            for t in range(1, s):
-                row = offsets[modes[t]] + rem % dims[t]
-                rem //= dims[t]
-                for r in range(rank):
-                    out[lin, r] = out[lin, r] * stacked[row, r]
-        return out
-
-    @njit(cache=True)
-    def _masked_argmax_nb(keyed, forbidden):
-        best = -np.inf
-        best_lin = -1
-        nf = forbidden.shape[0]
-        for lin in range(keyed.shape[0]):
-            blocked = False
-            for t in range(nf):
-                if forbidden[t] == lin:
-                    blocked = True
-                    break
-            if blocked:
-                continue
-            v = keyed[lin]
-            if v > best:
-                best = v
-                best_lin = lin
-        return best_lin
-
-    _eval_elements = _eval_elements_nb
-    _block_expand = _block_expand_nb
-    _masked_argmax = _masked_argmax_nb
-else:
-    _eval_elements = _eval_elements_np
-    _block_expand = _block_expand_np
-    _masked_argmax = _masked_argmax_np
-
-
 def eval_elements(stacked, offsets, tuples):
     """Evaluate tensor entries at the given index tuples (rows, 0-based)."""
     tuples = np.ascontiguousarray(tuples, dtype=np.int64)
-    return _eval_elements(stacked, offsets, tuples)
+    prod = np.ones((tuples.shape[0], stacked.shape[1]), dtype=stacked.dtype)
+    for p in range(offsets.shape[0] - 1):
+        prod *= stacked[offsets[p] + tuples[:, p], :]
+    return prod.sum(axis=1)
 
 
 def block_expand(stacked, offsets, modes, dims):
@@ -148,7 +34,13 @@ def block_expand(stacked, offsets, modes, dims):
     """
     modes = np.ascontiguousarray(modes, dtype=np.int64)
     dims = np.ascontiguousarray(dims, dtype=np.int64)
-    return _block_expand(stacked, offsets, modes, dims)
+    rank = stacked.shape[1]
+    acc = stacked[offsets[modes[0]]:offsets[modes[0]] + dims[0]].copy()
+    for t in range(1, len(modes)):
+        f = stacked[offsets[modes[t]]:offsets[modes[t]] + dims[t]]
+        # C-order reshape of (n_t, vol_prev, R) makes the earlier modes fastest
+        acc = (f[:, None, :] * acc[None, :, :]).reshape(-1, rank)
+    return acc
 
 
 def masked_argmax(keyed, forbidden):
@@ -158,4 +50,10 @@ def masked_argmax(keyed, forbidden):
     """
     keyed = np.ascontiguousarray(keyed, dtype=np.float64)
     forbidden = np.ascontiguousarray(forbidden, dtype=np.int64)
-    return int(_masked_argmax(keyed, forbidden))
+    if forbidden.shape[0]:
+        keyed = keyed.copy()
+        keyed[forbidden] = -np.inf
+    lin = int(np.argmax(keyed))
+    if np.isneginf(keyed[lin]):
+        return -1
+    return lin

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cp, kernels
-from .errors import CapacityError, InfeasibleKError, SelectionExhaustedError
+from .errors import CapacityError, InfeasibleKError
 
 
 class OrderingKey(enum.Enum):
@@ -208,39 +208,6 @@ def compute_alpha(A, tuples, block):
     return alpha, beta
 
 
-def subproblem_tensor(A, alpha_col, block, cap=1 << 20):
-    """Dense values of one candidate's block subproblem, flat.
-
-    Cell lin holds sum_r alpha_col[r] * prod_t U_{block[t]}(i_t, r) with the
-    first block mode fastest in lin.  Every cell is an exact tensor entry of
-    A at the candidate's completed tuple.
-    """
-    bdims = [A.dims[q] for q in block]
-    vol = math.prod(bdims)
-    if vol > cap:
-        raise CapacityError(f"block volume {vol} exceeds the subproblem cap of {cap}")
-    stacked, offsets = kernels.stack_factors(A.factors)
-    expand = kernels.block_expand(stacked, offsets, np.array(block), np.array(bdims))
-    return expand @ np.asarray(alpha_col)
-
-
-def solve_subproblem(values_flat, block_dims, forbidden, key):
-    """Best admissible cell of a flat subproblem tensor.
-
-    Walks cells in key order, skipping linear indices in ``forbidden``
-    (cells taken by earlier colliding candidates); ties resolve to the
-    smallest linear index.  Raises SelectionExhaustedError when every cell
-    is forbidden.
-    """
-    keyed = key_values(values_flat, key)
-    lin = kernels.masked_argmax(keyed, np.asarray(forbidden, dtype=np.int64))
-    if lin < 0:
-        raise SelectionExhaustedError(
-            f"all {keyed.shape[0]} block cells are taken by earlier candidates"
-        )
-    return values_flat[lin], _decode_linear(lin, block_dims)
-
-
 def _block_pass(tuples, values, block, keyed_cols, beta, block_dims, key,
                 stacked, offsets):
     """Update every candidate's block coordinates against one block.
@@ -275,16 +242,11 @@ def _block_pass(tuples, values, block, keyed_cols, beta, block_dims, key,
     return exhausted
 
 
-def _sweep(A, cands, key, schedule, cap, stacked, offsets):
+def _sweep(A, cands, key, schedule, stacked, offsets):
     """One full sweep over the block schedule; mutates cands in place."""
     exhausted = 0
     for block in schedule:
         block_dims = [A.dims[q] for q in block]
-        vol = math.prod(block_dims)
-        if vol > cap:
-            raise CapacityError(
-                f"block volume {vol} exceeds the subproblem cap of {cap}"
-            )
         alpha, beta = compute_alpha(A, cands.tuples, block)
         expand = kernels.block_expand(
             stacked, offsets, np.array(block), np.array(block_dims)
@@ -338,6 +300,8 @@ def solve(A, cfg):
                 f"block volume {vol} exceeds the subproblem cap of {cfg.subproblem_cap}"
             )
     stacked, offsets = kernels.stack_factors(A.factors)
+    if not np.all(np.isfinite(stacked)):
+        raise ValueError("factors hold NaN or infinite entries")
     pool = {}
     traces = []
     total_sweeps = 0
@@ -350,8 +314,7 @@ def solve(A, cfg):
         converged = False
         for _ in range(cfg.max_sweeps):
             before = cands.tuples.copy()
-            exhausted += _sweep(A, cands, cfg.key, schedule, cfg.subproblem_cap,
-                                stacked, offsets)
+            exhausted += _sweep(A, cands, cfg.key, schedule, stacked, offsets)
             total_sweeps += 1
             best = float(np.max(key_values(cands.values, cfg.key)))
             if cfg.k == 1:

@@ -113,6 +113,25 @@ class TestTopk(unittest.TestCase):
         self.assertEqual(code, 3)
         self.assertIn("error:", err)
 
+    def test_invalid_k_exits_4(self):
+        code, _, err = run_cli(["topk", "--input", self.file, "--k", "0"])
+        self.assertEqual(code, 4)
+        self.assertIn("error:", err)
+
+    def test_usage_error_exits_4(self):
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            with self.assertRaises(SystemExit) as ctx:
+                main(["topk", "--input", self.file, "--k", "two"])
+        self.assertEqual(ctx.exception.code, 4)
+        self.assertIn("invalid int value", err.getvalue())
+
+    def test_help_exits_0(self):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            with self.assertRaises(SystemExit) as ctx:
+                main(["topk", "--help"])
+        self.assertEqual(ctx.exception.code, 0)
+        self.assertIn("--input", out.getvalue())
+
 
 class TestBench(unittest.TestCase):
 
@@ -149,6 +168,11 @@ class TestQft(unittest.TestCase):
                                 "--k", "3", "--seed", "2"])
         self.assertEqual(code, 0)
         self.assertIn("top-1 match 1/1", out)
+
+    def test_non_square_d_exits_4(self):
+        code, _, err = run_cli(["qft", "--d", "10"])
+        self.assertEqual(code, 4)
+        self.assertIn("not a square", err)
 
     def test_qft_dump_state_roundtrips(self):
         import tempfile

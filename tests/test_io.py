@@ -96,6 +96,18 @@ def test_parser_rejects_malformed(tmp_path, mutate):
         read_cpt(_write_doc(tmp_path, doc))
 
 
+@pytest.mark.parametrize("field,entry", [
+    ("real", "NaN"), ("real", "Infinity"), ("real", "-Infinity"), ("real", "1e999"),
+    ("complex", "[0.0, NaN]"),
+])
+def test_parser_rejects_non_finite(tmp_path, field, entry):
+    path = tmp_path / "bad.cpt"
+    path.write_text('{"field": "%s", "dims": [2], "rank": 1, "factors": [[%s, %s]]}'
+                    % (field, entry, entry))
+    with pytest.raises(CptFormatError, match="NaN or infinite"):
+        read_cpt(path)
+
+
 def test_parser_rejects_non_json(tmp_path):
     path = tmp_path / "junk.cpt"
     path.write_text("not json at all {{{")

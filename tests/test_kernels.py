@@ -1,11 +1,6 @@
-"""Kernel-level checks, including numba/numpy path agreement."""
-
-import os
-import subprocess
-import sys
+"""Kernel-level checks against dense references."""
 
 import numpy as np
-import pytest
 
 from conftest import dense_from_factors, random_factors
 from tensor_topk import kernels
@@ -86,41 +81,3 @@ def test_masked_argmax_vs_bruteforce(rng):
         else:
             best = max(allowed, key=lambda i: (keyed[i], -i))
             assert got == best
-
-
-@pytest.mark.skipif(not kernels.NUMBA_ENABLED, reason="numba path not active")
-def test_numba_and_numpy_paths_agree(rng):
-    fs, stacked, offsets = _stacked(rng, (4, 3, 6, 2), 5)
-    tuples = np.stack([rng.integers(0, n, size=40) for n in (4, 3, 6, 2)], axis=1)
-    a = kernels._eval_elements_nb(stacked, offsets, np.ascontiguousarray(tuples))
-    b = kernels._eval_elements_np(stacked, offsets, tuples)
-    np.testing.assert_allclose(a, b, rtol=1e-13)
-
-    modes = np.array([1, 3], dtype=np.int64)
-    dims = np.array([3, 2], dtype=np.int64)
-    ea = kernels._block_expand_nb(stacked, offsets, modes, dims)
-    eb = kernels._block_expand_np(stacked, offsets, modes, dims)
-    np.testing.assert_allclose(ea, eb, rtol=1e-13)
-
-    keyed = rng.uniform(-1, 1, size=17)
-    forb = np.array([3, 9], dtype=np.int64)
-    assert kernels._masked_argmax_nb(keyed, forb) == kernels._masked_argmax_np(keyed, forb)
-
-
-def test_env_flag_disables_numba():
-    code = ("import tensor_topk.kernels as k; "
-            "print(k.NUMBA_ENABLED)")
-    env = dict(os.environ, TENSOR_TOPK_NO_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
-
-
-def test_env_flag_zero_keeps_numba():
-    code = ("import tensor_topk.kernels as k; "
-            "print(k.NUMBA_ENABLED)")
-    env = dict(os.environ, TENSOR_TOPK_NO_NUMBA="0")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    # matches the unflagged import on this machine, whatever that is
-    assert out.stdout.strip() == str(kernels.NUMBA_ENABLED)

@@ -10,9 +10,8 @@ import unittest
 import numpy as np
 
 from conftest import dense_from_factors, dense_topk, random_factors
-from tensor_topk import cp, solver
-from tensor_topk.errors import (CapacityError, InfeasibleKError,
-                                SelectionExhaustedError)
+from tensor_topk import cp, kernels, solver
+from tensor_topk.errors import CapacityError, InfeasibleKError
 from tensor_topk.solver import OrderingKey, SolverConfig
 
 
@@ -158,58 +157,41 @@ class TestAlphaBeta(unittest.TestCase):
 
 
 class TestSubproblem(unittest.TestCase):
+    """The block subproblem as ``solve`` builds it: expand @ alpha, then select."""
 
     def test_cells_are_tensor_entries(self):
         rng = np.random.default_rng(5)
         fs = random_factors(rng, (3, 4, 2), 3)
         A = cp.CpTensor(fs)
         dense = dense_from_factors(fs)
-        t = np.array([[2, 1, 0]])
+        tuples = np.array([[2, 1, 0], [0, 3, 1], [1, 0, 1]])
         block = (0, 2)
-        alpha, _ = solver.compute_alpha(A, t, block)
-        flat = solver.subproblem_tensor(A, alpha[:, 0], block)
-        self.assertEqual(flat.shape, (6,))
-        for lin in range(6):
-            i0, i2 = lin % 3, lin // 3
-            self.assertAlmostEqual(flat[lin], dense[i0, 1, i2], places=11)
+        stacked, offsets = kernels.stack_factors(A.factors)
+        expand = kernels.block_expand(stacked, offsets, block, (3, 2))
+        cells = expand @ solver.compute_alpha(A, tuples, block)[0]
+        self.assertEqual(cells.shape, (6, 3))
+        for j, t in enumerate(tuples):
+            for lin in range(6):
+                i0, i2 = lin % 3, lin // 3
+                self.assertAlmostEqual(cells[lin, j], dense[i0, t[1], i2], places=11)
 
     def test_cap(self):
         A = cp.CpTensor(random_factors(np.random.default_rng(0), (40, 40), 2))
-        alpha, _ = solver.compute_alpha(A, np.array([[0, 0]]), (0, 1))
         with self.assertRaises(CapacityError):
-            solver.subproblem_tensor(A, alpha[:, 0], (0, 1), cap=100)
-
-    def test_selection_skips_forbidden(self):
-        vals = np.array([3.0, 6.0, 4.0, 8.0])  # 2x2, mode-0 fastest
-        v, idx = solver.solve_subproblem(vals, (2, 2), [], OrderingKey.MAX)
-        self.assertEqual((v, idx), (8.0, (1, 1)))
-        v, idx = solver.solve_subproblem(vals, (2, 2), [3], OrderingKey.MAX)
-        self.assertEqual((v, idx), (6.0, (1, 0)))
-        v, idx = solver.solve_subproblem(vals, (2, 2), [3, 1], OrderingKey.MAX)
-        self.assertEqual((v, idx), (4.0, (0, 1)))
+            solver.solve(A, SolverConfig(k=1, block_size=2, subproblem_cap=100))
 
     def test_selection_min_key(self):
         vals = np.array([3.0, 6.0, 4.0, 8.0])
-        v, idx = solver.solve_subproblem(vals, (2, 2), [], OrderingKey.MIN)
-        self.assertEqual((v, idx), (3.0, (0, 0)))
+        keyed = solver.key_values(vals, OrderingKey.MIN)
+        np.testing.assert_array_equal(keyed, -vals)
+        self.assertEqual(kernels.masked_argmax(keyed, np.array([], dtype=np.int64)), 0)
+        self.assertEqual(kernels.masked_argmax(keyed, np.array([0])), 2)
 
-    def test_exhaustion_raises(self):
-        vals = np.array([1.0, 2.0])
-        with self.assertRaises(SelectionExhaustedError):
-            solver.solve_subproblem(vals, (2,), [0, 1], OrderingKey.MAX)
-
-    def test_matches_bruteforce_with_collisions(self):
-        rng = np.random.default_rng(11)
-        for _ in range(30):
-            vals = np.round(rng.uniform(-2, 2, size=12), 1)
-            forbidden = rng.choice(12, size=int(rng.integers(0, 12)),
-                                   replace=False).tolist()
-            got_v, got_idx = solver.solve_subproblem(vals, (3, 4), forbidden,
-                                                     OrderingKey.MAX)
-            allowed = [i for i in range(12) if i not in forbidden]
-            best = max(allowed, key=lambda i: (vals[i], -i))
-            self.assertEqual(got_v, vals[best])
-            self.assertEqual(got_idx, (best % 3, best // 3))
+    def test_non_finite_factors_rejected(self):
+        # a NaN entry would otherwise be ranked among the best values
+        A = cp.CpTensor([np.array([[1.0], [np.nan], [2.0]]), np.array([[1.0], [3.0]])])
+        with self.assertRaises(ValueError):
+            solver.solve(A, SolverConfig(k=3, block_size=1))
 
 
 def _tiny_rank1():
