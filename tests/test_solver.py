@@ -180,6 +180,32 @@ class TestSubproblem(unittest.TestCase):
         with self.assertRaises(CapacityError):
             solver.solve(A, SolverConfig(k=1, block_size=2, subproblem_cap=100))
 
+    @staticmethod
+    def _select(vals, dims, forbidden, key):
+        # the selection step of solve's block pass: key-map, masked argmax, decode
+        keyed = solver.key_values(vals, key)
+        lin = kernels.masked_argmax(keyed, np.asarray(forbidden, dtype=np.int64))
+        return vals[lin], solver._decode_linear(lin, dims)
+
+    def test_selection_skips_forbidden(self):
+        vals = np.array([3.0, 6.0, 4.0, 8.0])  # 2x2, mode-0 fastest
+        self.assertEqual(self._select(vals, (2, 2), [], OrderingKey.MAX), (8.0, (1, 1)))
+        self.assertEqual(self._select(vals, (2, 2), [3], OrderingKey.MAX), (6.0, (1, 0)))
+        self.assertEqual(self._select(vals, (2, 2), [3, 1], OrderingKey.MAX),
+                         (4.0, (0, 1)))
+
+    def test_matches_bruteforce_with_collisions(self):
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            vals = np.round(rng.uniform(-2, 2, size=12), 1)
+            forbidden = rng.choice(12, size=int(rng.integers(0, 12)),
+                                   replace=False).tolist()
+            got_v, got_idx = self._select(vals, (3, 4), forbidden, OrderingKey.MAX)
+            allowed = [i for i in range(12) if i not in forbidden]
+            best = max(allowed, key=lambda i: (vals[i], -i))
+            self.assertEqual(got_v, vals[best])
+            self.assertEqual(got_idx, (best % 3, best // 3))
+
     def test_selection_min_key(self):
         vals = np.array([3.0, 6.0, 4.0, 8.0])
         keyed = solver.key_values(vals, OrderingKey.MIN)
