@@ -346,5 +346,66 @@ class TestSolveAgainstDense(unittest.TestCase):
         self.assertGreaterEqual(res.diagnostics["pool_size"], 8)
 
 
+def _pinned_tensor(tseed, dims, rank, complex_):
+    return cp.CpTensor(random_factors(np.random.default_rng(tseed), dims, rank,
+                                      complex_=complex_))
+
+
+# name: (tensor seed, dims, rank, complex, SolverConfig keywords)
+PINNED_CONFIGS = {
+    "real_max_s2": (101, (5, 4, 6, 3), 3, False,
+                    dict(k=3, extra=5, block_size=2, seed=1)),
+    "real_min_s1": (102, (4, 5, 3, 4), 4, False,
+                    dict(k=4, extra=6, block_size=1, key=OrderingKey.MIN, seed=2)),
+    "real_max_auto": (103, (6, 5, 4, 3), 3, False,
+                      dict(k=2, extra=8, block_size="auto", subproblem_cap=120, seed=3)),
+    "real_max_full": (104, (4, 3, 5), 2, False,
+                      dict(k=3, extra=10, block_size=3, seed=4)),
+    "collide_max_s1": (105, (3, 3, 3), 3, False,
+                       dict(k=3, extra=20, block_size=1, seed=5)),
+    "collide_min_s2": (106, (3, 3, 3), 2, False,
+                       dict(k=3, extra=20, block_size=2, key=OrderingKey.MIN, seed=6)),
+    "complex_maxabs_s2": (107, (4, 3, 5, 3), 3, True,
+                          dict(k=3, extra=6, block_size=2, key=OrderingKey.MAX_ABS,
+                               seed=7)),
+    "complex_maxreal_full": (108, (3, 4, 3), 3, True,
+                             dict(k=2, extra=5, block_size=3,
+                                  key=OrderingKey.MAX_REAL, seed=8)),
+    "collide_complex_maxabs_s1": (109, (3, 3, 3), 2, True,
+                                  dict(k=3, extra=20, block_size=1,
+                                       key=OrderingKey.MAX_ABS, seed=9)),
+}
+
+# (indices, sweeps_used) of each config above; an unchanged solver reproduces
+# them exactly, so any drift in selection order or tie handling shows here
+PINNED_OUTPUTS = {
+    "real_max_s2": ([[4, 3, 0, 0], [4, 2, 5, 0], [2, 3, 1, 0]], 16),
+    "real_min_s1": ([[2, 4, 1, 1], [2, 4, 0, 1], [0, 4, 1, 3], [2, 2, 1, 1]], 15),
+    "real_max_auto": ([[5, 3, 2, 2], [5, 3, 3, 1]], 13),
+    "real_max_full": ([[1, 0, 4], [0, 1, 0], [1, 2, 4]], 10),
+    "collide_max_s1": ([[0, 1, 2], [1, 1, 0], [2, 0, 2]], 20),
+    "collide_min_s2": ([[0, 1, 0], [0, 2, 1], [2, 1, 0]], 14),
+    "complex_maxabs_s2": ([[3, 1, 3, 2], [1, 1, 3, 2], [2, 0, 4, 1]], 15),
+    "complex_maxreal_full": ([[1, 0, 2], [1, 3, 0]], 10),
+    "collide_complex_maxabs_s1": ([[1, 1, 0], [1, 2, 0], [1, 2, 1]], 17),
+}
+
+
+class TestPinnedOutputs(unittest.TestCase):
+
+    def test_configs_reproduce_pinned_outputs(self):
+        self.assertEqual(set(PINNED_OUTPUTS), set(PINNED_CONFIGS))
+        for name, (tseed, dims, rank, complex_, kw) in PINNED_CONFIGS.items():
+            with self.subTest(name):
+                A = _pinned_tensor(tseed, dims, rank, complex_)
+                res = solver.solve(A, SolverConfig(**kw))
+                indices, sweeps = PINNED_OUTPUTS[name]
+                self.assertEqual(res.indices.tolist(), indices)
+                self.assertEqual(res.sweeps_used, sweeps)
+                exact = cp.elements_at(A, res.indices)
+                self.assertEqual(res.values.dtype, exact.dtype)
+                np.testing.assert_array_equal(res.values, exact)
+
+
 if __name__ == "__main__":
     unittest.main()
