@@ -86,6 +86,8 @@ def _run_topk(args):
             "objective": res.objective,
             "sweeps_used": res.sweeps_used,
             "converged": res.converged,
+            "diagnostics": {name: res.diagnostics[name]
+                            for name in ("block_size", "exhausted", "pool_size")},
         }, indent=2))
     return 0
 

@@ -23,6 +23,7 @@ from . import cp
 from .baselines import ORACLE_CAP_DEFAULT, oracle_topk, power_iteration_max
 from .errors import CapacityError
 from .generators import (
+    DISTRIBUTIONS,
     RandomSpec,
     gen_griewank,
     gen_random_cp,
@@ -164,6 +165,10 @@ def _bench_trial_star(args):
 def run_bench(out_path, trials, dists, k, key, seed, oracle_cap=ORACLE_CAP_DEFAULT,
               restarts=5, max_sweeps=50):
     """Run the benchmark grid and write the schema-1 CSV; returns summaries."""
+    if not dists:
+        raise ValueError(f"no distribution given; choose from {sorted(DISTRIBUTIONS)}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     tasks = [(seed, t, dist, k, key, oracle_cap, restarts, max_sweeps)
              for dist in dists for t in range(trials)]
     workers = worker_count()

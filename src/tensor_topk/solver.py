@@ -39,22 +39,28 @@ class OrderingKey(enum.Enum):
         raise ValueError(f"unknown ordering key {name!r}")
 
 
-def key_values(values, key):
-    """Map raw entries to the real scores the solver maximizes."""
+def key_values(values, key, out=None):
+    """Map raw entries to the real scores the solver maximizes.
+
+    With ``out``, a float64 array of the same shape, the scores are written
+    there and ``out`` is returned; otherwise a new contiguous array is.
+    """
     values = np.asarray(values)
-    if key is OrderingKey.MAX:
-        out = np.real(values)
-    elif key is OrderingKey.MIN:
-        out = -np.real(values)
+    if key is OrderingKey.MIN:
+        mapped = np.negative(np.real(values), out=out)
     elif key is OrderingKey.MAX_ABS:
-        out = np.abs(values)
-    elif key is OrderingKey.MAX_REAL:
-        out = np.real(values)
+        mapped = np.abs(values, out=out)
+    elif key in (OrderingKey.MAX, OrderingKey.MAX_REAL):
+        mapped = np.real(values)
     elif key is OrderingKey.MAX_IMAG:
-        out = np.imag(values)
+        mapped = np.imag(values)
     else:
         raise ValueError(f"unknown key {key!r}")
-    return np.ascontiguousarray(out, dtype=np.float64)
+    if out is None:
+        return np.ascontiguousarray(mapped, dtype=np.float64)
+    if mapped is not out:
+        np.copyto(out, mapped)
+    return out
 
 
 def _check_key_field(key, is_complex):
@@ -208,30 +214,64 @@ def compute_alpha(A, tuples, block):
     return alpha, beta
 
 
-def _block_pass(tuples, values, block, keyed_cols, beta, block_dims, key,
+def _block_pass(tuples, values, block, keyed, beta, block_dims, key,
                 stacked, offsets):
     """Update every candidate's block coordinates against one block.
 
-    keyed_cols is the (vol, m) key-mapped subproblem matrix for the entering
-    candidate state.  Returns the number of exhaustion fallbacks.
+    keyed is the (vol, m) key-mapped subproblem for the entering candidate
+    state: column j scores every cell of the block for candidate j.  The
+    rule is sequential greedy: in candidate order, each candidate takes its
+    best cell not already taken by an earlier candidate with the same
+    out-of-block coordinates (beta), and a roundoff recheck keeps the
+    incumbent unless the move truly beats it.  It runs in two phases that
+    give exactly the sequential result:
+
+    1. Free candidates, those with no earlier candidate in their context,
+       have an empty forbidden set whatever the others pick, so each takes
+       its column's argmax.  All are picked at once and rechecked in one
+       batched ``eval_elements`` call.
+    2. The remaining (dependent) candidates are walked in order with
+       ``masked_argmax``.  Every earlier candidate's final cell is known by
+       then (free ones from phase 1, dependent ones from earlier steps), so
+       each forbidden set is the one the sequential rule sees.
+
+    A candidate whose allowed cells are all -inf keeps its incumbent cell;
+    returns the number of these exhaustion fallbacks.
     """
     m = tuples.shape[0]
+    block = list(block)
     strides = np.cumprod([1] + list(block_dims[:-1]))
     inc_lins = (tuples[:, block] * strides).sum(axis=1)
-    new_lins = np.empty(m, dtype=np.int64)
-    exhausted = 0
-    for j in range(m):
+    cols = np.arange(m)
+    # beta's diagonal is True, so a column's first True row is below the
+    # diagonal exactly when an earlier candidate shares the context
+    dependent = beta.argmax(axis=0) < cols
+
+    new_lins = kernels.column_argmax(keyed)
+    stuck = ~dependent & (keyed[new_lins, cols] == -np.inf)
+    new_lins[stuck] = inc_lins[stuck]
+    exhausted = int(stuck.sum())
+    moved = np.flatnonzero(~dependent & (new_lins != inc_lins))
+    if moved.size:
+        # Guard against reduction-order roundoff in the batched subproblem
+        # values: re-evaluate the contenders through the element kernel and
+        # keep each incumbent unless truly beaten.
+        trial = tuples[moved]
+        for t, q in enumerate(block):
+            trial[:, q] = (new_lins[moved] // strides[t]) % block_dims[t]
+        tv = kernels.eval_elements(stacked, offsets, trial)
+        worse = moved[key_values(tv, key) < key_values(values[moved], key)]
+        new_lins[worse] = inc_lins[worse]
+
+    for j in np.flatnonzero(dependent):
         forbidden = new_lins[:j][beta[:j, j]]
-        lin = kernels.masked_argmax(keyed_cols[:, j], forbidden)
+        lin = kernels.masked_argmax(keyed[:, j], forbidden)
         if lin < 0:
             exhausted += 1
             lin = int(inc_lins[j])
         elif lin != inc_lins[j] and int(inc_lins[j]) not in forbidden:
-            # Guard against reduction-order roundoff in the batched
-            # subproblem values: re-evaluate the contender through the
-            # element kernel and keep the incumbent unless truly beaten.
             trial = tuples[j].copy()
-            trial[list(block)] = _decode_linear(lin, block_dims)
+            trial[block] = _decode_linear(lin, block_dims)
             tv = kernels.eval_elements(stacked, offsets, trial[None, :])
             if key_values(tv, key)[0] < key_values(values[j:j + 1], key)[0]:
                 lin = int(inc_lins[j])
@@ -242,21 +282,41 @@ def _block_pass(tuples, values, block, keyed_cols, beta, block_dims, key,
     return exhausted
 
 
-def _sweep(A, cands, key, schedule, stacked, offsets):
-    """One full sweep over the block schedule; mutates cands in place."""
+def _sweep(A, cands, key, schedule, stacked, offsets, work):
+    """One full sweep over the block schedule; mutates cands in place.
+
+    work holds the flat buffers from `_work_buffers`; each block uses a
+    prefix of each, so no block allocates an array proportional to its
+    volume.
+    """
+    expand_buf, cells_buf, keyed_buf = work
+    m = cands.tuples.shape[0]
     exhausted = 0
     for block in schedule:
         block_dims = [A.dims[q] for q in block]
+        vol = math.prod(block_dims)
         alpha, beta = compute_alpha(A, cands.tuples, block)
         expand = kernels.block_expand(
-            stacked, offsets, np.array(block), np.array(block_dims)
+            stacked, offsets, np.array(block), np.array(block_dims),
+            out=expand_buf[:vol * A.rank].reshape(vol, A.rank),
         )
-        keyed_cols = key_values(expand @ alpha, key)
+        cells = np.matmul(expand, alpha, out=cells_buf[:vol * m].reshape(vol, m))
+        keyed = key_values(cells, key, out=keyed_buf[:vol * m].reshape(vol, m))
         exhausted += _block_pass(
-            cands.tuples, cands.values, block, keyed_cols, beta, block_dims,
+            cands.tuples, cands.values, block, keyed, beta, block_dims,
             key, stacked, offsets,
         )
     return exhausted
+
+
+def _work_buffers(A, max_vol, m):
+    """Flat expansion, contraction and key buffers for `_sweep`.
+
+    A real tensor's keys are mapped in place in the contraction buffer.
+    """
+    cells = np.empty(max_vol * m, dtype=A.dtype)
+    keyed = np.empty(max_vol * m) if A.is_complex else cells
+    return np.empty(max_vol * A.rank, dtype=A.dtype), cells, keyed
 
 
 def _resolve_block_size(A, cfg):
@@ -293,15 +353,17 @@ def solve(A, cfg):
     _check_key_field(cfg.key, A.is_complex)
     s = _resolve_block_size(A, cfg)
     schedule = block_schedule(A.order, s)
-    for w in schedule:
-        vol = math.prod(A.dims[q] for q in w)
-        if vol > cfg.subproblem_cap:
-            raise CapacityError(
-                f"block volume {vol} exceeds the subproblem cap of {cfg.subproblem_cap}"
-            )
+    max_vol = max(math.prod(A.dims[q] for q in w) for w in schedule)
+    if max_vol > cfg.subproblem_cap:
+        raise CapacityError(
+            f"block volume {max_vol} exceeds the subproblem cap of {cfg.subproblem_cap}"
+        )
     stacked, offsets = kernels.stack_factors(A.factors)
     if not np.all(np.isfinite(stacked)):
         raise ValueError("factors hold NaN or infinite entries")
+    # sized for the k + extra candidates (fewer on tiny tensors) that
+    # init_candidates draws
+    work = _work_buffers(A, max_vol, min(cfg.k + cfg.extra, A.size()))
     pool = {}
     traces = []
     total_sweeps = 0
@@ -314,7 +376,7 @@ def solve(A, cfg):
         converged = False
         for _ in range(cfg.max_sweeps):
             before = cands.tuples.copy()
-            exhausted += _sweep(A, cands, cfg.key, schedule, stacked, offsets)
+            exhausted += _sweep(A, cands, cfg.key, schedule, stacked, offsets, work)
             total_sweeps += 1
             best = float(np.max(key_values(cands.values, cfg.key)))
             if cfg.k == 1:

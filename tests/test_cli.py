@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import shutil
 import subprocess
 import unittest
@@ -12,7 +13,8 @@ import numpy as np
 
 from tensor_topk import cp
 from tensor_topk.cli import main
-from tensor_topk.cpt_io import write_cpt
+from tensor_topk.cpt_io import read_cpt, write_cpt
+from tensor_topk.solver import SolverConfig, solve
 
 
 def run_cli(argv):
@@ -64,6 +66,17 @@ class TestTopk(unittest.TestCase):
         self.assertEqual(doc["values"], ["8", "6"])
         self.assertEqual(doc["indices"], [[2, 2], [2, 1]])
         self.assertTrue(doc["converged"])
+
+    def test_json_diagnostics_match_solve(self):
+        code, out, _ = run_cli(["topk", "--input", self.file, "--k", "2",
+                                "--extra", "1", "--block", "1", "--seed", "3",
+                                "--restarts", "2", "--output", "json"])
+        self.assertEqual(code, 0)
+        res = solve(read_cpt(self.file),
+                    SolverConfig(k=2, extra=1, block_size=1, seed=3, restarts=2))
+        want = {name: res.diagnostics[name]
+                for name in ("block_size", "exhausted", "pool_size")}
+        self.assertEqual(json.loads(out)["diagnostics"], want)
 
     def test_csv_output(self):
         code, out, _ = run_cli(["topk", "--input", self.file, "--k", "1",
@@ -150,6 +163,19 @@ class TestBench(unittest.TestCase):
             methods = {r["method"] for r in rows}
             self.assertIn("ours_s2_K5", methods)
             self.assertIn("power_iteration", methods)
+
+    def test_empty_grid_exits_4(self):
+        # an empty grid used to write a header-only CSV and exit 0
+        import tempfile
+        with tempfile.TemporaryDirectory() as d:
+            out_csv = f"{d}/bench.csv"
+            for args, msg in ((["--trials", "1", "--dist", ","], "no distribution given"),
+                              (["--trials", "0", "--dist", "u01"], "trials must be >= 1")):
+                code, out, err = run_cli(["bench", *args, "--out", out_csv])
+                self.assertEqual(code, 4)
+                self.assertIn(msg, err)
+                self.assertEqual(out, "")
+                self.assertFalse(os.path.exists(out_csv))
 
 
 class TestFunc(unittest.TestCase):

@@ -1,6 +1,7 @@
 """Kernel-level checks against dense references."""
 
 import numpy as np
+import pytest
 
 from conftest import dense_from_factors, random_factors
 from tensor_topk import kernels
@@ -52,6 +53,50 @@ def test_block_expand_single_mode(rng):
     fs, stacked, offsets = _stacked(rng, (4, 2), 3)
     out = kernels.block_expand(stacked, offsets, np.array([1]), np.array([2]))
     np.testing.assert_array_equal(out, fs[1])
+
+
+def test_block_expand_into_out_is_bit_equal(rng):
+    for complex_ in (False, True):
+        fs, stacked, offsets = _stacked(rng, (3, 4, 5, 2), 3, complex_=complex_)
+        for modes in ([1], [3, 0], [2, 0, 1]):
+            dims = [fs[q].shape[0] for q in modes]
+            want = kernels.block_expand(stacked, offsets, modes, dims)
+            # a larger flat buffer, used through a prefix view as the solver does
+            buf = np.full(200 * 3, np.nan, dtype=stacked.dtype)
+            out = buf[:want.size].reshape(want.shape)
+            got = kernels.block_expand(stacked, offsets, modes, dims, out=out)
+            assert got is out
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
+def test_block_expand_rejects_bad_out(rng):
+    fs, stacked, offsets = _stacked(rng, (3, 4), 2)
+    with pytest.raises(ValueError):
+        kernels.block_expand(stacked, offsets, [0, 1], [3, 4], out=np.empty((11, 2)))
+    with pytest.raises(ValueError):
+        kernels.block_expand(stacked, offsets, [0, 1], [3, 4],
+                             out=np.empty((2, 12)).T)
+
+
+def test_column_argmax_matches_argmax(rng):
+    # both sides of the direct-argmax cutoff; rounding makes ties common
+    big = kernels.DIRECT_ARGMAX_CELLS // 5 + 1
+    for n in (1, 7, 12, 36, 97, big, 2 * big, 3 * 4999, 20011):  # 20011 is prime
+        for m in (1, 5):
+            keyed = np.round(rng.uniform(-3, 3, size=(n, m)), 0)
+            np.testing.assert_array_equal(kernels.column_argmax(keyed),
+                                          keyed.argmax(axis=0))
+    for n in (24, 2 * big):
+        keyed = np.round(rng.uniform(-3, 3, size=(n, 7)), 0)
+        keyed[:, 0] = -np.inf
+        keyed[5, 1] = np.nan
+        keyed[:, 2] = np.minimum(keyed[:, 2], 0.0)
+        keyed[[3, 9], 2] = [-0.0, 0.0]
+        keyed[:, 3] = 1.0
+        keyed[-1, 4] = 10.0
+        np.testing.assert_array_equal(kernels.column_argmax(keyed),
+                                      keyed.argmax(axis=0))
 
 
 def test_masked_argmax_plain():

@@ -5,11 +5,12 @@ internal pieces (schedule, alpha/beta, subproblem cells, collision handling)
 get direct hand-computed cases.
 """
 
+import math
 import unittest
 
 import numpy as np
 
-from conftest import dense_from_factors, dense_topk, random_factors
+from conftest import dense_from_factors, dense_topk, keyed_dense, random_factors
 from tensor_topk import cp, kernels, solver
 from tensor_topk.errors import CapacityError, InfeasibleKError
 from tensor_topk.solver import OrderingKey, SolverConfig
@@ -218,6 +219,146 @@ class TestSubproblem(unittest.TestCase):
         A = cp.CpTensor([np.array([[1.0], [np.nan], [2.0]]), np.array([[1.0], [3.0]])])
         with self.assertRaises(ValueError):
             solver.solve(A, SolverConfig(k=3, block_size=1))
+
+
+def _reference_block_pass(A, tuples, values, block, keyed, key_name):
+    """PAPER.md's greedy rule, one candidate at a time.
+
+    In candidate order, each candidate takes its best block cell (ties to
+    the smallest linear index, first block mode fastest) that no earlier
+    candidate with the same out-of-block coordinates has taken.  A move is
+    rechecked against the exact entry and undone unless it beats the
+    entering value; a candidate with no finite allowed cell keeps its own.
+    """
+    block = list(block)
+    rest = [q for q in range(A.order) if q not in block]
+    dims = [A.dims[q] for q in block]
+    vol = keyed.shape[0]
+
+    def lin_of(t):
+        lin = 0
+        for q in reversed(block):
+            lin = lin * A.dims[q] + int(t[q])
+        return lin
+
+    def key(v):
+        return keyed_dense(np.array([v]), key_name)[0]
+
+    out = tuples.copy()
+    taken = []  # (context, final cell) of every earlier candidate
+    exhausted = 0
+    for j, t in enumerate(tuples):
+        ctx = tuple(int(v) for v in t[rest])
+        inc = lin_of(t)
+        forbidden = {cell for c, cell in taken if c == ctx}
+        allowed = [c for c in range(vol) if c not in forbidden]
+        best = max(allowed, key=lambda c: (keyed[c, j], -c), default=None)
+        if best is None or keyed[best, j] == -np.inf:
+            exhausted += 1
+            best = inc
+        elif best != inc and inc not in forbidden:
+            trial = t.copy()
+            trial[block] = solver._decode_linear(best, dims)
+            if key(cp.element(A, tuple(trial))) < key(values[j]):
+                best = inc
+        taken.append((ctx, best))
+        out[j, block] = solver._decode_linear(best, dims)
+    return out, cp.elements_at(A, out), exhausted
+
+
+class TestBlockPassReference(unittest.TestCase):
+    """The two-phase block pass against the one-at-a-time greedy rule."""
+
+    # (dims, block, how candidates share out-of-block coordinates)
+    PATTERNS = (
+        ((4, 5, 3), (0,), "none"),   # context (i1, i2): all distinct
+        ((4, 5, 3), (0, 1), "one"),  # context i2: one shared value
+        ((4, 5, 3), (2, 0), "mixed"),  # context i1: five values
+    )
+
+    @staticmethod
+    def _tuples(rng, dims, block, pattern, m):
+        if pattern == "none":
+            rows = [(int(rng.integers(0, dims[0])), i1, i2)
+                    for i1 in range(dims[1]) for i2 in range(dims[2])]
+        elif pattern == "one":
+            i2 = int(rng.integers(0, dims[2]))
+            rows = [(i0, i1, i2) for i0 in range(dims[0]) for i1 in range(dims[1])]
+        else:
+            rows = [(i0, i1, i2) for i0 in range(dims[0]) for i1 in range(dims[1])
+                    for i2 in range(dims[2])]
+        pick = rng.permutation(len(rows))[:m]
+        return np.array([rows[i] for i in pick], dtype=np.int64)
+
+    def _run(self, rng, complex_, key, key_name, make_keyed):
+        """Compare both on every pattern; returns the total exhaustion count."""
+        total = 0
+        for dims, block, pattern in self.PATTERNS:
+            A = cp.CpTensor(random_factors(rng, dims, 3, complex_=complex_))
+            stacked, offsets = kernels.stack_factors(A.factors)
+            tuples = self._tuples(rng, dims, block, pattern, 12)
+            values = cp.elements_at(A, tuples)
+            alpha, beta = solver.compute_alpha(A, tuples, block)
+            keyed = make_keyed(A, block, alpha, key)
+            want_t, want_v, want_x = _reference_block_pass(
+                A, tuples, values, block, keyed, key_name)
+            got_t, got_v = tuples.copy(), values.copy()
+            got_x = solver._block_pass(got_t, got_v, block, keyed, beta,
+                                       [dims[q] for q in block], key,
+                                       stacked, offsets)
+            msg = f"{pattern} {key_name}"
+            np.testing.assert_array_equal(got_t, want_t, err_msg=msg)
+            self.assertEqual(got_v.tobytes(), want_v.tobytes(), msg=msg)
+            self.assertEqual(got_x, want_x, msg=msg)
+            if np.all(np.isfinite(keyed)):
+                # distinct entering tuples: at most vol of them share a context
+                self.assertEqual(got_x, 0, msg=msg)
+            total += got_x
+        return total
+
+    @staticmethod
+    def _random_keyed(rng, with_neg_inf=False):
+        def make(A, block, alpha, key):
+            # rounded so that ties are common; unrelated to the tensor, so
+            # the recheck often undoes a move
+            vol = math.prod(A.dims[q] for q in block)
+            keyed = np.round(rng.uniform(-2, 2, size=(vol, alpha.shape[1])), 0)
+            if with_neg_inf:
+                keyed[rng.random(keyed.shape) < 0.5] = -np.inf
+                keyed[:, 1] = -np.inf
+            return keyed
+        return make
+
+    @staticmethod
+    def _exact_keyed(A, block, alpha, key):
+        expand = kernels.block_expand(*kernels.stack_factors(A.factors), block,
+                                      [A.dims[q] for q in block])
+        return solver.key_values(expand @ alpha, key)
+
+    def test_random_keyed_real(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(5):
+            for key, name in ((OrderingKey.MAX, "max"), (OrderingKey.MIN, "min")):
+                self._run(rng, False, key, name, self._random_keyed(rng))
+
+    def test_random_keyed_complex(self):
+        rng = np.random.default_rng(2025)
+        for _ in range(5):
+            self._run(rng, True, OrderingKey.MAX_ABS, "maxabs", self._random_keyed(rng))
+
+    def test_exact_subproblem(self):
+        rng = np.random.default_rng(2026)
+        for _ in range(5):
+            self._run(rng, False, OrderingKey.MAX, "max", self._exact_keyed)
+            self._run(rng, True, OrderingKey.MAX_REAL, "maxreal", self._exact_keyed)
+
+    def test_exhaustion_fallback(self):
+        rng = np.random.default_rng(2027)
+        for _ in range(5):
+            # candidate 1's cells are all -inf, so every pattern exhausts
+            exhausted = self._run(rng, False, OrderingKey.MAX, "max",
+                                  self._random_keyed(rng, with_neg_inf=True))
+            self.assertGreaterEqual(exhausted, len(self.PATTERNS))
 
 
 def _tiny_rank1():
