@@ -58,31 +58,18 @@ def block_expand(stacked, offsets, modes, dims, *, out=None):
     return out
 
 
-# Crossover of column_argmax's two paths, measured with numpy 2.4 on one core
-# of a Xeon host: about equal at 4096 x 10, the slab pass 2.6x faster at
-# 10^4 x 50.
-DIRECT_ARGMAX_CELLS = 1 << 16
-
-
 def column_argmax(keyed):
-    """``keyed.argmax(axis=0)`` of an (n, m) array: ties to the smallest row.
+    """``keyed.argmax(axis=0)`` of a C-contiguous (n, m) array: ties to the
+    smallest row, and a column holding NaN to its first NaN.
 
-    For a large C-contiguous array this avoids the transposed copy that
-    argmax along axis 0 makes.  The rows are cut into g slabs of n // g, g
-    the largest divisor of n up to sqrt(n); the slabs are max-reduced over
-    long contiguous runs, and only the cells that hold a column's maximum are
-    then searched for the first one.  A column with a NaN falls back to its
-    own argmax (the first NaN).  Arrays of up to ``DIRECT_ARGMAX_CELLS``
-    cells, where the copy costs less, and arrays with a prime row count go
-    straight to argmax.
+    Argmax along axis 0 first copies the whole array transposed.  Here the
+    rows are cut into g slabs of n // g, g the largest divisor of n up to
+    sqrt(n); the slabs are max-reduced over long contiguous runs, and only
+    the cells that hold a column's maximum are searched for the first one.
     """
     n, m = keyed.shape
-    groups = 1
-    if keyed.size > DIRECT_ARGMAX_CELLS:
-        divisors = np.arange(1, math.isqrt(n) + 1)
-        groups = int(divisors[n % divisors == 0][-1])
-    if groups == 1:
-        return keyed.argmax(axis=0)
+    divisors = np.arange(1, math.isqrt(n) + 1)
+    groups = int(divisors[n % divisors == 0][-1])
     per = n // groups
     part = keyed.reshape(groups, per * m).max(axis=0).reshape(per, m)
     best = part.max(axis=0)
@@ -90,6 +77,7 @@ def column_argmax(keyed):
     gs = (keyed.reshape(groups, per, m)[:, ps, js] == best[js]).argmax(axis=0)
     rows = np.full(m, n, dtype=np.int64)
     np.minimum.at(rows, js, gs * per + ps)
+    # a NaN column matched no maximum
     for j in np.flatnonzero(rows == n):
         rows[j] = keyed[:, j].argmax()
     return rows

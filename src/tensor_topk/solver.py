@@ -285,9 +285,9 @@ def _block_pass(tuples, values, block, keyed, beta, block_dims, key,
 def _sweep(A, cands, key, schedule, stacked, offsets, work):
     """One full sweep over the block schedule; mutates cands in place.
 
-    work holds the flat buffers from `_work_buffers`; each block uses a
-    prefix of each, so no block allocates an array proportional to its
-    volume.
+    work holds the flat expansion, contraction and key buffers that `solve`
+    allocates once; each block uses a prefix of each, so no block allocates
+    an array proportional to its volume.
     """
     expand_buf, cells_buf, keyed_buf = work
     m = cands.tuples.shape[0]
@@ -307,16 +307,6 @@ def _sweep(A, cands, key, schedule, stacked, offsets, work):
             key, stacked, offsets,
         )
     return exhausted
-
-
-def _work_buffers(A, max_vol, m):
-    """Flat expansion, contraction and key buffers for `_sweep`.
-
-    A real tensor's keys are mapped in place in the contraction buffer.
-    """
-    cells = np.empty(max_vol * m, dtype=A.dtype)
-    keyed = np.empty(max_vol * m) if A.is_complex else cells
-    return np.empty(max_vol * A.rank, dtype=A.dtype), cells, keyed
 
 
 def _resolve_block_size(A, cfg):
@@ -362,8 +352,12 @@ def solve(A, cfg):
     if not np.all(np.isfinite(stacked)):
         raise ValueError("factors hold NaN or infinite entries")
     # sized for the k + extra candidates (fewer on tiny tensors) that
-    # init_candidates draws
-    work = _work_buffers(A, max_vol, min(cfg.k + cfg.extra, A.size()))
+    # init_candidates draws; a real tensor maps its keys in place in the
+    # contraction buffer
+    m = min(cfg.k + cfg.extra, A.size())
+    cells_buf = np.empty(max_vol * m, dtype=A.dtype)
+    keyed_buf = np.empty(max_vol * m) if A.is_complex else cells_buf
+    work = (np.empty(max_vol * A.rank, dtype=A.dtype), cells_buf, keyed_buf)
     pool = {}
     traces = []
     total_sweeps = 0

@@ -80,14 +80,13 @@ def test_block_expand_rejects_bad_out(rng):
 
 
 def test_column_argmax_matches_argmax(rng):
-    # both sides of the direct-argmax cutoff; rounding makes ties common
-    big = kernels.DIRECT_ARGMAX_CELLS // 5 + 1
-    for n in (1, 7, 12, 36, 97, big, 2 * big, 3 * 4999, 20011):  # 20011 is prime
+    # rounding makes ties common; 97 and 20011 are prime row counts
+    for n in (1, 7, 12, 36, 97, 3 * 4999, 20011):
         for m in (1, 5):
             keyed = np.round(rng.uniform(-3, 3, size=(n, m)), 0)
             np.testing.assert_array_equal(kernels.column_argmax(keyed),
                                           keyed.argmax(axis=0))
-    for n in (24, 2 * big):
+    for n in (24, 1000):
         keyed = np.round(rng.uniform(-3, 3, size=(n, 7)), 0)
         keyed[:, 0] = -np.inf
         keyed[5, 1] = np.nan
