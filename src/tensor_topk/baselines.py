@@ -84,7 +84,7 @@ def _balance_columns(A):
     target = np.exp(np.log(norms).mean(axis=0))
     for p, f in enumerate(fs):
         f *= target / norms[p]
-    return cp.CpTensor(fs)
+    return cp._wrap(fs)
 
 
 def power_iteration_max(A, cfg=PowerIterConfig()):

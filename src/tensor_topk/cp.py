@@ -91,6 +91,28 @@ class CpTensor:
         return f"CpTensor(dims={self.dims}, rank={self.rank}, {kind})"
 
 
+def _wrap(factors):
+    """CpTensor over factor arrays the package has just computed.
+
+    Unlike the public constructor it neither copies nor validates: the
+    arrays must be fresh results (or factors of an existing CpTensor) of
+    one shared rank, and they are frozen in place.  A factor is converted
+    only when its dtype differs from the tensor's (the complex upcast) or
+    it is not C-contiguous, so the stored values are those ``CpTensor``
+    would store.
+    """
+    dtype = (np.complex128 if any(np.iscomplexobj(f) for f in factors)
+             else np.float64)
+    frozen = []
+    for f in factors:
+        f = np.ascontiguousarray(f, dtype=dtype)
+        f.flags.writeable = False
+        frozen.append(f)
+    A = CpTensor.__new__(CpTensor)
+    A._factors = tuple(frozen)
+    return A
+
+
 def _check_index(A, idx):
     idx = tuple(int(i) for i in idx)
     if len(idx) != A.order:
@@ -154,7 +176,7 @@ def hadamard(A, B):
     for fa, fb in zip(A.factors, B.factors):
         n = fa.shape[0]
         out.append((fa[:, :, None] * fb[:, None, :]).reshape(n, -1))
-    return CpTensor(out)
+    return _wrap(out)
 
 
 def inner(A, B):
@@ -182,14 +204,14 @@ def ttm(A, mat, mode):
         )
     out = list(A.factors)
     out[mode] = mat @ A.factors[mode]
-    return CpTensor(out)
+    return _wrap(out)
 
 
 def scale(A, c):
     """Multiply every entry by the scalar c (absorbed into mode 0)."""
     out = list(A.factors)
     out[0] = A.factors[0] * c
-    return CpTensor(out)
+    return _wrap(out)
 
 
 def negate(A):
@@ -201,7 +223,7 @@ def add(A, B):
     """Elementwise sum; ranks add by column concatenation."""
     if A.dims != B.dims:
         raise ShapeMismatchError(f"dims {A.dims} != {B.dims}")
-    return CpTensor([np.hstack([fa, fb]) for fa, fb in zip(A.factors, B.factors)])
+    return _wrap([np.hstack([fa, fb]) for fa, fb in zip(A.factors, B.factors)])
 
 
 def shift(A, s):
@@ -214,7 +236,7 @@ def shift(A, s):
     for p, f in enumerate(A.factors):
         col = np.full((f.shape[0], 1), s if p == 0 else 1.0)
         out.append(np.hstack([f, col]))
-    return CpTensor(out)
+    return _wrap(out)
 
 
 def cp_ones(dims):
@@ -245,9 +267,9 @@ def drop_zero_columns(A):
     if keep.all():
         return A
     if not keep.any():
-        zeros = [np.zeros((n, 1), dtype=A.dtype) for n in A.dims]
-        return CpTensor(zeros)
-    return CpTensor([np.ascontiguousarray(f[:, keep]) for f in A.factors])
+        return _wrap([np.zeros((n, 1), dtype=A.dtype) for n in A.dims])
+    cols = np.flatnonzero(keep)
+    return _wrap([f.take(cols, axis=1) for f in A.factors])
 
 
 def linear_index(dims, idx):

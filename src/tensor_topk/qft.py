@@ -8,12 +8,17 @@ sum_mu i_mu * 2^(q*(p-1-mu)).
 
 Single-qubit and same-mode gates are one ttm on the affected mode and leave
 the rank alone.  A cross-mode controlled phase is applied exactly as the
-rank-2 projector split (control-0 branch) + (control-1 branch with the phase
-on the target mode); exact zero rank-one terms produced by stacked projector
-branches are dropped on the spot, which is what keeps repeated rank-2 splits
-from compounding.  The closing bit-reversal of the circuit is an index
-relabeling (mode reversal plus a per-mode bit-reversal permutation), so it
-never grows the rank.
+projector split (control-0 branch) + (control-1 branch with the phase on the
+target mode): the control factor U_c is multiplied by each projector's 0/1
+row mask, and every other factor is repeated once per branch.  Control
+support rule: a branch keeps rank-one term r exactly when its projected
+column of U_c has a nonzero entry; every other term of that branch is zero,
+so it is dropped on the spot, which is what keeps repeated splits from
+compounding.  The kept columns of both branches are decided from the two
+projected control factors alone, and each factor of the result is built by
+one column concatenation.  The closing bit-reversal of the circuit is an
+index relabeling (mode reversal plus a per-mode bit-reversal permutation),
+so it never grows the rank.
 """
 
 from __future__ import annotations
@@ -112,7 +117,36 @@ def _bit_mask(per_mode, pos):
 def _scale_mode_rows(state, mode, diag):
     out = list(state.factors)
     out[mode] = state.factors[mode] * diag[:, None]
-    return cp.CpTensor(out)
+    return cp._wrap(out)
+
+
+def _controlled_phase(state, cmode, tmode, cbit, tdiag):
+    """Cross-mode controlled phase by the control support rule.
+
+    The products are the ones the two-branch sum would form (projected
+    control factor, phased target factor), so the kept entries are
+    bit-identical to it; only whole zero terms are left out.
+    """
+    mask0 = (cbit == 0).astype(np.complex128)
+    mask1 = (cbit == 1).astype(np.complex128)
+    ctrl = state.factors[cmode]
+    zero = ctrl * mask0[:, None]
+    one = ctrl * mask1[:, None]
+    keep0 = np.flatnonzero((zero != 0).any(axis=0))
+    keep1 = np.flatnonzero((one != 0).any(axis=0))
+    if keep0.size + keep1.size == 0:
+        return cp.drop_zero_columns(_scale_mode_rows(state, cmode, mask0))
+    # take(axis=1) gathers into C order; f[:, cols] would give Fortran order
+    cols = np.concatenate((keep0, keep1))
+    out = [None if p in (cmode, tmode) else f.take(cols, axis=1)
+           for p, f in enumerate(state.factors)]
+    out[cmode] = np.concatenate((zero.take(keep0, axis=1), one.take(keep1, axis=1)),
+                                axis=1)
+    target = state.factors[tmode]
+    out[tmode] = np.concatenate(
+        (target.take(keep0, axis=1), (target * tdiag[:, None]).take(keep1, axis=1)),
+        axis=1)
+    return cp._wrap(out)
 
 
 def apply_gate(state, gate, layout):
@@ -129,11 +163,8 @@ def apply_gate(state, gate, layout):
         if cmode == tmode:
             diag = np.where((cbit == 1) & (tbit == 1), phase, 1.0 + 0j)
             return _scale_mode_rows(state, cmode, diag)
-        zero_branch = _scale_mode_rows(state, cmode, (cbit == 0).astype(np.complex128))
-        one_branch = _scale_mode_rows(state, cmode, (cbit == 1).astype(np.complex128))
-        one_branch = _scale_mode_rows(
-            one_branch, tmode, np.where(tbit == 1, phase, 1.0 + 0j))
-        return cp.drop_zero_columns(cp.add(zero_branch, one_branch))
+        return _controlled_phase(state, cmode, tmode, cbit,
+                                 np.where(tbit == 1, phase, 1.0 + 0j))
     if gate.kind == "swap":
         amode, bmode = layout.mode_of(gate.a), layout.mode_of(gate.b)
         apos, bpos = layout.pos_of(gate.a), layout.pos_of(gate.b)
@@ -177,8 +208,8 @@ def reverse_qubit_order(state, layout):
         rev |= ((idx >> pos) & 1) << (q - 1 - pos)
     out = [None] * layout.modes
     for mu in range(layout.modes):
-        out[layout.modes - 1 - mu] = np.asarray(state.factors[mu])[rev, :]
-    return cp.CpTensor(out)
+        out[layout.modes - 1 - mu] = state.factors[mu][rev, :]
+    return cp._wrap(out)
 
 
 def random_product_state(layout, rng):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cp import CpTensor, frob_norm
+from .cp import _wrap, frob_norm
 from .errors import DegenerateInputError
 
 RIDGE_SCALE = 1e-12
@@ -54,7 +54,7 @@ def recompress(A, target_rank, iters=50, tol=1e-8, seed=0):
     rng = np.random.default_rng(seed)
     norm_a = frob_norm(A)
     if norm_a == 0.0:
-        return CpTensor([np.zeros((n, target_rank), dtype=A.dtype) for n in A.dims])
+        return _wrap([np.zeros((n, target_rank), dtype=A.dtype) for n in A.dims])
     facs = _init_factors(A, target_rank, rng)
     # cross[p] = A_p^T conj(B_p), gram[p] = B_p^H B_p
     cross = [A.factors[p].T @ np.conj(facs[p]) for p in range(A.order)]
@@ -89,7 +89,7 @@ def recompress(A, target_rank, iters=50, tol=1e-8, seed=0):
         if prev_fit is not None and abs(prev_fit - fit) < tol:
             break
         prev_fit = fit
-    return CpTensor(facs)
+    return _wrap(facs)
 
 
 def rank_one_argmax(A, iters=100, seed=0):

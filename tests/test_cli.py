@@ -112,6 +112,16 @@ class TestTopk(unittest.TestCase):
         self.assertEqual(code, 1)
         self.assertIn("error:", err)
 
+    def test_non_number_complex_entry_exits_1(self):
+        # a bad entry is a bad input file (exit 1), not an invalid argument (4)
+        bad = f"{self.dir}/bad.cpt"
+        with open(bad, "w") as fh:
+            fh.write('{"field": "complex", "dims": [1, 1], "rank": 1, '
+                     '"factors": [[["x", 0.0]], [[1.0, 0.0]]]}')
+        code, _, err = run_cli(["topk", "--input", bad, "--k", "1"])
+        self.assertEqual(code, 1)
+        self.assertIn("not a pair of numbers", err)
+
     def test_infeasible_k_exits_2(self):
         code, _, err = run_cli(["topk", "--input", self.file, "--k", "99"])
         self.assertEqual(code, 2)

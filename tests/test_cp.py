@@ -6,6 +6,7 @@ import pytest
 from conftest import dense_from_factors, random_factors
 from tensor_topk import cp
 from tensor_topk.errors import ShapeMismatchError
+from tensor_topk.recompress import recompress
 
 
 def test_container_basics(rng):
@@ -180,3 +181,51 @@ def test_linear_index_large_dims_no_overflow():
     dims = (10**6, 10**6, 10**6)
     assert cp.linear_index(dims, (5, 0, 0)) == 5
     assert cp.linear_index(dims, (0, 0, 1)) == 10**12
+
+
+def test_public_constructor_copies(rng):
+    f = rng.standard_normal((3, 2))
+    A = cp.CpTensor([f, np.ones((4, 2))])
+    before = A.factors[0].tobytes()
+    f[0, 0] = 99.0
+    assert A.factors[0].tobytes() == before
+    assert not np.shares_memory(A.factors[0], f)
+
+
+def _real_tensor(rng):
+    return cp.CpTensor(random_factors(rng, (3, 4, 2), 3))
+
+
+@pytest.mark.parametrize("op,want", [
+    (lambda A, B: cp.ttm(A, np.eye(4) * 1j, 1), np.complex128),
+    (lambda A, B: cp.ttm(A, np.eye(4), 1), np.float64),
+    (lambda A, B: cp.scale(A, 1j), np.complex128),
+    (lambda A, B: cp.scale(A, 2), np.float64),
+    (lambda A, B: cp.negate(A), np.float64),
+    (lambda A, B: cp.add(A, B), np.complex128),
+    (lambda A, B: cp.hadamard(A, B), np.complex128),
+    (lambda A, B: cp.shift(A, 1j), np.complex128),
+    (lambda A, B: cp.shift(A, 1.5), np.float64),
+    (lambda A, B: cp.drop_zero_columns(cp.scale(A, 0.0)), np.float64),
+    (lambda A, B: cp.drop_zero_columns(cp.add(A, cp.scale(B, 0.0))), np.complex128),
+    (lambda A, B: recompress(A, 2), np.float64),
+    (lambda A, B: recompress(cp.add(A, B), 2), np.complex128),
+])
+def test_algebra_ops_return_frozen_factors_of_one_dtype(rng, op, want):
+    A = _real_tensor(rng)
+    B = cp.CpTensor(random_factors(rng, (3, 4, 2), 2, complex_=True))
+    out = op(A, B)
+    for f in out.factors:
+        assert f.dtype == want
+        assert not f.flags.writeable
+        assert f.flags.c_contiguous
+        assert f.shape[1] == out.rank
+
+
+def test_ttm_shares_untouched_factors(rng):
+    A = _real_tensor(rng)
+    out = cp.ttm(A, rng.standard_normal((5, 4)), 1)
+    assert out.dims == (3, 5, 2)
+    assert np.shares_memory(out.factors[0], A.factors[0])
+    assert np.shares_memory(out.factors[2], A.factors[2])
+    assert not np.shares_memory(out.factors[1], A.factors[1])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_factors
-from tensor_topk import cp
+from tensor_topk import cp, cpt_io
 from tensor_topk.cpt_io import read_cpt, write_cpt
 from tensor_topk.errors import CptFormatError
 
@@ -128,3 +128,102 @@ def test_complex_file_rejects_bare_reals(tmp_path):
            "factors": [[1.0, 0.5]]}
     with pytest.raises(CptFormatError):
         read_cpt(_write_doc(tmp_path, doc))
+
+
+_BIG_INT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("field,entry", [
+    ("complex", '["1.5", 0.0]'),
+    ("complex", "[true, 0.0]"),
+    ("complex", "[0.0, false]"),
+    ("complex", "[null, 0.0]"),
+    ("complex", "[[1], 0.0]"),
+    ("complex", '["x", 0.0]'),
+    ("complex", "[{}, 0.0]"),
+    ("complex", "[1.0, 0.0, 0.0]"),
+    ("complex", "[%s, 0.0]" % _BIG_INT),
+    ("real", "true"),
+    ("real", '"1.5"'),
+    ("real", "[1.0]"),
+    ("real", _BIG_INT),
+])
+def test_parser_rejects_non_number_entries(tmp_path, field, entry):
+    # the bad entry comes second, after a valid one
+    good = "[1.0, 0.0]" if field == "complex" else "1.0"
+    path = tmp_path / "bad.cpt"
+    path.write_text('{"field": "%s", "dims": [2], "rank": 1, "factors": [[%s, %s]]}'
+                    % (field, good, entry))
+    with pytest.raises(CptFormatError, match="factor 1"):
+        read_cpt(path)
+
+
+def test_parser_accepts_integer_entries(tmp_path):
+    big = 2 ** 63 + 1  # beyond int64: rounds to float64 as float() does
+    doc = {"field": "complex", "dims": [2], "rank": 1,
+           "factors": [[[1, -2], [big, 0]]]}
+    A = read_cpt(_write_doc(tmp_path, doc))
+    assert A.factors[0].tobytes() == np.array(
+        [[1.0 - 2.0j], [complex(float(big), 0.0)]]).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_writer_refuses_non_finite(tmp_path, bad):
+    f0 = np.ones((2, 1), dtype=type(bad))
+    f0[1, 0] = bad
+    path = tmp_path / "t.cpt"
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        write_cpt(cp.CpTensor([f0, np.ones((3, 1))]), path)
+    assert not path.exists()
+
+
+def _reference_fmt(x):
+    s = format(float(x), ".17g")
+    if s.lstrip("-").isdigit():
+        s += ".0"
+    return s
+
+
+def _reference_write_cpt(A, path):
+    """The writer formatting one entry at a time, kept as the byte reference."""
+    parts = []
+    parts.append('{"field": "%s",' % ("complex" if A.is_complex else "real"))
+    parts.append(' "dims": [%s],' % ", ".join(str(n) for n in A.dims))
+    parts.append(' "rank": %d,' % A.rank)
+    lines = []
+    for f in A.factors:
+        flat = f.reshape(-1)
+        if A.is_complex:
+            body = ", ".join(f"[{_reference_fmt(v.real)}, {_reference_fmt(v.imag)}]"
+                             for v in flat)
+        else:
+            body = ", ".join(_reference_fmt(v) for v in flat)
+        lines.append("  [" + body + "]")
+    parts.append(' "factors": [\n' + ",\n".join(lines) + "\n]}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(parts) + "\n")
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_writer_bytes_match_reference(tmp_path, rng, complex_):
+    special = np.array([1.0, -0.0, 0.0, 1e16, -1e16, 1e17, 5e-324, 1e308, 1 / 3,
+                        99999999999999984.0, -7.0, 2.5])
+    # mode 0 spans more than one write chunk, with every special value on
+    # both sides of the chunk boundary
+    rows = cpt_io._WRITE_CHUNK // 2 + 7
+    f0 = rng.uniform(-3.0, 3.0, size=(rows, 2))
+    f0.flat[:special.size] = special
+    f0.flat[cpt_io._WRITE_CHUNK - 6:cpt_io._WRITE_CHUNK + 6] = special
+    f1 = np.resize(special, (6, 2))
+    f2 = np.round(rng.uniform(-50.0, 50.0, size=(5, 2)))
+    if complex_:
+        f1 = f1 + 1j * f1[::-1]
+        f2 = f2 - 1j * special[:10].reshape(5, 2)
+    A = cp.CpTensor([f0, f1, f2])
+    got, want = tmp_path / "new.cpt", tmp_path / "ref.cpt"
+    write_cpt(A, got)
+    _reference_write_cpt(A, want)
+    assert got.read_bytes() == want.read_bytes()
+    B = read_cpt(got)
+    for fa, fb in zip(A.factors, B.factors):
+        assert fa.tobytes() == fb.tobytes()

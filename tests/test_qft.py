@@ -187,3 +187,68 @@ def test_simulate_and_measure_against_dense():
     for row, bits in zip(res.indices, res.bitstrings):
         assert len(bits) == 4
         assert int(bits, 2) == int(np.ravel_multi_index(tuple(row), lay.dims()))
+
+
+def _reference_scale_rows(state, mode, diag):
+    out = list(state.factors)
+    out[mode] = state.factors[mode] * diag[:, None]
+    return cp.CpTensor(out)
+
+
+def reference_cross_cphase(state, gate, lay):
+    """The two-branch cross-mode controlled phase: project, phase, add, drop."""
+    q = lay.per_mode
+    cmode, tmode = lay.mode_of(gate.a), lay.mode_of(gate.b)
+    cbit = qft._bit_mask(q, lay.pos_of(gate.a))
+    tbit = qft._bit_mask(q, lay.pos_of(gate.b))
+    zero = _reference_scale_rows(state, cmode, (cbit == 0).astype(np.complex128))
+    one = _reference_scale_rows(state, cmode, (cbit == 1).astype(np.complex128))
+    one = _reference_scale_rows(one, tmode,
+                                np.where(tbit == 1, np.exp(1j * gate.theta), 1.0 + 0j))
+    return cp.drop_zero_columns(cp.add(zero, one))
+
+
+def assert_bit_equal(got, want):
+    assert got.rank == want.rank
+    assert got.dims == want.dims
+    for fg, fw in zip(got.factors, want.factors):
+        assert fg.dtype == fw.dtype
+        assert fg.tobytes() == fw.tobytes()
+
+
+@pytest.mark.parametrize("d,p,q", [(4, 2, 2), (9, 3, 3), (16, 4, 4), (6, 3, 2), (6, 2, 3)])
+def test_gate_path_matches_two_branch_reference(d, p, q):
+    lay = QubitLayout(d, p, q)
+    psi0 = random_product_state(lay, np.random.default_rng(200 + d + p))
+    state = psi0
+    crossed = 0
+    for gate in qft_circuit(d):
+        if gate.kind == "swap":
+            continue
+        got = apply_gate(state, gate, lay)
+        if gate.kind == "cphase" and lay.mode_of(gate.a) != lay.mode_of(gate.b):
+            assert_bit_equal(got, reference_cross_cphase(state, gate, lay))
+            crossed += 1
+        state = got
+    assert crossed > 0
+    assert_bit_equal(run_qft(psi0, lay), reverse_qubit_order(state, lay))
+
+
+@pytest.mark.parametrize("gate", [GateOp("cphase", 2, 0, 0.9), GateOp("cphase", 0, 3, 0.4)])
+def test_cross_cphase_drops_zero_branches(gate):
+    # control columns supported on one control value lose the other branch;
+    # an all-zero control factor collapses to a rank-one zero tensor
+    lay = QubitLayout(4, 2, 2)
+    state = random_cp_state(lay, np.random.default_rng(8), rank=4)
+    cmode = lay.mode_of(gate.a)
+    cbit = qft._bit_mask(lay.per_mode, lay.pos_of(gate.a))
+    factors = [np.array(f) for f in state.factors]
+    factors[cmode][cbit == 1, 0] = 0.0
+    factors[cmode][cbit == 0, 1] = 0.0
+    factors[cmode][:, 2] = 0.0
+    for case in (factors, [np.zeros_like(f) if m == cmode else f
+                           for m, f in enumerate(factors)]):
+        state = cp.CpTensor(case)
+        got = apply_gate(state, gate, lay)
+        assert_bit_equal(got, reference_cross_cphase(state, gate, lay))
+    assert got.rank == 1
