@@ -150,9 +150,9 @@ def bench_trial(master_seed, trial, dist, k, key, oracle_cap, restarts,
         push(method, s, extra, res.values, res.indices, time.perf_counter() - t0)
     if key is OrderingKey.MAX and k == 1:
         t0 = time.perf_counter()
-        val, loc = power_iteration_max(A)
-        push("power_iteration", 0, 0, np.array([val]),
-             np.array([loc], dtype=np.int64), time.perf_counter() - t0)
+        res = power_iteration_max(A)
+        push("power_iteration", 0, 0, np.array([res.value]),
+             np.array([res.loc], dtype=np.int64), time.perf_counter() - t0)
     if reference is not None:
         push("oracle", 0, 0, reference.values, reference.indices, oracle_time)
     return rows

@@ -44,7 +44,7 @@ def _init_factors(A, target_rank, rng):
 def recompress(A, target_rank, iters=50, tol=1e-8, seed=0):
     """Best-fit CP tensor of rank ``target_rank``, by ALS sweeps.
 
-    Stops after ``iters`` sweeps or when the relative fit improves by less
+    Stops after ``iters`` sweeps or when the relative fit changes by less
     than ``tol`` between sweeps.  Normal equations are solved with a ridge of
     RIDGE_SCALE times the Gram trace, so redundant (rank-deficient) inputs
     do not break the solve.  Deterministic for a fixed seed.
@@ -56,35 +56,39 @@ def recompress(A, target_rank, iters=50, tol=1e-8, seed=0):
     if norm_a == 0.0:
         return _wrap([np.zeros((n, target_rank), dtype=A.dtype) for n in A.dims])
     facs = _init_factors(A, target_rank, rng)
-    # cross[p] = A_p^T conj(B_p), gram[p] = B_p^H B_p
-    cross = [A.factors[p].T @ np.conj(facs[p]) for p in range(A.order)]
+    # cross[p] = A_p^T conj(B_p), gram[p] = B_p^H B_p.  The Gram matrix takes
+    # conj(f) as a separate array: f.conj() is f itself for real f, and
+    # numpy would then route f.T @ f to syrk, whose bits differ from gemm's.
+    cross = [A.factors[p].T @ facs[p].conj() for p in range(A.order)]
     gram = [np.conj(facs[p]).T @ facs[p] for p in range(A.order)]
+    ones_c = np.ones((A.rank, target_rank), dtype=A.dtype)
+    ones_g = np.ones((target_rank, target_rank), dtype=A.dtype)
+    eye = np.eye(target_rank)
+    tiny = np.finfo(float).tiny
     prev_fit = None
     for _ in range(iters):
+        # pc/pg: Hadamard products over the modes already updated this sweep.
+        # Mode p multiplies on the modes after it in ascending order, so each
+        # product is the same left fold from ones as over all q != p.
+        pc, pg = ones_c, ones_g
         for p in range(A.order):
-            cmat = np.ones((A.rank, target_rank), dtype=A.dtype)
-            gmat = np.ones((target_rank, target_rank), dtype=A.dtype)
-            for q in range(A.order):
-                if q == p:
-                    continue
+            cmat, gmat = pc, pg
+            for q in range(p + 1, A.order):
                 cmat = cmat * cross[q]
                 gmat = gmat * gram[q]
             rhs = A.factors[p] @ cmat
-            lhs = np.conj(gmat)
-            ridge = RIDGE_SCALE * max(float(np.real(np.trace(lhs))), np.finfo(float).tiny)
-            lhs = lhs + ridge * np.eye(target_rank)
-            facs[p] = np.linalg.solve(lhs.T, rhs.T).T
-            cross[p] = A.factors[p].T @ np.conj(facs[p])
+            lhs = gmat.conj()
+            ridge = RIDGE_SCALE * max(float(lhs.trace().real), tiny)
+            facs[p] = np.linalg.solve((lhs + ridge * eye).T, rhs.T).T
+            cross[p] = A.factors[p].T @ facs[p].conj()
             gram[p] = np.conj(facs[p]).T @ facs[p]
-        # ||A - B||^2 from factorized inner products only
-        cross_full = np.ones((A.rank, target_rank), dtype=A.dtype)
-        gram_full = np.ones((target_rank, target_rank), dtype=A.dtype)
-        for p in range(A.order):
-            cross_full = cross_full * cross[p]
-            gram_full = gram_full * gram[p]
-        ab = np.conj(cross_full.sum())
-        bb = float(np.real(gram_full.sum()))
-        err2 = max(norm_a * norm_a - 2.0 * float(np.real(ab)) + bb, 0.0)
+            pc = pc * cross[p]
+            pg = pg * gram[p]
+        # ||A - B||^2 from factorized inner products only: after the last
+        # mode, pc/pg are the products over every mode
+        ab = pc.sum().conj()
+        bb = float(pg.sum().real)
+        err2 = max(norm_a * norm_a - 2.0 * float(ab.real) + bb, 0.0)
         fit = np.sqrt(err2) / norm_a
         if prev_fit is not None and abs(prev_fit - fit) < tol:
             break

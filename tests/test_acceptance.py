@@ -207,9 +207,9 @@ def test_criterion_9_power_iteration_on_separable_tensors():
             factors.append(col)
             expected.append(pos)
         A = cp.CpTensor(factors)
-        val, loc = baselines.power_iteration_max(A)
-        loc_ok += tuple(int(v) for v in loc) == tuple(expected)
-        val_ok += val == cp.element(A, loc)
+        res = baselines.power_iteration_max(A)
+        loc_ok += tuple(int(v) for v in res.loc) == tuple(expected)
+        val_ok += res.value == cp.element(A, res.loc)
     _report(9, loc_ok == 50 and val_ok == 50,
             f"separable rank-1 maxima: location {loc_ok}/50, "
             f"value bit-equal to element() {val_ok}/50")

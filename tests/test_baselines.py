@@ -5,6 +5,7 @@ written here, so the rest of the suite can lean on it.
 """
 
 import heapq
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from conftest import dense_from_factors, random_factors
 from tensor_topk import cp
 from tensor_topk.baselines import PowerIterConfig, oracle_topk, power_iteration_max
 from tensor_topk.errors import CapacityError, DegenerateInputError
+from tensor_topk.generators import RandomSpec, gen_random_cp
 from tensor_topk.solver import OrderingKey
 
 
@@ -61,17 +63,17 @@ def test_power_iteration_separable_positive(rng):
     cols = [rng.uniform(0.1, 1.0, size=n) for n in (5, 4, 6)]
     A = cp.CpTensor([c[:, None] for c in cols])
     want = tuple(int(np.argmax(c)) for c in cols)
-    val, loc = power_iteration_max(A)
-    assert loc == want
-    assert val == cp.element(A, want)
+    res = power_iteration_max(A)
+    assert res.loc == want
+    assert res.value == cp.element(A, want)
 
 
 def test_power_iteration_value_is_element(rng):
     for trial in range(5):
         fs = random_factors(rng, (4, 3, 5), 3)
         A = cp.CpTensor(fs)
-        val, loc = power_iteration_max(A, PowerIterConfig(seed=trial))
-        assert val == cp.element(A, loc)  # bit-exact re-evaluation contract
+        res = power_iteration_max(A, PowerIterConfig(seed=trial))
+        assert res.value == cp.element(A, res.loc)  # bit-exact re-evaluation contract
 
 
 def test_power_iteration_finds_max_on_easy_inputs(rng):
@@ -82,9 +84,29 @@ def test_power_iteration_finds_max_on_easy_inputs(rng):
         dense = dense_from_factors(fs)
         want = np.unravel_index(int(np.argmax(dense.ravel(order="F"))),
                                 dense.shape, order="F")
-        val, loc = power_iteration_max(A, PowerIterConfig(seed=trial))
-        hits += loc == tuple(int(v) for v in want)
+        res = power_iteration_max(A, PowerIterConfig(seed=trial))
+        hits += res.loc == tuple(int(v) for v in want)
     assert hits >= 16
+
+
+def test_power_iteration_reports_iterations_on_bench_draw():
+    # bench trial 0 (master seed 0, u01), drawn as bench_trial draws it:
+    # the overlap test is never met
+    rng = np.random.default_rng(np.random.SeedSequence([0, 0]))
+    A = gen_random_cp(RandomSpec(distribution="u01"), rng)
+    res = power_iteration_max(A)
+    assert res.iterations == 200
+    assert res.converged is False
+    assert res.value == cp.element(A, res.loc)
+
+
+def test_power_iteration_converges_on_constant_tensor():
+    res = power_iteration_max(cp.cp_ones((3, 4, 5)))
+    assert res.iterations == 1
+    assert res.converged is True
+    assert res.value == 1.0
+    with pytest.raises(FrozenInstanceError):
+        res.iterations = 0
 
 
 def test_power_iteration_rejects_complex(rng):

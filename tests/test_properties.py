@@ -1,0 +1,76 @@
+"""Property tests over small CP tensors drawn by hypothesis.
+
+Factor entries are arbitrary finite floats, so the draws reach signed
+zeros, subnormals and ties that the seeded tests rarely produce.  Example
+counts stay small and deadlines are off, so the file runs in seconds.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from tensor_topk import cp
+from tensor_topk.cpt_io import read_cpt, write_cpt
+from tensor_topk.solver import OrderingKey, SolverConfig, solve
+
+FEW = settings(max_examples=25, deadline=None)
+
+
+@st.composite
+def cp_tensors(draw, complex_=False, bound=None):
+    """A CpTensor of order 1-4, dims 1-5 and rank 1-4."""
+    order = draw(st.integers(1, 4))
+    dims = draw(st.lists(st.integers(1, 5), min_size=order, max_size=order))
+    rank = draw(st.integers(1, 4))
+    dtype = np.complex128 if complex_ else np.float64
+    if complex_:
+        elements = st.complex_numbers(max_magnitude=bound, allow_nan=False,
+                                      allow_infinity=False)
+    else:
+        elements = st.floats(-bound if bound else None, bound, allow_nan=False,
+                             allow_infinity=False)
+    return cp.CpTensor([draw(hnp.arrays(dtype, (n, rank), elements=elements))
+                        for n in dims])
+
+
+@st.composite
+def solver_cases(draw):
+    """A real tensor with bounded entries and a config whose k fits it."""
+    A = draw(cp_tensors(bound=1e3))
+    cfg = SolverConfig(k=draw(st.integers(1, min(3, A.size()))),
+                       extra=draw(st.integers(0, 3)),
+                       block_size=draw(st.integers(1, 3)),
+                       restarts=2, seed=draw(st.integers(0, 2**31 - 1)))
+    return A, cfg
+
+
+@FEW
+@given(st.booleans().flatmap(lambda c: cp_tensors(complex_=c)))
+def test_cpt_roundtrip_is_bit_exact(tmp_path_factory, A):
+    path = tmp_path_factory.mktemp("cpt") / "t.cpt"
+    write_cpt(A, path)
+    B = read_cpt(path)
+    assert B.dims == A.dims and B.rank == A.rank and B.dtype == A.dtype
+    for fa, fb in zip(A.factors, B.factors):
+        assert fb.tobytes() == fa.tobytes()
+
+
+@FEW
+@given(solver_cases())
+def test_solve_values_are_exact_elements(case):
+    A, cfg = case
+    res = solve(A, cfg)
+    assert res.values.tobytes() == cp.elements_at(A, res.indices).tobytes()
+
+
+@FEW
+@given(solver_cases())
+def test_min_is_max_of_negated_tensor(case):
+    A, cfg = case
+    res_min = solve(A, replace(cfg, key=OrderingKey.MIN))
+    res_max = solve(cp.negate(A), replace(cfg, key=OrderingKey.MAX))
+    assert np.array_equal(res_min.indices, res_max.indices)
+    assert np.array_equal(res_min.values, -res_max.values)

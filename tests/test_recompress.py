@@ -4,7 +4,74 @@ import pytest
 from conftest import dense_from_factors, random_factors
 from tensor_topk import cp
 from tensor_topk.errors import DegenerateInputError
-from tensor_topk.recompress import rank_one_argmax, recompress
+from tensor_topk.recompress import RIDGE_SCALE, _init_factors, rank_one_argmax, recompress
+
+
+def _reference_recompress(A, target_rank, iters=50, tol=1e-8, seed=0):
+    # The ALS loop with every Hadamard product rebuilt from ones, per mode
+    # and for the fit: the arithmetic recompress must reproduce bit for bit.
+    rng = np.random.default_rng(seed)
+    norm_a = cp.frob_norm(A)
+    if norm_a == 0.0:
+        return [np.zeros((n, target_rank), dtype=A.dtype) for n in A.dims]
+    facs = _init_factors(A, target_rank, rng)
+    cross = [A.factors[p].T @ np.conj(facs[p]) for p in range(A.order)]
+    gram = [np.conj(facs[p]).T @ facs[p] for p in range(A.order)]
+    prev_fit = None
+    for _ in range(iters):
+        for p in range(A.order):
+            cmat = np.ones((A.rank, target_rank), dtype=A.dtype)
+            gmat = np.ones((target_rank, target_rank), dtype=A.dtype)
+            for q in range(A.order):
+                if q == p:
+                    continue
+                cmat = cmat * cross[q]
+                gmat = gmat * gram[q]
+            rhs = A.factors[p] @ cmat
+            lhs = np.conj(gmat)
+            ridge = RIDGE_SCALE * max(float(np.real(np.trace(lhs))), np.finfo(float).tiny)
+            lhs = lhs + ridge * np.eye(target_rank)
+            facs[p] = np.linalg.solve(lhs.T, rhs.T).T
+            cross[p] = A.factors[p].T @ np.conj(facs[p])
+            gram[p] = np.conj(facs[p]).T @ facs[p]
+        cross_full = np.ones((A.rank, target_rank), dtype=A.dtype)
+        gram_full = np.ones((target_rank, target_rank), dtype=A.dtype)
+        for p in range(A.order):
+            cross_full = cross_full * cross[p]
+            gram_full = gram_full * gram[p]
+        ab = np.conj(cross_full.sum())
+        bb = float(np.real(gram_full.sum()))
+        err2 = max(norm_a * norm_a - 2.0 * float(np.real(ab)) + bb, 0.0)
+        fit = np.sqrt(err2) / norm_a
+        if prev_fit is not None and abs(prev_fit - fit) < tol:
+            break
+        prev_fit = fit
+    return facs
+
+
+# (dims, stored rank, target rank): orders 1 to 5, targets below and above
+# the stored rank (the random padding path), and a real n=64, R=37 Gram
+# matrix, where syrk and gemm give different bits
+BIT_CASES = [
+    ((7,), 3, 2),
+    ((5, 6), 4, 6),
+    ((6, 5, 4), 6, 3),
+    ((4, 3, 5, 2), 2, 5),
+    ((3, 4, 2, 3, 2), 5, 4),
+    ((64, 6, 5), 45, 37),
+]
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("dims, rank, target", BIT_CASES)
+def test_bits_match_reference_loop(rng, dims, rank, target, complex_):
+    fs = random_factors(rng, dims, rank, complex_=complex_)
+    fs[0][:, 0] = -0.0
+    A = cp.CpTensor(fs)
+    B = recompress(A, target, iters=20, tol=1e-10, seed=4)
+    want = _reference_recompress(A, target, iters=20, tol=1e-10, seed=4)
+    for got, ref in zip(B.factors, want):
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_exact_rank_recovery(rng):
