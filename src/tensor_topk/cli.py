@@ -62,6 +62,11 @@ def _add_topk(sub):
     p.add_argument("--output", choices=["text", "csv", "json"], default="text")
 
 
+# the TopKResult.diagnostics entries that `topk --output json` prints
+JSON_DIAGNOSTICS = ("block_size", "exhausted", "pool_size", "contracted_columns",
+                    "clean_blocks", "restart_sweeps", "restart_converged")
+
+
 def _run_topk(args):
     A = read_cpt(args.input)
     cfg = SolverConfig(k=args.k, extra=args.extra, block_size=args.block,
@@ -86,8 +91,7 @@ def _run_topk(args):
             "objective": res.objective,
             "sweeps_used": res.sweeps_used,
             "converged": res.converged,
-            "diagnostics": {name: res.diagnostics[name]
-                            for name in ("block_size", "exhausted", "pool_size")},
+            "diagnostics": {name: res.diagnostics[name] for name in JSON_DIAGNOSTICS},
         }, indent=2))
     return 0
 

@@ -8,6 +8,18 @@ fixed).  Candidates are processed in order and may not land on a cell already
 taken by an earlier candidate with the same out-of-block coordinates, which
 keeps the tuples pairwise distinct.  A sweep that changes no tuple is a fixed
 point and stops the restart early.
+
+Column j of a block's subproblem (``expand @ alpha``) depends only on the
+window and on candidate j's out-of-block coordinates, its context.  Each
+restart therefore keeps, per window and candidate slot, the context seen on
+the window's last visit with that column's argmax and key value.  A block
+contracts only its dirty columns: every column on the window's first visit,
+columns whose context changed, and dependent candidates, whose masked
+selection needs the whole column.  A block with no dirty column skips the
+expansion and the contraction.  A narrower contraction must give the same
+bits as the full one, and the BLAS guarantees that only on its regular
+blocked path, so `_contraction_width` pads the dirty set and falls back to
+all m columns outside a measured rule (see ``SUBSET_MIN_WORK``).
 """
 
 from __future__ import annotations
@@ -214,8 +226,48 @@ def compute_alpha(A, tuples, block):
     return alpha, beta
 
 
+# A column subset of the real contraction, E @ alpha[:, sel], is bit-equal to
+# (E @ alpha)[:, sel] only when both products take the BLAS's regular
+# blocked dgemm path.  Measured with OpenBLAS 0.3.31 (SkylakeX, one and two
+# threads): width 1 goes to gemv, and every width-1 product differed;
+# products with M*N*K <= 10**6 run the small-matrix kernel, whose columns
+# depend on the width, e.g. (vol, R, m) = (100, 20, 6) and (400, 256, 50),
+# and solve_large's (10**4, 20, 50) differed at widths 2-4.  zgemm differed
+# at every width not a multiple of 4 on every complex shape probed, qft16's
+# (256, 4096) among them.  So a subset contraction needs a real tensor,
+# width >= 2 and vol * R * width above this constant;
+# tests/test_solver.py::test_subset_contraction_matches_full pins the rule.
+SUBSET_MIN_WORK = 10**6
+
+
+def _contraction_width(n_dirty, vol, rank, m, is_complex):
+    """Columns a block contracts: its n_dirty dirty ones padded up to the
+    narrowest width the subset rule admits, or all m where it admits none
+    narrower than m."""
+    if is_complex:
+        return m
+    width = max(n_dirty, 2, SUBSET_MIN_WORK // (vol * rank) + 1)
+    return min(width, m)
+
+
+class _ContractionCache:
+    """One restart's record of every window's last visit.
+
+    ``windows[b]`` is None until window b is first visited, then
+    (context, lins, tops): each candidate slot's out-of-block coordinates,
+    its column's argmax and the key value there.  The counters add up the
+    contracted columns, padding included, and the blocks that skipped
+    expansion and contraction.  Its size is O(windows x m x order).
+    """
+
+    def __init__(self, n_windows):
+        self.windows = [None] * n_windows
+        self.contracted_columns = 0
+        self.clean_blocks = 0
+
+
 def _block_pass(tuples, values, block, keyed, beta, block_dims, key,
-                stacked, offsets):
+                stacked, offsets, picks=None):
     """Update every candidate's block coordinates against one block.
 
     keyed is the (vol, m) key-mapped subproblem for the entering candidate
@@ -237,6 +289,11 @@ def _block_pass(tuples, values, block, keyed, beta, block_dims, key,
 
     A candidate whose allowed cells are all -inf keeps its incumbent cell;
     returns the number of these exhaustion fallbacks.
+
+    picks, if given, is (lins, tops, slot): every column's argmax and the
+    key value there, and for candidate j the column of keyed that holds it.
+    Only dependent candidates read keyed then, so it may hold just a
+    subset of the columns, or be None when no candidate is dependent.
     """
     m = tuples.shape[0]
     block = list(block)
@@ -247,8 +304,13 @@ def _block_pass(tuples, values, block, keyed, beta, block_dims, key,
     # diagonal exactly when an earlier candidate shares the context
     dependent = beta.argmax(axis=0) < cols
 
-    new_lins = kernels.column_argmax(keyed)
-    stuck = ~dependent & (keyed[new_lins, cols] == -np.inf)
+    if picks is None:
+        new_lins = kernels.column_argmax(keyed)
+        tops, slot = keyed[new_lins, cols], cols
+    else:
+        lins, tops, slot = picks
+        new_lins = lins.copy()
+    stuck = ~dependent & (tops == -np.inf)
     new_lins[stuck] = inc_lins[stuck]
     exhausted = int(stuck.sum())
     moved = np.flatnonzero(~dependent & (new_lins != inc_lins))
@@ -265,7 +327,7 @@ def _block_pass(tuples, values, block, keyed, beta, block_dims, key,
 
     for j in np.flatnonzero(dependent):
         forbidden = new_lins[:j][beta[:j, j]]
-        lin = kernels.masked_argmax(keyed[:, j], forbidden)
+        lin = kernels.masked_argmax(keyed[:, slot[j]], forbidden)
         if lin < 0:
             exhausted += 1
             lin = int(inc_lins[j])
@@ -282,29 +344,63 @@ def _block_pass(tuples, values, block, keyed, beta, block_dims, key,
     return exhausted
 
 
-def _sweep(A, cands, key, schedule, stacked, offsets, work):
+def _sweep(A, cands, key, schedule, stacked, offsets, work, cache):
     """One full sweep over the block schedule; mutates cands in place.
 
     work holds the flat expansion, contraction and key buffers that `solve`
     allocates once; each block uses a prefix of each, so no block allocates
-    an array proportional to its volume.
+    an array proportional to its volume.  cache is the restart's
+    `_ContractionCache`: a block contracts only its dirty columns (see the
+    module docstring) and updates the cache with their argmaxes.
     """
     expand_buf, cells_buf, keyed_buf = work
     m = cands.tuples.shape[0]
+    cols = np.arange(m)
     exhausted = 0
-    for block in schedule:
+    for b, block in enumerate(schedule):
         block_dims = [A.dims[q] for q in block]
         vol = math.prod(block_dims)
+        rest = [q for q in range(A.order) if q not in block]
         alpha, beta = compute_alpha(A, cands.tuples, block)
-        expand = kernels.block_expand(
-            stacked, offsets, np.array(block), np.array(block_dims),
-            out=expand_buf[:vol * A.rank].reshape(vol, A.rank),
-        )
-        cells = np.matmul(expand, alpha, out=cells_buf[:vol * m].reshape(vol, m))
-        keyed = key_values(cells, key, out=keyed_buf[:vol * m].reshape(vol, m))
+        context = cands.tuples[:, rest]
+        # dependent candidates need their whole column for masked_argmax
+        dirty = beta.argmax(axis=0) < cols
+        if cache.windows[b] is None:
+            lins, tops = np.empty(m, dtype=np.int64), np.empty(m)
+            dirty[:] = True
+        else:
+            seen, lins, tops = cache.windows[b]
+            dirty |= (context != seen).any(axis=1)
+        cache.windows[b] = (context, lins, tops)
+        n_dirty = int(np.count_nonzero(dirty))
+        keyed, slot = None, cols
+        if n_dirty:
+            width = _contraction_width(n_dirty, vol, A.rank, m, A.is_complex)
+            expand = kernels.block_expand(
+                stacked, offsets, np.array(block), np.array(block_dims),
+                out=expand_buf[:vol * A.rank].reshape(vol, A.rank),
+            )
+            if width < m:
+                # pad with the lowest-index clean columns
+                dirty[np.flatnonzero(~dirty)[:width - n_dirty]] = True
+                sel = np.flatnonzero(dirty)
+                alpha = alpha[:, sel]
+                slot = np.empty(m, dtype=np.int64)
+                slot[sel] = cols[:width]
+            else:
+                sel = cols
+            shape = (vol, width)
+            cells = np.matmul(expand, alpha, out=cells_buf[:vol * width].reshape(shape))
+            keyed = key_values(cells, key, out=keyed_buf[:vol * width].reshape(shape))
+            picked = kernels.column_argmax(keyed)
+            lins[sel] = picked
+            tops[sel] = keyed[picked, cols[:width]]
+            cache.contracted_columns += width
+        else:
+            cache.clean_blocks += 1
         exhausted += _block_pass(
             cands.tuples, cands.values, block, keyed, beta, block_dims,
-            key, stacked, offsets,
+            key, stacked, offsets, picks=(lins, tops, slot),
         )
     return exhausted
 
@@ -360,31 +456,37 @@ def solve(A, cfg):
     work = (np.empty(max_vol * A.rank, dtype=A.dtype), cells_buf, keyed_buf)
     pool = {}
     traces = []
-    total_sweeps = 0
+    restart_sweeps = []
+    restart_converged = []
     exhausted = 0
-    any_converged = False
+    contracted_columns = 0
+    clean_blocks = 0
     for r in range(cfg.restarts):
         rng = np.random.default_rng(cfg.seed + r)
         cands = init_candidates(A, cfg, rng)
+        cache = _ContractionCache(len(schedule))
         trace = [float(np.max(key_values(cands.values, cfg.key)))]
         converged = False
+        sweeps = 0
         for _ in range(cfg.max_sweeps):
             before = cands.tuples.copy()
-            exhausted += _sweep(A, cands, cfg.key, schedule, stacked, offsets, work)
-            total_sweeps += 1
+            exhausted += _sweep(A, cands, cfg.key, schedule, stacked, offsets,
+                                work, cache)
+            sweeps += 1
             best = float(np.max(key_values(cands.values, cfg.key)))
-            if cfg.k == 1:
-                assert best >= trace[-1], (
-                    f"best key value decreased from {trace[-1]} to {best}"
-                )
+            if cfg.k == 1 and best < trace[-1]:
+                raise RuntimeError(f"best key value decreased from {trace[-1]} to {best}")
             trace.append(best)
             for row, val in zip(cands.tuples, cands.values):
                 pool[tuple(int(v) for v in row)] = val
             if np.array_equal(before, cands.tuples):
                 converged = True
                 break
-        any_converged = any_converged or converged
         traces.append(trace)
+        restart_sweeps.append(sweeps)
+        restart_converged.append(converged)
+        contracted_columns += cache.contracted_columns
+        clean_blocks += cache.clean_blocks
     if len(pool) < cfg.k:
         _top_up_pool(A, pool, cfg.k, np.random.default_rng(cfg.seed + cfg.restarts))
     ptuples = np.array(list(pool.keys()), dtype=np.int64)
@@ -401,13 +503,17 @@ def solve(A, cfg):
         values=chosen_vals,
         indices=ptuples[order],
         objective=float(keyed[order].sum()),
-        sweeps_used=total_sweeps,
-        converged=any_converged,
+        sweeps_used=sum(restart_sweeps),
+        converged=any(restart_converged),
         diagnostics={
             "block_size": s,
             "schedule": schedule,
             "objective_trace": traces,
             "exhausted": exhausted,
             "pool_size": len(pool),
+            "contracted_columns": contracted_columns,
+            "clean_blocks": clean_blocks,
+            "restart_sweeps": restart_sweeps,
+            "restart_converged": restart_converged,
         },
     )

@@ -75,8 +75,13 @@ class TestTopk(unittest.TestCase):
         res = solve(read_cpt(self.file),
                     SolverConfig(k=2, extra=1, block_size=1, seed=3, restarts=2))
         want = {name: res.diagnostics[name]
-                for name in ("block_size", "exhausted", "pool_size")}
-        self.assertEqual(json.loads(out)["diagnostics"], want)
+                for name in ("block_size", "exhausted", "pool_size",
+                             "contracted_columns", "clean_blocks",
+                             "restart_sweeps", "restart_converged")}
+        doc = json.loads(out)
+        self.assertEqual(doc["diagnostics"], want)
+        self.assertEqual(sum(doc["diagnostics"]["restart_sweeps"]), doc["sweeps_used"])
+        self.assertEqual(len(doc["diagnostics"]["restart_converged"]), 2)
 
     def test_csv_output(self):
         code, out, _ = run_cli(["topk", "--input", self.file, "--k", "1",

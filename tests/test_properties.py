@@ -37,13 +37,13 @@ def cp_tensors(draw, complex_=False, bound=None):
 
 
 @st.composite
-def solver_cases(draw):
+def solver_cases(draw, restarts=st.just(2)):
     """A real tensor with bounded entries and a config whose k fits it."""
     A = draw(cp_tensors(bound=1e3))
     cfg = SolverConfig(k=draw(st.integers(1, min(3, A.size()))),
                        extra=draw(st.integers(0, 3)),
                        block_size=draw(st.integers(1, 3)),
-                       restarts=2, seed=draw(st.integers(0, 2**31 - 1)))
+                       restarts=draw(restarts), seed=draw(st.integers(0, 2**31 - 1)))
     return A, cfg
 
 
@@ -74,3 +74,23 @@ def test_min_is_max_of_negated_tensor(case):
     res_max = solve(cp.negate(A), replace(cfg, key=OrderingKey.MAX))
     assert np.array_equal(res_min.indices, res_max.indices)
     assert np.array_equal(res_min.values, -res_max.values)
+
+
+@FEW
+@given(solver_cases(restarts=st.integers(2, 4)))
+def test_restarts_are_isolated(case):
+    # restart r runs as a one-restart solve from seed + r: no per-restart
+    # state (candidates, contraction cache) leaks into the next restart
+    A, cfg = case
+    res = solve(A, cfg)
+    d = res.diagnostics
+    singles = [solve(A, replace(cfg, restarts=1, seed=cfg.seed + r))
+               for r in range(cfg.restarts)]
+    for r, one in enumerate(singles):
+        assert d["objective_trace"][r] == one.diagnostics["objective_trace"][0]
+        assert d["restart_sweeps"][r] == one.sweeps_used
+        assert d["restart_converged"][r] == one.converged
+    for name in ("contracted_columns", "clean_blocks", "exhausted"):
+        assert d[name] == sum(one.diagnostics[name] for one in singles)
+    # the pool keeps every tuple any restart visited
+    assert res.objective >= max(one.objective for one in singles)

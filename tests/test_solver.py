@@ -7,6 +7,7 @@ get direct hand-computed cases.
 
 import math
 import unittest
+from unittest import mock
 
 import numpy as np
 
@@ -359,6 +360,203 @@ class TestBlockPassReference(unittest.TestCase):
             exhausted = self._run(rng, False, OrderingKey.MAX, "max",
                                   self._random_keyed(rng, with_neg_inf=True))
             self.assertGreaterEqual(exhausted, len(self.PATTERNS))
+
+
+def _reference_sweep(A, cands, key, schedule, stacked, offsets, work):
+    """The sweep as it was before the contraction cache: every block expands
+    and contracts all m columns, then runs the two-phase block pass."""
+    expand_buf, cells_buf, keyed_buf = work
+    m = cands.tuples.shape[0]
+    exhausted = 0
+    for block in schedule:
+        block_dims = [A.dims[q] for q in block]
+        vol = math.prod(block_dims)
+        alpha, beta = solver.compute_alpha(A, cands.tuples, block)
+        expand = kernels.block_expand(
+            stacked, offsets, np.array(block), np.array(block_dims),
+            out=expand_buf[:vol * A.rank].reshape(vol, A.rank),
+        )
+        cells = np.matmul(expand, alpha, out=cells_buf[:vol * m].reshape(vol, m))
+        keyed = solver.key_values(cells, key, out=keyed_buf[:vol * m].reshape(vol, m))
+        exhausted += solver._block_pass(
+            cands.tuples, cands.values, block, keyed, beta, block_dims,
+            key, stacked, offsets,
+        )
+    return exhausted
+
+
+def _work_buffers(A, schedule, m):
+    # the same flat buffers solve allocates, one set per caller
+    max_vol = max(math.prod(A.dims[q] for q in w) for w in schedule)
+    cells = np.empty(max_vol * m, dtype=A.dtype)
+    keyed = np.empty(max_vol * m) if A.is_complex else cells
+    return np.empty(max_vol * A.rank, dtype=A.dtype), cells, keyed
+
+
+class TestSweepReference(unittest.TestCase):
+    """The cached sweep against the full-contraction sweep, bit for bit after
+    every sweep of every restart."""
+
+    def _compare(self, A, cfg):
+        """Returns the (contracted columns, clean blocks, blocks) totals."""
+        s = solver._resolve_block_size(A, cfg)
+        schedule = solver.block_schedule(A.order, s)
+        stacked, offsets = kernels.stack_factors(A.factors)
+        m = min(cfg.k + cfg.extra, A.size())
+        work_ref = _work_buffers(A, schedule, m)
+        work = _work_buffers(A, schedule, m)
+        contracted = clean = blocks = 0
+        for r in range(cfg.restarts):
+            ref = solver.init_candidates(A, cfg, np.random.default_rng(cfg.seed + r))
+            got = solver.CandidateSet(ref.tuples.copy(), ref.values.copy())
+            cache = solver._ContractionCache(len(schedule))
+            for sweep in range(cfg.max_sweeps):
+                before = ref.tuples.copy()
+                want_x = _reference_sweep(A, ref, cfg.key, schedule, stacked,
+                                          offsets, work_ref)
+                got_x = solver._sweep(A, got, cfg.key, schedule, stacked, offsets,
+                                      work, cache)
+                msg = f"restart {r} sweep {sweep}"
+                np.testing.assert_array_equal(got.tuples, ref.tuples, err_msg=msg)
+                self.assertEqual(got.values.tobytes(), ref.values.tobytes(), msg=msg)
+                self.assertEqual(got_x, want_x, msg=msg)
+                blocks += len(schedule)
+                if np.array_equal(before, ref.tuples):
+                    break
+            contracted += cache.contracted_columns
+            clean += cache.clean_blocks
+        return contracted, clean, blocks
+
+    def test_real_subset_path(self):
+        # window (0, 1) has 25,600 cells: vol * R * w passes SUBSET_MIN_WORK
+        # from w = 2, so narrow contractions run there
+        A = cp.CpTensor(random_factors(np.random.default_rng(201), (160, 160, 4, 4), 20))
+        cfg = SolverConfig(k=10, extra=40, block_size=2, restarts=2, seed=11)
+        contracted, clean, blocks = self._compare(A, cfg)
+        self.assertLess(contracted, 50 * (blocks - clean))
+
+    def test_real_clean_blocks_only(self):
+        # too small for a narrow contraction: a block contracts all 8 columns
+        # or, when none is dirty, none
+        A = cp.CpTensor(random_factors(np.random.default_rng(202), (6, 5, 7, 6, 5, 6), 3))
+        for s in (1, 2):
+            cfg = SolverConfig(k=3, extra=5, block_size=s, restarts=3, seed=12)
+            contracted, clean, blocks = self._compare(A, cfg)
+            self.assertGreater(clean, 0)
+            self.assertEqual(contracted, 8 * (blocks - clean))
+
+    def test_complex_maxabs(self):
+        A = cp.CpTensor(random_factors(np.random.default_rng(203), (4, 3, 5, 3), 3,
+                                       complex_=True))
+        for s in (1, 2, 4):
+            cfg = SolverConfig(k=3, extra=6, block_size=s, key=OrderingKey.MAX_ABS,
+                               restarts=2, seed=13)
+            contracted, clean, blocks = self._compare(A, cfg)
+            self.assertEqual(contracted, 9 * (blocks - clean))
+
+    def test_min_key_and_block_sizes(self):
+        rng = np.random.default_rng(204)
+        for dims in ((5, 4, 6, 3), (3, 3, 3)):
+            A = cp.CpTensor(random_factors(rng, dims, 3))
+            for s in (1, 2, len(dims)):
+                for key in (OrderingKey.MIN, OrderingKey.MAX):
+                    cfg = SolverConfig(k=3, extra=12, block_size=s, key=key,
+                                       restarts=2, seed=14)
+                    self._compare(A, cfg)
+
+
+def test_subset_contraction_matches_full():
+    """Every width the subset rule admits gives the full product's bits.
+
+    Shapes are the real (vol, R, m) contractions of the benchmarks and tests:
+    solve_large's 100x100 windows, the sweep reference test's 160x160 window,
+    the largest bench solver rows (13x13 blocks, R = 10, m = 2 and 6) and the
+    pinned configs.  A BLAS that changes its kernels fails here first.
+    """
+    rng = np.random.default_rng(301)
+    shapes = [(10**4, 20, 50), (25600, 20, 50), (169, 10, 6), (169, 10, 2)]
+    for tseed, dims, rank, complex_, kw in PINNED_CONFIGS.values():
+        if not complex_:
+            s = solver._resolve_block_size(_pinned_tensor(tseed, dims, rank, False),
+                                           SolverConfig(**kw))
+            vol = max(math.prod(dims[q] for q in w)
+                      for w in solver.block_schedule(len(dims), s))
+            shapes.append((vol, rank, min(kw["k"] + kw["extra"], math.prod(dims))))
+    admitted = 0
+    for vol, rank, m in shapes:
+        E = rng.uniform(-1, 1, size=(vol, rank))
+        alpha = rng.uniform(-1, 1, size=(rank, m))
+        full = E @ alpha
+        buf = np.empty(vol * m)
+        widths = {solver._contraction_width(n, vol, rank, m, False)
+                  for n in range(1, m + 1)}
+        if vol * rank * m <= solver.SUBSET_MIN_WORK:
+            assert widths == {m}, (vol, rank, m)
+        for w in sorted(widths - {m}):
+            assert 2 <= w < m and vol * rank * w > solver.SUBSET_MIN_WORK
+            admitted += 1
+            subsets = [np.arange(w), np.arange(m - w, m)]
+            subsets += [np.sort(rng.choice(m, w, replace=False)) for _ in range(2)]
+            for sel in subsets:
+                got = np.matmul(E, alpha[:, sel], out=buf[:vol * w].reshape(vol, w))
+                assert got.tobytes() == np.ascontiguousarray(full[:, sel]).tobytes(), \
+                    (vol, rank, m, sel.tolist())
+    assert admitted > 0
+    # complex tensors always contract every column (qft16: 256 cells, R 4096)
+    for n in range(1, 11):
+        assert solver._contraction_width(n, 256, 4096, 10, True) == 10
+
+
+class TestDiagnostics(unittest.TestCase):
+
+    def _check(self, A, cfg):
+        res = solver.solve(A, cfg)
+        d = res.diagnostics
+        m = min(cfg.k + cfg.extra, A.size())
+        blocks = res.sweeps_used * len(d["schedule"])
+        self.assertEqual(len(d["restart_sweeps"]), cfg.restarts)
+        self.assertEqual(sum(d["restart_sweeps"]), res.sweeps_used)
+        self.assertEqual(any(d["restart_converged"]), res.converged)
+        self.assertLessEqual(d["contracted_columns"], m * blocks)
+        self.assertLessEqual(d["clean_blocks"], blocks)
+        return res, m, blocks
+
+    def test_real_counts(self):
+        A = cp.CpTensor(random_factors(np.random.default_rng(202), (6, 5, 7, 6, 5, 6), 3))
+        res, m, blocks = self._check(A, SolverConfig(k=3, extra=5, block_size=1,
+                                                     seed=12))
+        d = res.diagnostics
+        self.assertGreater(d["clean_blocks"], 0)
+        self.assertEqual(d["contracted_columns"], m * (blocks - d["clean_blocks"]))
+
+    def test_complex_without_clean_blocks_contracts_every_column(self):
+        # a whole-tensor window puts every candidate but the first in one
+        # context, so each block has dependent columns and none is clean
+        A = _pinned_tensor(108, (3, 4, 3), 3, True)
+        res, m, blocks = self._check(A, SolverConfig(
+            k=2, extra=5, block_size=3, key=OrderingKey.MAX_REAL, seed=8))
+        self.assertEqual(res.diagnostics["clean_blocks"], 0)
+        self.assertEqual(res.diagnostics["contracted_columns"], m * blocks)
+
+    def test_restart_lists(self):
+        A = _pinned_tensor(103, (6, 5, 4, 3), 3, False)
+        cfg = SolverConfig(k=2, extra=8, block_size=2, restarts=4, max_sweeps=2, seed=3)
+        res, _, _ = self._check(A, cfg)
+        self.assertTrue(all(1 <= n <= 2 for n in res.diagnostics["restart_sweeps"]))
+
+    def test_monotonicity_check_raises(self):
+        # a sweep that lowers the best value breaks the k=1 invariant; the
+        # check raises rather than asserting, so it also holds under -O
+        real_sweep = solver._sweep
+
+        def lowering_sweep(A, cands, *args):
+            out = real_sweep(A, cands, *args)
+            cands.values[:] -= 1.0
+            return out
+
+        with mock.patch.object(solver, "_sweep", lowering_sweep):
+            with self.assertRaisesRegex(RuntimeError, "best key value decreased"):
+                solver.solve(_tiny_rank1(), SolverConfig(k=1, extra=1, block_size=1))
 
 
 def _tiny_rank1():
