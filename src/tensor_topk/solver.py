@@ -20,6 +20,18 @@ expansion and the contraction.  A narrower contraction must give the same
 bits as the full one, and the BLAS guarantees that only on its regular
 blocked path, so `_contraction_width` pads the dirty set and falls back to
 all m columns outside a measured rule (see ``SUBSET_MIN_WORK``).
+
+A block's expansion depends only on the window and the factors, not on the
+candidates or the restart.  So `solve` runs its restarts in lockstep: it
+draws every restart's candidates first, and each sweep visits a window once
+for all live restarts.  The first live restart with a dirty column there
+builds the expansion into the one shared buffer, and every later restart
+contracts against it.  Each restart keeps its own candidates, cache and
+counters, and runs the same operations on the same bits as it would alone,
+so the output does not depend on the lockstep.  The contraction and key
+buffers stay one per solve: a restart's block pass uses up its columns
+before the next restart overwrites them.  A restart leaves the live set at
+its fixed point or after ``max_sweeps`` sweeps.
 """
 
 from __future__ import annotations
@@ -213,17 +225,22 @@ def compute_alpha(A, tuples, block):
     i and j agree on every out-of-block coordinate; with an all-mode block
     the product is empty (alpha = 1) and beta is all True.
     """
-    m = tuples.shape[0]
     rest = [q for q in range(A.order) if q not in set(block)]
-    alpha = np.ones((A.rank, m), dtype=A.dtype)
+    return _rank_weights(A, tuples, rest), _collision_mask(tuples[:, rest])
+
+
+def _rank_weights(A, tuples, rest):
+    """alpha of `compute_alpha`, for the out-of-block modes ``rest``."""
+    alpha = np.ones((A.rank, tuples.shape[0]), dtype=A.dtype)
     for q in rest:
         alpha *= A.factors[q][tuples[:, q], :].T
-    if rest:
-        sub = tuples[:, rest]
-        beta = np.all(sub[:, None, :] == sub[None, :, :], axis=-1)
-    else:
-        beta = np.ones((m, m), dtype=bool)
-    return alpha, beta
+    return alpha
+
+
+def _collision_mask(context):
+    """beta of `compute_alpha`, from each candidate's out-of-block
+    coordinates (one row per candidate, possibly no columns)."""
+    return np.all(context[:, None, :] == context[None, :, :], axis=-1)
 
 
 # A column subset of the real contraction, E @ alpha[:, sel], is bit-equal to
@@ -256,14 +273,25 @@ class _ContractionCache:
     ``windows[b]`` is None until window b is first visited, then
     (context, lins, tops): each candidate slot's out-of-block coordinates,
     its column's argmax and the key value there.  The counters add up the
-    contracted columns, padding included, and the blocks that skipped
-    expansion and contraction.  Its size is O(windows x m x order).
+    contracted columns, padding included, the blocks that skipped
+    expansion and contraction, and the window expansions this restart built
+    for every live restart.  Its size is O(windows x m x order).
     """
 
     def __init__(self, n_windows):
         self.windows = [None] * n_windows
         self.contracted_columns = 0
         self.clean_blocks = 0
+        self.expansions = 0
+
+
+def _dependent(beta):
+    """Candidates with an earlier candidate in their context.
+
+    beta's diagonal is True, so a column's first True row is below the
+    diagonal exactly when an earlier candidate shares the context.
+    """
+    return beta.argmax(axis=0) < np.arange(beta.shape[0])
 
 
 def _block_pass(tuples, values, block, keyed, beta, block_dims, key,
@@ -290,25 +318,24 @@ def _block_pass(tuples, values, block, keyed, beta, block_dims, key,
     A candidate whose allowed cells are all -inf keeps its incumbent cell;
     returns the number of these exhaustion fallbacks.
 
-    picks, if given, is (lins, tops, slot): every column's argmax and the
-    key value there, and for candidate j the column of keyed that holds it.
-    Only dependent candidates read keyed then, so it may hold just a
-    subset of the columns, or be None when no candidate is dependent.
+    picks, if given, is (lins, tops, slot, dependent): every column's argmax
+    and the key value there, for candidate j the column of keyed that holds
+    it, and the `_dependent` mask of beta.  Only dependent candidates read
+    keyed then, so it may hold just a subset of the columns, or be None
+    when no candidate is dependent.
     """
     m = tuples.shape[0]
     block = list(block)
     strides = np.cumprod([1] + list(block_dims[:-1]))
     inc_lins = (tuples[:, block] * strides).sum(axis=1)
-    cols = np.arange(m)
-    # beta's diagonal is True, so a column's first True row is below the
-    # diagonal exactly when an earlier candidate shares the context
-    dependent = beta.argmax(axis=0) < cols
 
     if picks is None:
+        cols = np.arange(m)
+        dependent = _dependent(beta)
         new_lins = kernels.column_argmax(keyed)
         tops, slot = keyed[new_lins, cols], cols
     else:
-        lins, tops, slot = picks
+        lins, tops, slot, dependent = picks
         new_lins = lins.copy()
     stuck = ~dependent & (tops == -np.inf)
     new_lins[stuck] = inc_lins[stuck]
@@ -344,64 +371,82 @@ def _block_pass(tuples, values, block, keyed, beta, block_dims, key,
     return exhausted
 
 
-def _sweep(A, cands, key, schedule, stacked, offsets, work, cache):
-    """One full sweep over the block schedule; mutates cands in place.
+def _sweep(A, restarts, key, schedule, stacked, offsets, work):
+    """One sweep of every live restart in lockstep; mutates their candidates.
 
-    work holds the flat expansion, contraction and key buffers that `solve`
-    allocates once; each block uses a prefix of each, so no block allocates
-    an array proportional to its volume.  cache is the restart's
-    `_ContractionCache`: a block contracts only its dirty columns (see the
-    module docstring) and updates the cache with their argmaxes.
+    restarts holds one (cands, cache) pair per live restart, cache being the
+    restart's `_ContractionCache`.  At each window the restarts run in
+    order: each contracts only its dirty columns (see the module docstring)
+    and updates its cache with their argmaxes.  The window's expansion
+    depends on neither the candidates nor the restart, so the first restart
+    with a dirty column builds it and every later one contracts against the
+    same one.  work holds the flat expansion, contraction and key buffers
+    that `solve` allocates once; each block uses a prefix of each, so no
+    block allocates an array proportional to its volume.  A restart's
+    contracted columns are used up by its block pass before the next
+    restart overwrites them.  Returns each restart's exhaustion count.
     """
     expand_buf, cells_buf, keyed_buf = work
-    m = cands.tuples.shape[0]
+    m = restarts[0][0].tuples.shape[0]
     cols = np.arange(m)
-    exhausted = 0
+    exhausted = [0] * len(restarts)
     for b, block in enumerate(schedule):
         block_dims = [A.dims[q] for q in block]
         vol = math.prod(block_dims)
         rest = [q for q in range(A.order) if q not in block]
-        alpha, beta = compute_alpha(A, cands.tuples, block)
-        context = cands.tuples[:, rest]
-        # dependent candidates need their whole column for masked_argmax
-        dirty = beta.argmax(axis=0) < cols
-        if cache.windows[b] is None:
-            lins, tops = np.empty(m, dtype=np.int64), np.empty(m)
-            dirty[:] = True
-        else:
-            seen, lins, tops = cache.windows[b]
-            dirty |= (context != seen).any(axis=1)
-        cache.windows[b] = (context, lins, tops)
-        n_dirty = int(np.count_nonzero(dirty))
-        keyed, slot = None, cols
-        if n_dirty:
-            width = _contraction_width(n_dirty, vol, A.rank, m, A.is_complex)
-            expand = kernels.block_expand(
-                stacked, offsets, np.array(block), np.array(block_dims),
-                out=expand_buf[:vol * A.rank].reshape(vol, A.rank),
-            )
-            if width < m:
-                # pad with the lowest-index clean columns
-                dirty[np.flatnonzero(~dirty)[:width - n_dirty]] = True
-                sel = np.flatnonzero(dirty)
-                alpha = alpha[:, sel]
-                slot = np.empty(m, dtype=np.int64)
-                slot[sel] = cols[:width]
+        expand = None
+        for i, (cands, cache) in enumerate(restarts):
+            context = cands.tuples[:, rest]
+            beta = _collision_mask(context)
+            dependent = _dependent(beta)
+            # dependent candidates need their whole column for masked_argmax
+            dirty = dependent.copy()
+            if cache.windows[b] is None:
+                lins, tops = np.empty(m, dtype=np.int64), np.empty(m)
+                dirty[:] = True
             else:
-                sel = cols
-            shape = (vol, width)
-            cells = np.matmul(expand, alpha, out=cells_buf[:vol * width].reshape(shape))
-            keyed = key_values(cells, key, out=keyed_buf[:vol * width].reshape(shape))
-            picked = kernels.column_argmax(keyed)
-            lins[sel] = picked
-            tops[sel] = keyed[picked, cols[:width]]
-            cache.contracted_columns += width
-        else:
-            cache.clean_blocks += 1
-        exhausted += _block_pass(
-            cands.tuples, cands.values, block, keyed, beta, block_dims,
-            key, stacked, offsets, picks=(lins, tops, slot),
-        )
+                seen, lins, tops = cache.windows[b]
+                dirty |= (context != seen).any(axis=1)
+            cache.windows[b] = (context, lins, tops)
+            n_dirty = int(np.count_nonzero(dirty))
+            keyed, slot = None, cols
+            if n_dirty:
+                if expand is None:
+                    # compute_alpha stays right before the expansion it
+                    # pairs with, so a tracer wrapping both can pair them
+                    alpha = compute_alpha(A, cands.tuples, block)[0]
+                    expand = kernels.block_expand(
+                        stacked, offsets, np.array(block), np.array(block_dims),
+                        out=expand_buf[:vol * A.rank].reshape(vol, A.rank),
+                    )
+                    cache.expansions += 1
+                else:
+                    alpha = _rank_weights(A, cands.tuples, rest)
+                width = _contraction_width(n_dirty, vol, A.rank, m, A.is_complex)
+                if width < m:
+                    # pad with the lowest-index clean columns
+                    dirty[np.flatnonzero(~dirty)[:width - n_dirty]] = True
+                    sel = np.flatnonzero(dirty)
+                    alpha = alpha[:, sel]
+                    slot = np.empty(m, dtype=np.int64)
+                    slot[sel] = cols[:width]
+                else:
+                    sel = cols
+                shape = (vol, width)
+                cells = np.matmul(expand, alpha,
+                                  out=cells_buf[:vol * width].reshape(shape))
+                keyed = key_values(cells, key,
+                                   out=keyed_buf[:vol * width].reshape(shape))
+                picked = kernels.column_argmax(keyed)
+                lins[sel] = picked
+                tops[sel] = keyed[picked, cols[:width]]
+                cache.contracted_columns += width
+            else:
+                cache.clean_blocks += 1
+            exhausted[i] += _block_pass(
+                cands.tuples, cands.values, block, keyed, beta, block_dims,
+                key, stacked, offsets, picks=(lins, tops, slot, dependent),
+            )
     return exhausted
 
 
@@ -430,7 +475,8 @@ def _top_up_pool(A, pool, k, rng):
 def solve(A, cfg):
     """Run the block-alternating search and return the best k entries found.
 
-    Restart r draws its own candidates from seed + r.  Every candidate
+    Restart r draws its own candidates from seed + r, and the restarts
+    sweep in lockstep (see the module docstring).  Every candidate
     state visited after each sweep of each restart is pooled; the pooled
     set is deduplicated, ordered by the key (ties to the smallest linear
     index), and truncated to k, so entries abandoned mid-run still count.
@@ -454,39 +500,34 @@ def solve(A, cfg):
     cells_buf = np.empty(max_vol * m, dtype=A.dtype)
     keyed_buf = np.empty(max_vol * m) if A.is_complex else cells_buf
     work = (np.empty(max_vol * A.rank, dtype=A.dtype), cells_buf, keyed_buf)
-    pool = {}
-    traces = []
-    restart_sweeps = []
-    restart_converged = []
+    n = cfg.restarts
+    cands = [init_candidates(A, cfg, np.random.default_rng(cfg.seed + r))
+             for r in range(n)]
+    caches = [_ContractionCache(len(schedule)) for _ in range(n)]
+    traces = [[float(np.max(key_values(c.values, cfg.key)))] for c in cands]
+    restart_sweeps = [0] * n
+    restart_converged = [False] * n
     exhausted = 0
-    contracted_columns = 0
-    clean_blocks = 0
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng(cfg.seed + r)
-        cands = init_candidates(A, cfg, rng)
-        cache = _ContractionCache(len(schedule))
-        trace = [float(np.max(key_values(cands.values, cfg.key)))]
-        converged = False
-        sweeps = 0
-        for _ in range(cfg.max_sweeps):
-            before = cands.tuples.copy()
-            exhausted += _sweep(A, cands, cfg.key, schedule, stacked, offsets,
-                                work, cache)
-            sweeps += 1
-            best = float(np.max(key_values(cands.values, cfg.key)))
-            if cfg.k == 1 and best < trace[-1]:
-                raise RuntimeError(f"best key value decreased from {trace[-1]} to {best}")
-            trace.append(best)
-            for row, val in zip(cands.tuples, cands.values):
+    pool = {}
+    # every restart starts at sweep 0, so the live ones share a sweep count
+    # and one that reaches max_sweeps leaves with the loop
+    live = list(range(n))
+    for _ in range(cfg.max_sweeps):
+        before = [cands[r].tuples.copy() for r in live]
+        exhausted += sum(_sweep(A, [(cands[r], caches[r]) for r in live], cfg.key,
+                                schedule, stacked, offsets, work))
+        for r, prev in zip(live, before):
+            restart_sweeps[r] += 1
+            best = float(np.max(key_values(cands[r].values, cfg.key)))
+            if cfg.k == 1 and best < traces[r][-1]:
+                raise RuntimeError(f"best key value decreased from {traces[r][-1]} to {best}")
+            traces[r].append(best)
+            for row, val in zip(cands[r].tuples, cands[r].values):
                 pool[tuple(int(v) for v in row)] = val
-            if np.array_equal(before, cands.tuples):
-                converged = True
-                break
-        traces.append(trace)
-        restart_sweeps.append(sweeps)
-        restart_converged.append(converged)
-        contracted_columns += cache.contracted_columns
-        clean_blocks += cache.clean_blocks
+            restart_converged[r] = np.array_equal(prev, cands[r].tuples)
+        live = [r for r in live if not restart_converged[r]]
+        if not live:
+            break
     if len(pool) < cfg.k:
         _top_up_pool(A, pool, cfg.k, np.random.default_rng(cfg.seed + cfg.restarts))
     ptuples = np.array(list(pool.keys()), dtype=np.int64)
@@ -511,8 +552,9 @@ def solve(A, cfg):
             "objective_trace": traces,
             "exhausted": exhausted,
             "pool_size": len(pool),
-            "contracted_columns": contracted_columns,
-            "clean_blocks": clean_blocks,
+            "contracted_columns": sum(c.contracted_columns for c in caches),
+            "clean_blocks": sum(c.clean_blocks for c in caches),
+            "expansions": sum(c.expansions for c in caches),
             "restart_sweeps": restart_sweeps,
             "restart_converged": restart_converged,
         },

@@ -76,7 +76,7 @@ class TestTopk(unittest.TestCase):
                     SolverConfig(k=2, extra=1, block_size=1, seed=3, restarts=2))
         want = {name: res.diagnostics[name]
                 for name in ("block_size", "exhausted", "pool_size",
-                             "contracted_columns", "clean_blocks",
+                             "contracted_columns", "clean_blocks", "expansions",
                              "restart_sweeps", "restart_converged")}
         doc = json.loads(out)
         self.assertEqual(doc["diagnostics"], want)

@@ -20,13 +20,18 @@ FEW = settings(max_examples=25, deadline=None)
 
 
 @st.composite
-def cp_tensors(draw, complex_=False, bound=None):
-    """A CpTensor of order 1-4, dims 1-5 and rank 1-4."""
+def cp_tensors(draw, complex_=False, bound=None, integers=False):
+    """A CpTensor of order 1-4, dims 1-5 and rank 1-4.
+
+    With ``integers``, real factor entries are integers in [-bound, bound].
+    """
     order = draw(st.integers(1, 4))
     dims = draw(st.lists(st.integers(1, 5), min_size=order, max_size=order))
     rank = draw(st.integers(1, 4))
     dtype = np.complex128 if complex_ else np.float64
-    if complex_:
+    if integers:
+        elements = st.integers(-bound, bound).map(float)
+    elif complex_:
         elements = st.complex_numbers(max_magnitude=bound, allow_nan=False,
                                       allow_infinity=False)
     else:
@@ -37,9 +42,9 @@ def cp_tensors(draw, complex_=False, bound=None):
 
 
 @st.composite
-def solver_cases(draw, restarts=st.just(2)):
+def solver_cases(draw, restarts=st.just(2), tensors=cp_tensors(bound=1e3)):
     """A real tensor with bounded entries and a config whose k fits it."""
-    A = draw(cp_tensors(bound=1e3))
+    A = draw(tensors)
     cfg = SolverConfig(k=draw(st.integers(1, min(3, A.size()))),
                        extra=draw(st.integers(0, 3)),
                        block_size=draw(st.integers(1, 3)),
@@ -77,10 +82,25 @@ def test_min_is_max_of_negated_tensor(case):
 
 
 @FEW
+@given(solver_cases(tensors=cp_tensors(bound=3, integers=True)), st.integers(-20, 20))
+def test_shift_keeps_indices(case, c):
+    # entries of A and of A + c are small integers, so every sum is exact
+    # and the search makes the same choices on both
+    A, cfg = case
+    shifted = cp.shift(A, float(c))
+    for key in (OrderingKey.MAX, OrderingKey.MIN):
+        res = solve(A, replace(cfg, key=key))
+        res_c = solve(shifted, replace(cfg, key=key))
+        assert np.array_equal(res_c.indices, res.indices)
+        assert np.array_equal(res_c.values, res.values + c)
+        assert res_c.diagnostics["restart_sweeps"] == res.diagnostics["restart_sweeps"]
+
+
+@FEW
 @given(solver_cases(restarts=st.integers(2, 4)))
 def test_restarts_are_isolated(case):
     # restart r runs as a one-restart solve from seed + r: no per-restart
-    # state (candidates, contraction cache) leaks into the next restart
+    # state (candidates, contraction cache) leaks into another restart
     A, cfg = case
     res = solve(A, cfg)
     d = res.diagnostics

@@ -7,6 +7,7 @@ get direct hand-computed cases.
 
 import math
 import unittest
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -394,45 +395,62 @@ def _work_buffers(A, schedule, m):
 
 
 class TestSweepReference(unittest.TestCase):
-    """The cached sweep against the full-contraction sweep, bit for bit after
-    every sweep of every restart."""
+    """The cached lockstep sweep against the full-contraction sweep, bit for
+    bit after every sweep of every restart.
+
+    The reference runs one restart at a time; the package sweeps every live
+    restart at once, and a restart leaves the live set at its fixed point.
+    """
 
     def _compare(self, A, cfg):
-        """Returns the (contracted columns, clean blocks, blocks) totals."""
+        """Returns the contracted columns, clean blocks, blocks and
+        expansions summed over restarts, and each restart's sweep count."""
         s = solver._resolve_block_size(A, cfg)
         schedule = solver.block_schedule(A.order, s)
         stacked, offsets = kernels.stack_factors(A.factors)
         m = min(cfg.k + cfg.extra, A.size())
         work_ref = _work_buffers(A, schedule, m)
         work = _work_buffers(A, schedule, m)
-        contracted = clean = blocks = 0
-        for r in range(cfg.restarts):
-            ref = solver.init_candidates(A, cfg, np.random.default_rng(cfg.seed + r))
-            got = solver.CandidateSet(ref.tuples.copy(), ref.values.copy())
-            cache = solver._ContractionCache(len(schedule))
-            for sweep in range(cfg.max_sweeps):
-                before = ref.tuples.copy()
-                want_x = _reference_sweep(A, ref, cfg.key, schedule, stacked,
+        refs = [solver.init_candidates(A, cfg, np.random.default_rng(cfg.seed + r))
+                for r in range(cfg.restarts)]
+        gots = [solver.CandidateSet(ref.tuples.copy(), ref.values.copy())
+                for ref in refs]
+        caches = [solver._ContractionCache(len(schedule)) for _ in refs]
+        live = list(range(cfg.restarts))
+        blocks = 0
+        sweeps = [0] * cfg.restarts
+        for sweep in range(cfg.max_sweeps):
+            got_x = solver._sweep(A, [(gots[r], caches[r]) for r in live], cfg.key,
+                                  schedule, stacked, offsets, work)
+            self.assertEqual(len(got_x), len(live))
+            converged = []
+            for r, x in zip(live, got_x):
+                before = refs[r].tuples.copy()
+                want_x = _reference_sweep(A, refs[r], cfg.key, schedule, stacked,
                                           offsets, work_ref)
-                got_x = solver._sweep(A, got, cfg.key, schedule, stacked, offsets,
-                                      work, cache)
                 msg = f"restart {r} sweep {sweep}"
-                np.testing.assert_array_equal(got.tuples, ref.tuples, err_msg=msg)
-                self.assertEqual(got.values.tobytes(), ref.values.tobytes(), msg=msg)
-                self.assertEqual(got_x, want_x, msg=msg)
+                np.testing.assert_array_equal(gots[r].tuples, refs[r].tuples,
+                                              err_msg=msg)
+                self.assertEqual(gots[r].values.tobytes(), refs[r].values.tobytes(),
+                                 msg=msg)
+                self.assertEqual(x, want_x, msg=msg)
                 blocks += len(schedule)
-                if np.array_equal(before, ref.tuples):
-                    break
-            contracted += cache.contracted_columns
-            clean += cache.clean_blocks
-        return contracted, clean, blocks
+                sweeps[r] += 1
+                if np.array_equal(before, refs[r].tuples):
+                    converged.append(r)
+            live = [r for r in live if r not in converged]
+            if not live:
+                break
+        return (sum(c.contracted_columns for c in caches),
+                sum(c.clean_blocks for c in caches), blocks,
+                sum(c.expansions for c in caches), sweeps)
 
     def test_real_subset_path(self):
         # window (0, 1) has 25,600 cells: vol * R * w passes SUBSET_MIN_WORK
         # from w = 2, so narrow contractions run there
         A = cp.CpTensor(random_factors(np.random.default_rng(201), (160, 160, 4, 4), 20))
         cfg = SolverConfig(k=10, extra=40, block_size=2, restarts=2, seed=11)
-        contracted, clean, blocks = self._compare(A, cfg)
+        contracted, clean, blocks, _, _ = self._compare(A, cfg)
         self.assertLess(contracted, 50 * (blocks - clean))
 
     def test_real_clean_blocks_only(self):
@@ -441,9 +459,19 @@ class TestSweepReference(unittest.TestCase):
         A = cp.CpTensor(random_factors(np.random.default_rng(202), (6, 5, 7, 6, 5, 6), 3))
         for s in (1, 2):
             cfg = SolverConfig(k=3, extra=5, block_size=s, restarts=3, seed=12)
-            contracted, clean, blocks = self._compare(A, cfg)
+            contracted, clean, blocks, _, _ = self._compare(A, cfg)
             self.assertGreater(clean, 0)
             self.assertEqual(contracted, 8 * (blocks - clean))
+
+    def test_restarts_leave_at_different_sweeps(self):
+        # the live set shrinks mid-run, and the live restarts still share
+        # each window's expansion
+        A = cp.CpTensor(random_factors(np.random.default_rng(205), (6, 5, 7, 6, 5, 6), 3))
+        cfg = SolverConfig(k=3, extra=5, block_size=2, restarts=4, seed=15)
+        _, clean, blocks, expansions, sweeps = self._compare(A, cfg)
+        self.assertGreater(len(set(sweeps)), 1)
+        self.assertLess(expansions, blocks - clean)
+        self.assertLessEqual(expansions, len(A.dims) * max(sweeps))
 
     def test_complex_maxabs(self):
         A = cp.CpTensor(random_factors(np.random.default_rng(203), (4, 3, 5, 3), 3,
@@ -451,7 +479,7 @@ class TestSweepReference(unittest.TestCase):
         for s in (1, 2, 4):
             cfg = SolverConfig(k=3, extra=6, block_size=s, key=OrderingKey.MAX_ABS,
                                restarts=2, seed=13)
-            contracted, clean, blocks = self._compare(A, cfg)
+            contracted, clean, blocks, _, _ = self._compare(A, cfg)
             self.assertEqual(contracted, 9 * (blocks - clean))
 
     def test_min_key_and_block_sizes(self):
@@ -519,6 +547,9 @@ class TestDiagnostics(unittest.TestCase):
         self.assertEqual(any(d["restart_converged"]), res.converged)
         self.assertLessEqual(d["contracted_columns"], m * blocks)
         self.assertLessEqual(d["clean_blocks"], blocks)
+        # a window builds at most one expansion per lockstep sweep
+        self.assertLessEqual(d["expansions"],
+                             len(d["schedule"]) * max(d["restart_sweeps"]))
         return res, m, blocks
 
     def test_real_counts(self):
@@ -544,14 +575,37 @@ class TestDiagnostics(unittest.TestCase):
         res, _, _ = self._check(A, cfg)
         self.assertTrue(all(1 <= n <= 2 for n in res.diagnostics["restart_sweeps"]))
 
+    def test_one_restart_expands_every_dirty_block(self):
+        A = cp.CpTensor(random_factors(np.random.default_rng(202), (6, 5, 7, 6, 5, 6), 3))
+        for s in (1, 2):
+            res, _, blocks = self._check(A, SolverConfig(k=3, extra=5, block_size=s,
+                                                         restarts=1, seed=12))
+            d = res.diagnostics
+            self.assertEqual(d["expansions"], blocks - d["clean_blocks"])
+
+    def test_restarts_share_expansions(self):
+        # restarts that would each expand a window alone share one expansion
+        real = cp.CpTensor(random_factors(np.random.default_rng(206), (6, 5, 7, 6), 3))
+        complex_ = _pinned_tensor(108, (3, 4, 3, 4), 3, True)
+        for A, cfg in ((real, SolverConfig(k=3, extra=5, block_size=2, seed=16)),
+                       (complex_, SolverConfig(k=2, extra=4, block_size=2,
+                                               key=OrderingKey.MAX_ABS, seed=17))):
+            res, _, blocks = self._check(A, cfg)
+            singles = [solver.solve(A, replace(cfg, restarts=1, seed=cfg.seed + r))
+                       for r in range(cfg.restarts)]
+            alone = sum(one.diagnostics["expansions"] for one in singles)
+            self.assertEqual(alone, blocks - res.diagnostics["clean_blocks"])
+            self.assertLess(res.diagnostics["expansions"], alone)
+
     def test_monotonicity_check_raises(self):
         # a sweep that lowers the best value breaks the k=1 invariant; the
         # check raises rather than asserting, so it also holds under -O
         real_sweep = solver._sweep
 
-        def lowering_sweep(A, cands, *args):
-            out = real_sweep(A, cands, *args)
-            cands.values[:] -= 1.0
+        def lowering_sweep(A, restarts, *args):
+            out = real_sweep(A, restarts, *args)
+            for cands, _ in restarts:
+                cands.values[:] -= 1.0
             return out
 
         with mock.patch.object(solver, "_sweep", lowering_sweep):
