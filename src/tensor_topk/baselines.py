@@ -1,4 +1,11 @@
-"""Reference methods: the exhaustive dense oracle and a shifted power iteration."""
+"""Reference methods: the exhaustive dense oracle and a shifted power iteration.
+
+Power iteration runs at one fixed setting: at most ``MAX_ITERS`` steps,
+recompression to rank ``RANK_CAP`` (with `recompress`'s own sweep and
+tolerance defaults), the overlap test ``1 - OVERLAP_TOL``, ``HOPM_ITERS``
+rank-one fit sweeps for the peak, and an exact nonnegativity check of the
+shifted tensor when it has at most ``NONNEG_CHECK_CAP`` entries.
+"""
 
 from __future__ import annotations
 
@@ -12,6 +19,12 @@ from .recompress import rank_one_argmax, recompress
 from .solver import OrderingKey, TopKResult, key_values
 
 ORACLE_CAP_DEFAULT = 1 << 22
+
+MAX_ITERS = 200
+RANK_CAP = 10
+OVERLAP_TOL = 1e-12
+HOPM_ITERS = 100
+NONNEG_CHECK_CAP = 1 << 20
 
 
 def oracle_topk(A, k, key=OrderingKey.MAX, max_elems=ORACLE_CAP_DEFAULT):
@@ -40,30 +53,13 @@ def oracle_topk(A, k, key=OrderingKey.MAX, max_elems=ORACLE_CAP_DEFAULT):
     )
 
 
-@dataclass(frozen=True)
-class PowerIterConfig:
-    """Knobs for `power_iteration_max`."""
-
-    max_iters: int = 200
-    rank_cap: int = 10
-    shift: float | str = "auto"
-    overlap_tol: float = 1e-12
-    recompress_iters: int = 50
-    recompress_tol: float = 1e-8
-    hopm_iters: int = 100
-    seed: int = 0
-    nonneg_check_cap: int = 1 << 20
-
-
-def _resolve_shift(A, cfg):
-    if cfg.shift != "auto":
-        return float(cfg.shift)
+def _resolve_shift(A):
     s = cp.frob_norm(A)
     # The Frobenius norm bounds no single entry in general; on tensors small
     # enough to scan, verify nonnegativity and double the shift a few times
     # if an entry still lands below zero.
-    if A.size() <= cfg.nonneg_check_cap:
-        low = float(cp.materialize(A, cfg.nonneg_check_cap).min())
+    if A.size() <= NONNEG_CHECK_CAP:
+        low = float(cp.materialize(A, NONNEG_CHECK_CAP).min())
         for _ in range(3):
             if low + s >= 0.0:
                 break
@@ -102,47 +98,47 @@ class PowerIterResult:
     converged: bool
 
 
-def power_iteration_max(A, cfg=PowerIterConfig()):
+def power_iteration_max(A, seed=0):
     """Largest-entry estimate via Hadamard-product power iteration.
 
     Shifts A to a nonnegative tensor B, iterates y <- B o y with
-    normalization (recompressing whenever the rank passes ``rank_cap``),
+    normalization (recompressing whenever the rank passes ``RANK_CAP``),
     reads the peak location from the last iterate's best rank-one factors,
-    and reports the exact entry of A there.  Real tensors only.
+    and reports the exact entry of A there.  Real tensors only.  ``seed``
+    seeds the recompressions and the rank-one fit.
 
     The loop stops when consecutive iterates overlap to within
-    ``overlap_tol`` or after ``max_iters`` steps.  With the auto shift
+    ``OVERLAP_TOL`` or after ``MAX_ITERS`` steps.  With the shift
     ``frob_norm(A)``, B's entries lie close together in ratio, so each step
     moves y a little: on bench draws 1 - overlap stays between about 1e-6
-    and 1e-3 and the loop runs all ``max_iters`` steps.  Separable rank-one
+    and 1e-3 and the loop runs all ``MAX_ITERS`` steps.  Separable rank-one
     inputs do converge.  Each recompression stops once its relative fit
-    changes by less than ``recompress_tol`` between ALS sweeps, or after
-    ``recompress_iters`` sweeps.
+    changes by less than 1e-8 between ALS sweeps, or after 50 sweeps
+    (`recompress`'s defaults).
     """
     if A.is_complex:
         raise ValueError("power iteration orders real values; tensor is complex")
     if cp.frob_norm(A) == 0.0:
         raise DegenerateInputError("power iteration needs a nonzero tensor")
-    shift_s = _resolve_shift(A, cfg)
+    shift_s = _resolve_shift(A)
     B = cp.shift(A, shift_s)
     y = cp.scale(cp.cp_ones(A.dims), 1.0 / np.sqrt(A.size()))
     iterations, converged = 0, False
-    for iterations in range(1, cfg.max_iters + 1):
+    for iterations in range(1, MAX_ITERS + 1):
         z = _balance_columns(cp.hadamard(B, y))
         norm_z = cp.frob_norm(z)
         if norm_z == 0.0:
             raise DegenerateInputError("iterate collapsed to zero")
         z = cp.scale(z, 1.0 / norm_z)
-        if z.rank > cfg.rank_cap:
-            z = recompress(z, cfg.rank_cap, iters=cfg.recompress_iters,
-                           tol=cfg.recompress_tol, seed=cfg.seed)
+        if z.rank > RANK_CAP:
+            z = recompress(z, RANK_CAP, seed=seed)
             zn = cp.frob_norm(z)
             if zn == 0.0:
                 raise DegenerateInputError("iterate collapsed to zero")
             z = cp.scale(z, 1.0 / zn)
-        converged = abs(cp.inner(y, z)) >= 1.0 - cfg.overlap_tol
+        converged = abs(cp.inner(y, z)) >= 1.0 - OVERLAP_TOL
         y = z
         if converged:
             break
-    loc = rank_one_argmax(y, iters=cfg.hopm_iters, seed=cfg.seed)
+    loc = rank_one_argmax(y, iters=HOPM_ITERS, seed=seed)
     return PowerIterResult(cp.element(A, loc), loc, iterations, converged)

@@ -244,16 +244,6 @@ def cp_ones(dims):
     return CpTensor([np.ones((n, 1)) for n in dims])
 
 
-def cp_indicator(dims, idx):
-    """Rank-one tensor that is 1 at ``idx`` and 0 elsewhere."""
-    cols = []
-    for n, i in zip(dims, idx):
-        col = np.zeros((n, 1))
-        col[int(i), 0] = 1.0
-        cols.append(col)
-    return CpTensor(cols)
-
-
 def drop_zero_columns(A):
     """Remove rank-one terms that are exactly zero.
 
@@ -270,13 +260,3 @@ def drop_zero_columns(A):
         return _wrap([np.zeros((n, 1), dtype=A.dtype) for n in A.dims])
     cols = np.flatnonzero(keep)
     return _wrap([f.take(cols, axis=1) for f in A.factors])
-
-
-def linear_index(dims, idx):
-    """Mode-0-fastest linear index of a 0-based tuple, as a Python int."""
-    lin = 0
-    stride = 1
-    for i, n in zip(idx, dims):
-        lin += int(i) * stride
-        stride *= int(n)
-    return lin

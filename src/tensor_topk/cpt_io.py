@@ -33,23 +33,16 @@ from .errors import CptFormatError
 _WRITE_CHUNK = 1 << 16
 
 
-def _fmt(x):
-    s = format(float(x), ".17g")
-    # integer-looking output would parse as a JSON int; "-0" would drop the sign
-    if s.lstrip("-").isdigit():
-        s += ".0"
-    return s
-
-
 def _format_chunk(chunk):
-    """Strings of a float64 chunk, each as `_fmt` would write it.
+    """Strings of a float64 chunk: "%.17g", with ".0" after integral values.
 
-    "%.17g" prints digits only (no '.', no exponent) exactly for the
-    integral values below 1e17 in magnitude; only those go through `_fmt`.
+    Integer-looking output would parse as a JSON int, and "-0" would drop
+    the sign.  "%.17g" prints digits only (no '.', no exponent) exactly for
+    the integral values below 1e17 in magnitude, so only those get ".0".
     """
     text = list(map("%.17g".__mod__, chunk.tolist()))
     for t in np.flatnonzero((chunk == np.trunc(chunk)) & (np.abs(chunk) < 1e17)):
-        text[t] = _fmt(chunk[t])
+        text[t] += ".0"
     return text
 
 

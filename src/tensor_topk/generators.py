@@ -23,21 +23,23 @@ GRIEWANK_BOUNDS = (-600.0, 600.0)
 SCHWEFEL_BOUNDS = (-500.0, 500.0)
 SCHWEFEL_OPTIMUM = 420.9687
 
+# the random-draw protocol: order uniform over D_RANGE, mode sizes over
+# [N_MIN, N_CAP - d], rank over R_RANGE (all inclusive)
+D_RANGE = (3, 10)
+N_MIN = 2
+N_CAP = 15
+R_RANGE = (2, 10)
+
 
 @dataclass(frozen=True)
 class RandomSpec:
     """Protocol for random CP draws.
 
-    Order is uniform over d_range, mode sizes over [n_min, n_cap - d], rank
-    over r_range (all inclusive); factor entries are iid from the named
-    uniform distribution.
+    Factor entries are iid from the named uniform distribution; order, mode
+    sizes and rank follow the module constants.
     """
 
     distribution: str = "u01"
-    d_range: tuple = (3, 10)
-    n_min: int = 2
-    n_cap: int = 15
-    r_range: tuple = (2, 10)
 
     def __post_init__(self):
         if self.distribution not in DISTRIBUTIONS:
@@ -45,19 +47,14 @@ class RandomSpec:
                 f"unknown distribution {self.distribution!r}; "
                 f"choose from {sorted(DISTRIBUTIONS)}"
             )
-        if self.d_range[0] > self.d_range[1] or self.r_range[0] > self.r_range[1]:
-            raise ValueError("empty range in RandomSpec")
-        if self.n_min > self.n_cap - self.d_range[1]:
-            raise ValueError("mode-size rule is empty at the largest order")
 
 
 def gen_random_cp(spec, rng):
     """Draw one random CpTensor following ``spec``; deterministic given rng."""
     lo, hi = DISTRIBUTIONS[spec.distribution]
-    d = int(rng.integers(spec.d_range[0], spec.d_range[1] + 1))
-    n_max = spec.n_cap - d
-    dims = [int(rng.integers(spec.n_min, n_max + 1)) for _ in range(d)]
-    rank = int(rng.integers(spec.r_range[0], spec.r_range[1] + 1))
+    d = int(rng.integers(D_RANGE[0], D_RANGE[1] + 1))
+    dims = [int(rng.integers(N_MIN, N_CAP - d + 1)) for _ in range(d)]
+    rank = int(rng.integers(R_RANGE[0], R_RANGE[1] + 1))
     return CpTensor([rng.uniform(lo, hi, size=(n, rank)) for n in dims])
 
 

@@ -97,7 +97,7 @@ def _fmt_indices(indices):
     return ";".join(",".join(str(int(v) + 1) for v in row) for row in rows)
 
 
-def _solver_methods(k):
+def _solver_methods():
     methods = []
     for s in (1, 2):
         for extra in (1, 5):
@@ -141,7 +141,7 @@ def bench_trial(master_seed, trial, dist, k, key, oracle_cap, restarts,
             row["hit"] = str(is_topk_hit(A, indices, reference.indices, key)).lower()
         rows.append(row)
 
-    for method, s, extra in _solver_methods(k):
+    for method, s, extra in _solver_methods():
         cfg = SolverConfig(k=k, extra=extra, block_size=s, key=key,
                            restarts=restarts, max_sweeps=max_sweeps,
                            seed=trial_seed(master_seed, trial, tag=1))
@@ -222,11 +222,19 @@ def write_bench_csv(path, rows, summaries):
             })
 
 
-def run_func(function, d, max_size, trials, seed, blocks=(1, 2), pin_optimum=False,
+def run_func(function, d, max_size, trials, seed, pin_optimum=False,
              oracle_cap=ORACLE_CAP_DEFAULT, restarts=5, max_sweeps=50):
-    """Grid-tensor minimization trials; returns one record per trial."""
+    """Grid-tensor minimization trials; returns one record per trial.
+
+    Grid sizes are drawn from [2, max_size]; each trial solves with block
+    sizes 1 and 2 (``min_s1``/``min_s2``).
+    """
     if function not in ("griewank", "schwefel"):
         raise ValueError(f"unknown function {function!r}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if max_size < 2:
+        raise ValueError(f"the largest grid size (--n) must be >= 2, got {max_size}")
     records = []
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(trial)]))
@@ -245,7 +253,7 @@ def run_func(function, d, max_size, trials, seed, blocks=(1, 2), pin_optimum=Fal
         except CapacityError:
             reference = None
             rec["oracle_min"] = None
-        for s in blocks:
+        for s in (1, 2):
             cfg = SolverConfig(k=1, extra=5, block_size=s, key=OrderingKey.MIN,
                                restarts=restarts, max_sweeps=max_sweeps,
                                seed=trial_seed(seed, trial, tag=2))
@@ -262,10 +270,11 @@ def run_qft_trials(d, trials, seed, k=5, extra=5, block=2, rank_cap=None,
                    oracle_cap=ORACLE_CAP_DEFAULT, keep_states=False):
     """QFT measurement trials; dense-oracle columns where the size permits."""
     layout = square_layout(d)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     records = []
     for trial in range(trials):
-        res = simulate_and_measure(d, layout.modes, layout.per_mode,
-                                   init_seed=trial_seed(seed, trial, tag=3),
+        res = simulate_and_measure(d, init_seed=trial_seed(seed, trial, tag=3),
                                    k=k, extra=extra, block_size=block,
                                    rank_cap=rank_cap)
         rec = {
@@ -277,9 +286,9 @@ def run_qft_trials(d, trials, seed, k=5, extra=5, block=2, rank_cap=None,
             rec["state"] = res.state
         if (1 << d) <= oracle_cap and rank_cap is None:
             rng = np.random.default_rng(trial_seed(seed, trial, tag=3))
-            psi0 = statevector(random_product_state(layout, rng), layout, oracle_cap)
+            psi0 = statevector(random_product_state(layout, rng), oracle_cap)
             psi = qft_reference(psi0)
-            dense = statevector(res.state, layout, oracle_cap)
+            dense = statevector(res.state, oracle_cap)
             rec["max_amp_err"] = float(np.max(np.abs(dense - psi)))
             order = np.lexsort((np.arange(psi.shape[0]), -np.abs(psi)))[:k]
             target = {format(int(n), f"0{d}b") for n in order}

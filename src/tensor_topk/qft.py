@@ -16,7 +16,10 @@ column of U_c has a nonzero entry; every other term of that branch is zero,
 so it is dropped on the spot, which is what keeps repeated splits from
 compounding.  The kept columns of both branches are decided from the two
 projected control factors alone, and each factor of the result is built by
-one column concatenation.  The closing bit-reversal of the circuit is an
+one column concatenation.
+
+The circuit is Hadamards and controlled phases only.  Its closing swap
+network, a full reversal of the qubit order, is `reverse_qubit_order`: an
 index relabeling (mode reversal plus a per-mode bit-reversal permutation),
 so it never grows the rank.
 """
@@ -77,7 +80,7 @@ class GateOp:
     """One circuit operation; qubits are 0-based.
 
     kind "h": Hadamard on qubit a.  kind "cphase": phase ``theta`` when both
-    the control a and target b are 1.  kind "swap": exchange qubits a and b.
+    the control a and target b are 1.
     """
 
     kind: str
@@ -87,14 +90,16 @@ class GateOp:
 
 
 def qft_circuit(d):
-    """Gate list of the standard QFT circuit, closing swaps included."""
+    """Gate list of the standard QFT circuit without its closing swaps.
+
+    The swaps reverse the qubit order; `reverse_qubit_order` applies that
+    reversal to the state.
+    """
     gates = []
     for a in range(d):
         gates.append(GateOp("h", a))
         for b in range(a + 1, d):
             gates.append(GateOp("cphase", b, a, 2.0 * np.pi / (1 << (b - a + 1))))
-    for a in range(d // 2):
-        gates.append(GateOp("swap", a, d - 1 - a))
     return gates
 
 
@@ -150,7 +155,7 @@ def _controlled_phase(state, cmode, tmode, cbit, tdiag):
 
 
 def apply_gate(state, gate, layout):
-    """Apply one GateOp to a CP state; exact for every gate kind."""
+    """Apply one GateOp to a CP state; exact for both gate kinds."""
     q = layout.per_mode
     if gate.kind == "h":
         mode = layout.mode_of(gate.a)
@@ -165,38 +170,11 @@ def apply_gate(state, gate, layout):
             return _scale_mode_rows(state, cmode, diag)
         return _controlled_phase(state, cmode, tmode, cbit,
                                  np.where(tbit == 1, phase, 1.0 + 0j))
-    if gate.kind == "swap":
-        amode, bmode = layout.mode_of(gate.a), layout.mode_of(gate.b)
-        apos, bpos = layout.pos_of(gate.a), layout.pos_of(gate.b)
-        if amode == bmode:
-            idx = np.arange(1 << q)
-            abit = (idx >> (q - 1 - apos)) & 1
-            bbit = (idx >> (q - 1 - bpos)) & 1
-            target = idx ^ np.where(abit != bbit,
-                                    (1 << (q - 1 - apos)) | (1 << (q - 1 - bpos)), 0)
-            perm = np.zeros((1 << q, 1 << q))
-            perm[idx, target] = 1.0
-            return cp.ttm(state, perm, amode)
-        # cross-mode: sum over |s><t| x |t><s|, four lifted terms
-        basis = [np.array([[1.0, 0.0], [0.0, 0.0]]),   # |0><0|
-                 np.array([[0.0, 1.0], [0.0, 0.0]]),   # |0><1|
-                 np.array([[0.0, 0.0], [1.0, 0.0]]),   # |1><0|
-                 np.array([[0.0, 0.0], [0.0, 1.0]])]   # |1><1|
-        pieces = []
-        for s in (0, 1):
-            for t in (0, 1):
-                e_st = _lifted_single(q, apos, basis[2 * s + t])
-                e_ts = _lifted_single(q, bpos, basis[2 * t + s])
-                pieces.append(cp.ttm(cp.ttm(state, e_st, amode), e_ts, bmode))
-        acc = pieces[0]
-        for piece in pieces[1:]:
-            acc = cp.add(acc, piece)
-        return cp.drop_zero_columns(acc)
     raise ValueError(f"unknown gate kind {gate.kind!r}")
 
 
 def reverse_qubit_order(state, layout):
-    """Index relabeling equal to the closing full-reversal swap network.
+    """Index relabeling equal to the QFT's closing full-reversal swap network.
 
     Reverses the mode order and bit-reverses within each mode; rank is
     untouched.
@@ -226,20 +204,19 @@ def random_product_state(layout, rng):
 def run_qft(state, layout, rank_cap=None, recompress_seed=0):
     """Apply the full QFT circuit to a CP state.
 
-    The closing swaps are realized as `reverse_qubit_order`.  When rank_cap
-    is set, the state is recompressed whenever its rank passes the cap
-    (making amplitudes approximate); with rank_cap=None the result is exact.
+    The gates of `qft_circuit` are followed by `reverse_qubit_order`.  When
+    rank_cap is set, the state is recompressed whenever its rank passes the
+    cap (making amplitudes approximate); with rank_cap=None the result is
+    exact.
     """
     for gate in qft_circuit(layout.qubits):
-        if gate.kind == "swap":
-            continue
         state = apply_gate(state, gate, layout)
         if rank_cap is not None and state.rank > rank_cap:
             state = recompress(state, rank_cap, seed=recompress_seed)
     return reverse_qubit_order(state, layout)
 
 
-def statevector(state, layout, max_elems=1 << 22):
+def statevector(state, max_elems=1 << 22):
     """Dense statevector (global big-endian basis order) of a CP state."""
     return cp.materialize(state, max_elems).ravel(order="C")
 
@@ -269,16 +246,15 @@ def _global_bits(idx, layout):
     return "".join(bits)
 
 
-def simulate_and_measure(d, p=None, q=None, init_seed=0, k=1, extra=5,
-                         block_size=2, rank_cap=None, restarts=5,
-                         max_sweeps=50):
+def simulate_and_measure(d, init_seed=0, k=1, extra=5, block_size=2,
+                         rank_cap=None, restarts=5, max_sweeps=50):
     """Prepare a random product state, run the QFT, read off the top-k.
 
-    Defaults to the square layout when p and q are omitted.  Measurement is
-    the block-alternating solver under the magnitude key; reported values
-    are the complex amplitudes with their magnitudes alongside.
+    The d qubits use the square layout.  Measurement is the block-alternating
+    solver under the magnitude key; reported values are the complex
+    amplitudes with their magnitudes alongside.
     """
-    layout = square_layout(d) if p is None or q is None else QubitLayout(d, p, q)
+    layout = square_layout(d)
     rng = np.random.default_rng(init_seed)
     state = random_product_state(layout, rng)
     state = run_qft(state, layout, rank_cap=rank_cap, recompress_seed=init_seed)

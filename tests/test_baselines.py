@@ -12,7 +12,7 @@ import pytest
 
 from conftest import dense_from_factors, random_factors
 from tensor_topk import cp
-from tensor_topk.baselines import PowerIterConfig, oracle_topk, power_iteration_max
+from tensor_topk.baselines import oracle_topk, power_iteration_max
 from tensor_topk.errors import CapacityError, DegenerateInputError
 from tensor_topk.generators import RandomSpec, gen_random_cp
 from tensor_topk.solver import OrderingKey
@@ -72,7 +72,7 @@ def test_power_iteration_value_is_element(rng):
     for trial in range(5):
         fs = random_factors(rng, (4, 3, 5), 3)
         A = cp.CpTensor(fs)
-        res = power_iteration_max(A, PowerIterConfig(seed=trial))
+        res = power_iteration_max(A, seed=trial)
         assert res.value == cp.element(A, res.loc)  # bit-exact re-evaluation contract
 
 
@@ -84,7 +84,7 @@ def test_power_iteration_finds_max_on_easy_inputs(rng):
         dense = dense_from_factors(fs)
         want = np.unravel_index(int(np.argmax(dense.ravel(order="F"))),
                                 dense.shape, order="F")
-        res = power_iteration_max(A, PowerIterConfig(seed=trial))
+        res = power_iteration_max(A, seed=trial)
         hits += res.loc == tuple(int(v) for v in want)
     assert hits >= 16
 

@@ -141,6 +141,21 @@ class TestTopk(unittest.TestCase):
         self.assertEqual(code, 3)
         self.assertIn("error:", err)
 
+    def test_capacity_cured_by_block_auto(self):
+        # exit 3 comes from the solver's fixed 2^20-cell subproblem cap, which
+        # no flag raises: a smaller or automatic block is the way out
+        cube = f"{self.dir}/cube.cpt"
+        rng = np.random.default_rng(4)
+        write_cpt(cp.CpTensor([rng.uniform(0.0, 1.0, (1100, 1)) for _ in range(3)]),
+                  cube)
+        code, out, err = run_cli(["topk", "--input", cube, "--k", "1", "--block", "2"])
+        self.assertEqual(code, 3)
+        self.assertIn("block volume 1210000 exceeds the subproblem cap of 1048576", err)
+        self.assertEqual(out, "")
+        code, out, _ = run_cli(["topk", "--input", cube, "--k", "1", "--block", "auto"])
+        self.assertEqual(code, 0)
+        self.assertEqual(len(out.strip().splitlines()), 1)
+
     def test_invalid_k_exits_4(self):
         code, _, err = run_cli(["topk", "--input", self.file, "--k", "0"])
         self.assertEqual(code, 4)
@@ -201,6 +216,15 @@ class TestFunc(unittest.TestCase):
         self.assertEqual(code, 0)
         self.assertIn("found the true minimum in 2/2 trials", out)
 
+    def test_bad_trials_or_grid_size_exits_4(self):
+        # zero trials would print nothing, and --n 1 leaves no grid size to draw
+        for args, msg in ((["--trials", "0"], "trials must be >= 1"),
+                          (["--n", "1"], "--n")):
+            code, out, err = run_cli(["func", "griewank", "--d", "3", *args])
+            self.assertEqual(code, 4)
+            self.assertIn(msg, err)
+            self.assertEqual(out, "")
+
 
 class TestQft(unittest.TestCase):
 
@@ -226,6 +250,18 @@ class TestQft(unittest.TestCase):
             state = read_cpt(path)
             self.assertTrue(state.is_complex)
             self.assertEqual(state.dims, (4, 4))
+
+    def test_zero_trials_exits_4(self):
+        # zero trials would print nothing and leave --dump-state no state to write
+        import tempfile
+        with tempfile.TemporaryDirectory() as d:
+            path = f"{d}/state.cpt"
+            for extra in ([], ["--dump-state", path]):
+                code, out, err = run_cli(["qft", "--d", "4", "--trials", "0", *extra])
+                self.assertEqual(code, 4)
+                self.assertIn("trials must be >= 1", err)
+                self.assertEqual(out, "")
+                self.assertFalse(os.path.exists(path))
 
 
 class TestConsoleScript(unittest.TestCase):

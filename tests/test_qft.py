@@ -70,7 +70,9 @@ def test_circuit_structure():
     kinds = [g.kind for g in gates]
     assert kinds.count("h") == d
     assert kinds.count("cphase") == d * (d - 1) // 2
-    assert kinds.count("swap") == d // 2
+    # the closing swaps are reverse_qubit_order, not gates
+    assert len(gates) == d + d * (d - 1) // 2
+    assert "swap" not in kinds
     # nearest-neighbor phase is pi/2, most distant pi/2^(d-1)
     thetas = [g.theta for g in gates if g.kind == "cphase"]
     assert max(thetas) == pytest.approx(np.pi / 2)
@@ -83,9 +85,6 @@ def test_circuit_structure():
     GateOp("cphase", 1, 0, 1.234),     # same mode
     GateOp("cphase", 2, 1, 0.777),     # cross mode
     GateOp("cphase", 3, 0, np.pi / 8),
-    GateOp("swap", 0, 1),              # same mode
-    GateOp("swap", 1, 2),              # cross mode
-    GateOp("swap", 0, 3),
 ])
 def test_apply_gate_matches_dense(gate):
     lay = QubitLayout(4, 2, 2)
@@ -101,7 +100,7 @@ def test_apply_gate_three_modes():
     lay = QubitLayout(6, 3, 2)
     rng = np.random.default_rng(3)
     state = random_cp_state(lay, rng)
-    for gate in (GateOp("cphase", 4, 0, 0.31), GateOp("swap", 1, 5)):
+    for gate in (GateOp("cphase", 4, 0, 0.31), GateOp("cphase", 1, 5, 0.52)):
         got = apply_gate(state, gate, lay)
         np.testing.assert_allclose(cp_to_dense_state(got),
                                    dense_apply(cp_to_dense_state(state), 6, gate),
@@ -114,8 +113,6 @@ def test_full_circuit_gate_by_gate_dense():
     state = random_product_state(lay, np.random.default_rng(7))
     psi = cp_to_dense_state(state)
     for gate in qft_circuit(4):
-        if gate.kind == "swap":
-            break
         state = apply_gate(state, gate, lay)
         psi = dense_apply(psi, 4, gate)
         np.testing.assert_allclose(cp_to_dense_state(state), psi,
@@ -127,12 +124,19 @@ def test_reverse_equals_swap_network():
         lay = QubitLayout(d, p, q)
         state = random_cp_state(lay, np.random.default_rng(d))
         relabeled = reverse_qubit_order(state, lay)
-        swapped = state
+        swapped = cp_to_dense_state(state)
         for a in range(d // 2):
-            swapped = apply_gate(swapped, GateOp("swap", a, d - 1 - a), lay)
-        np.testing.assert_allclose(cp_to_dense_state(relabeled),
-                                   cp_to_dense_state(swapped),
+            swapped = dense_apply(swapped, d, GateOp("swap", a, d - 1 - a))
+        np.testing.assert_allclose(cp_to_dense_state(relabeled), swapped,
                                    rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["swap", "x"])
+def test_apply_gate_rejects_unknown_kind(kind):
+    lay = QubitLayout(4, 2, 2)
+    state = random_cp_state(lay, np.random.default_rng(1))
+    with pytest.raises(ValueError, match="unknown gate kind"):
+        apply_gate(state, GateOp(kind, 0, 3), lay)
 
 
 @pytest.mark.parametrize("d,p,q", [(4, 2, 2), (6, 2, 3), (6, 3, 2), (9, 3, 3)])
@@ -142,7 +146,7 @@ def test_run_qft_matches_fft(d, p, q):
     psi0 = cp_to_dense_state(state)
     out = run_qft(state, lay)
     ref = np.fft.ifft(psi0) * np.sqrt(1 << d)
-    np.testing.assert_allclose(statevector(out, lay), ref, atol=1e-12)
+    np.testing.assert_allclose(statevector(out), ref, atol=1e-12)
 
 
 def test_rank_stays_bounded_without_recompression():
@@ -223,8 +227,6 @@ def test_gate_path_matches_two_branch_reference(d, p, q):
     state = psi0
     crossed = 0
     for gate in qft_circuit(d):
-        if gate.kind == "swap":
-            continue
         got = apply_gate(state, gate, lay)
         if gate.kind == "cphase" and lay.mode_of(gate.a) != lay.mode_of(gate.b):
             assert_bit_equal(got, reference_cross_cphase(state, gate, lay))
