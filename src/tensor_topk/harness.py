@@ -13,6 +13,7 @@ and written in trial order either way.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -97,6 +98,13 @@ def _fmt_indices(indices):
     return ";".join(",".join(str(int(v) + 1) for v in row) for row in rows)
 
 
+def _check_oracle_cap(oracle_cap):
+    # a cap below 1 excludes every trial from the oracle, so every accuracy
+    # would read nan (0/0) and the run would still succeed
+    if oracle_cap < 1:
+        raise ValueError(f"the oracle cap (--oracle-cap) must be >= 1, got {oracle_cap}")
+
+
 def _solver_methods():
     methods = []
     for s in (1, 2):
@@ -169,6 +177,7 @@ def run_bench(out_path, trials, dists, k, key, seed, oracle_cap=ORACLE_CAP_DEFAU
         raise ValueError(f"no distribution given; choose from {sorted(DISTRIBUTIONS)}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_oracle_cap(oracle_cap)
     tasks = [(seed, t, dist, k, key, oracle_cap, restarts, max_sweeps)
              for dist in dists for t in range(trials)]
     workers = worker_count()
@@ -235,6 +244,7 @@ def run_func(function, d, max_size, trials, seed, pin_optimum=False,
         raise ValueError(f"trials must be >= 1, got {trials}")
     if max_size < 2:
         raise ValueError(f"the largest grid size (--n) must be >= 2, got {max_size}")
+    _check_oracle_cap(oracle_cap)
     records = []
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(trial)]))
@@ -257,7 +267,14 @@ def run_func(function, d, max_size, trials, seed, pin_optimum=False,
             cfg = SolverConfig(k=1, extra=5, block_size=s, key=OrderingKey.MIN,
                                restarts=restarts, max_sweeps=max_sweeps,
                                seed=trial_seed(seed, trial, tag=2))
-            res = solve(A, cfg)
+            try:
+                res = solve(A, cfg)
+            except CapacityError as exc:
+                # there is no --block here, so name the flag that shrinks blocks
+                raise CapacityError(
+                    f"grid {rec['dims']}: {exc}; blocks span up to 2 modes, so"
+                    f" use --n {math.isqrt(cfg.subproblem_cap)} or less"
+                ) from exc
             rec[f"min_s{s}"] = float(res.values[0])
             if reference is not None:
                 rec[f"hit_s{s}"] = is_topk_hit(A, res.indices, reference.indices,
@@ -272,6 +289,7 @@ def run_qft_trials(d, trials, seed, k=5, extra=5, block=2, rank_cap=None,
     layout = square_layout(d)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_oracle_cap(oracle_cap)
     records = []
     for trial in range(trials):
         res = simulate_and_measure(d, init_seed=trial_seed(seed, trial, tag=3),

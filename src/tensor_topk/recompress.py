@@ -8,10 +8,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cp import _wrap, frob_norm
+from .cp import CpTensor, _wrap, frob_norm
 from .errors import DegenerateInputError
 
 RIDGE_SCALE = 1e-12
+
+
+class _Recompressed(CpTensor):
+    """The CpTensor `recompress` returns, with the ALS sweeps it ran.
+
+    Callers that add up recompression effort (power iteration's
+    ``als_sweeps``) read ``sweeps``; to everyone else it is a CpTensor.
+    """
+
+    __slots__ = ("sweeps",)
+
+
+def _fitted(factors, sweeps):
+    out = _Recompressed.__new__(_Recompressed)
+    out._factors = _wrap(factors).factors
+    out.sweeps = sweeps
+    return out
 
 
 def _term_norms(A):
@@ -47,14 +64,15 @@ def recompress(A, target_rank, iters=50, tol=1e-8, seed=0):
     Stops after ``iters`` sweeps or when the relative fit changes by less
     than ``tol`` between sweeps.  Normal equations are solved with a ridge of
     RIDGE_SCALE times the Gram trace, so redundant (rank-deficient) inputs
-    do not break the solve.  Deterministic for a fixed seed.
+    do not break the solve.  Deterministic for a fixed seed.  The result's
+    ``sweeps`` attribute is the number of ALS sweeps run (0 for a zero A).
     """
     if target_rank < 1:
         raise ValueError(f"target rank must be >= 1, got {target_rank}")
     rng = np.random.default_rng(seed)
     norm_a = frob_norm(A)
     if norm_a == 0.0:
-        return _wrap([np.zeros((n, target_rank), dtype=A.dtype) for n in A.dims])
+        return _fitted([np.zeros((n, target_rank), dtype=A.dtype) for n in A.dims], 0)
     facs = _init_factors(A, target_rank, rng)
     # cross[p] = A_p^T conj(B_p), gram[p] = B_p^H B_p.  The Gram matrix takes
     # conj(f) as a separate array: f.conj() is f itself for real f, and
@@ -66,7 +84,8 @@ def recompress(A, target_rank, iters=50, tol=1e-8, seed=0):
     eye = np.eye(target_rank)
     tiny = np.finfo(float).tiny
     prev_fit = None
-    for _ in range(iters):
+    sweeps = 0
+    for sweeps in range(1, iters + 1):
         # pc/pg: Hadamard products over the modes already updated this sweep.
         # Mode p multiplies on the modes after it in ascending order, so each
         # product is the same left fold from ones as over all q != p.
@@ -93,7 +112,7 @@ def recompress(A, target_rank, iters=50, tol=1e-8, seed=0):
         if prev_fit is not None and abs(prev_fit - fit) < tol:
             break
         prev_fit = fit
-    return _wrap(facs)
+    return _fitted(facs, sweeps)
 
 
 def rank_one_argmax(A, iters=100, seed=0):

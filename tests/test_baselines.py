@@ -12,9 +12,15 @@ import pytest
 
 from conftest import dense_from_factors, random_factors
 from tensor_topk import cp
-from tensor_topk.baselines import oracle_topk, power_iteration_max
+from tensor_topk.baselines import (
+    NONNEG_CHECK_CAP,
+    _resolve_shift,
+    oracle_topk,
+    power_iteration_max,
+)
 from tensor_topk.errors import CapacityError, DegenerateInputError
 from tensor_topk.generators import RandomSpec, gen_random_cp
+from tensor_topk.harness import is_topk_hit
 from tensor_topk.solver import OrderingKey
 
 
@@ -89,22 +95,34 @@ def test_power_iteration_finds_max_on_easy_inputs(rng):
     assert hits >= 16
 
 
-def test_power_iteration_reports_iterations_on_bench_draw():
+def test_power_iteration_reports_iterations_on_bench_draw(monkeypatch):
     # bench trial 0 (master seed 0, u01), drawn as bench_trial draws it:
-    # the overlap test is never met
+    # the overlap test is never met, yet the peak is the oracle's
     rng = np.random.default_rng(np.random.SeedSequence([0, 0]))
     A = gen_random_cp(RandomSpec(distribution="u01"), rng)
+    # every ALS sweep solves one normal-equation system per mode, and
+    # nothing else in power iteration calls np.linalg.solve
+    solves = []
+    linalg_solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda *a: solves.append(1) or linalg_solve(*a))
     res = power_iteration_max(A)
     assert res.iterations == 200
     assert res.converged is False
     assert res.value == cp.element(A, res.loc)
+    assert is_topk_hit(A, [res.loc], oracle_topk(A, 1).indices, OrderingKey.MAX)
+    assert len(solves) % A.order == 0
+    assert res.als_sweeps == len(solves) // A.order > 0
 
 
 def test_power_iteration_converges_on_constant_tensor():
-    res = power_iteration_max(cp.cp_ones((3, 4, 5)))
-    assert res.iterations == 1
-    assert res.converged is True
-    assert res.value == 1.0
+    # the least nonnegative shift of a negative constant would be all zeros
+    for c in (1.0, -0.5):
+        res = power_iteration_max(cp.scale(cp.cp_ones((3, 4, 5)), c))
+        assert res.iterations == 1
+        assert res.converged is True
+        assert res.value == c
+        assert res.als_sweeps == 0  # rank 2 after the shift: nothing to recompress
     with pytest.raises(FrozenInstanceError):
         res.iterations = 0
 
@@ -119,3 +137,29 @@ def test_power_iteration_zero_tensor():
     A = cp.CpTensor([np.zeros((3, 1)), np.zeros((4, 1))])
     with pytest.raises(DegenerateInputError):
         power_iteration_max(A)
+
+
+def test_shift_is_zero_on_nonnegative_tensor(rng):
+    A = cp.CpTensor(random_factors(rng, (4, 5, 3), 3, lo=0.0, hi=1.0))
+    assert _resolve_shift(A) == 0.0
+
+
+def test_shift_lifts_minimum_to_zero(rng):
+    fs = random_factors(rng, (4, 5, 3), 3)
+    dense = dense_from_factors(fs)
+    assert dense.min() < 0.0
+    A = cp.CpTensor(fs)
+    s = _resolve_shift(A)
+    assert s == -oracle_topk(A, 1, key=OrderingKey.MIN).values[0]
+    assert s == pytest.approx(-dense.min(), rel=1e-12)
+
+
+def test_shift_above_scan_cap_is_frob_norm(monkeypatch):
+    A = cp.cp_ones((128, 128, 128))
+    assert A.size() > NONNEG_CHECK_CAP
+
+    def never(*args, **kwargs):
+        raise AssertionError("materialized a tensor above NONNEG_CHECK_CAP")
+
+    monkeypatch.setattr(cp, "materialize", never)
+    assert _resolve_shift(A) == cp.frob_norm(A)

@@ -207,6 +207,21 @@ class TestBench(unittest.TestCase):
                 self.assertEqual(out, "")
                 self.assertFalse(os.path.exists(out_csv))
 
+    def test_oracle_cap_below_one_exits_4(self):
+        # a cap below 1 excluded every trial and reported "accuracy nan"
+        import tempfile
+        with tempfile.TemporaryDirectory() as d:
+            out_csv = f"{d}/bench.csv"
+            for args in (["bench", "--trials", "1", "--dist", "u01", "--out", out_csv],
+                         ["func", "griewank", "--d", "3", "--trials", "1"],
+                         ["qft", "--d", "4"]):
+                for cap in ("0", "-1"):
+                    code, out, err = run_cli([*args, "--oracle-cap", cap])
+                    self.assertEqual(code, 4)
+                    self.assertIn("--oracle-cap", err)
+                    self.assertEqual(out, "")
+            self.assertFalse(os.path.exists(out_csv))
+
 
 class TestFunc(unittest.TestCase):
 
@@ -224,6 +239,16 @@ class TestFunc(unittest.TestCase):
             self.assertEqual(code, 4)
             self.assertIn(msg, err)
             self.assertEqual(out, "")
+
+    def test_capacity_names_n_exits_3(self):
+        # func has no --block: the capacity error names the grid-size flag
+        # and the largest value whose 2-mode blocks always fit the 2^20 cap
+        code, out, err = run_cli(["func", "griewank", "--d", "3", "--trials", "1",
+                                  "--n", "100000"])
+        self.assertEqual(code, 3)
+        self.assertIn("exceeds the subproblem cap of 1048576", err)
+        self.assertIn("use --n 1024 or less", err)
+        self.assertEqual(out, "")
 
 
 class TestQft(unittest.TestCase):

@@ -10,15 +10,18 @@ from tensor_topk.recompress import RIDGE_SCALE, _init_factors, rank_one_argmax, 
 def _reference_recompress(A, target_rank, iters=50, tol=1e-8, seed=0):
     # The ALS loop with every Hadamard product rebuilt from ones, per mode
     # and for the fit: the arithmetic recompress must reproduce bit for bit.
+    # Returns the factors and the number of sweeps run.
     rng = np.random.default_rng(seed)
     norm_a = cp.frob_norm(A)
     if norm_a == 0.0:
-        return [np.zeros((n, target_rank), dtype=A.dtype) for n in A.dims]
+        return [np.zeros((n, target_rank), dtype=A.dtype) for n in A.dims], 0
     facs = _init_factors(A, target_rank, rng)
     cross = [A.factors[p].T @ np.conj(facs[p]) for p in range(A.order)]
     gram = [np.conj(facs[p]).T @ facs[p] for p in range(A.order)]
     prev_fit = None
+    sweeps = 0
     for _ in range(iters):
+        sweeps += 1
         for p in range(A.order):
             cmat = np.ones((A.rank, target_rank), dtype=A.dtype)
             gmat = np.ones((target_rank, target_rank), dtype=A.dtype)
@@ -46,7 +49,7 @@ def _reference_recompress(A, target_rank, iters=50, tol=1e-8, seed=0):
         if prev_fit is not None and abs(prev_fit - fit) < tol:
             break
         prev_fit = fit
-    return facs
+    return facs, sweeps
 
 
 # (dims, stored rank, target rank): orders 1 to 5, targets below and above
@@ -69,9 +72,10 @@ def test_bits_match_reference_loop(rng, dims, rank, target, complex_):
     fs[0][:, 0] = -0.0
     A = cp.CpTensor(fs)
     B = recompress(A, target, iters=20, tol=1e-10, seed=4)
-    want = _reference_recompress(A, target, iters=20, tol=1e-10, seed=4)
+    want, sweeps = _reference_recompress(A, target, iters=20, tol=1e-10, seed=4)
     for got, ref in zip(B.factors, want):
         assert got.tobytes() == ref.tobytes()
+    assert B.sweeps == sweeps
 
 
 def test_exact_rank_recovery(rng):
