@@ -15,6 +15,13 @@ file, and the reader rejects them.  The writer streams: it formats and
 writes each factor in bounded chunks, so its memory does not grow with the
 file.  The reader accepts only JSON numbers (not booleans, strings or null)
 as entries.
+
+The reader holds the file's text plus one factor's Python objects: it walks
+the top-level object member by member, and parses each element of
+``factors`` into its array before decoding the next.  Key order is free and
+unknown keys are skipped; a ``factors`` that comes before field, dims and
+rank is decoded whole.  A key given twice, and a file that is not UTF-8,
+raise CptFormatError (the CLI's exit 1), like every other malformed input.
 """
 
 from __future__ import annotations
@@ -33,17 +40,27 @@ from .errors import CptFormatError
 _WRITE_CHUNK = 1 << 16
 
 
-def _format_chunk(chunk):
-    """Strings of a float64 chunk: "%.17g", with ".0" after integral values.
+# "%.17g" prints digits only (no '.', no exponent) exactly for the integral
+# values below 1e17 in magnitude; those get ".0", since integer-looking output
+# would parse as a JSON int and "-0" would drop the sign.
+_REAL_FMT = np.array(["%.17g", "%.17g.0"], dtype=object)
+# complex entries as "[re, im]", indexed by 2 * (re needs ".0") + (im needs ".0")
+_PAIR_FMT = np.array(["[%s, %s]" % (a, b) for a in _REAL_FMT for b in _REAL_FMT],
+                     dtype=object)
 
-    Integer-looking output would parse as a JSON int, and "-0" would drop
-    the sign.  "%.17g" prints digits only (no '.', no exponent) exactly for
-    the integral values below 1e17 in magnitude, so only those get ".0".
+
+def _format_chunk(chunk, is_complex):
+    """Text of a float64 chunk, formatted through one "%" template.
+
+    Entries are joined by ", "; a complex chunk holds interleaved (re, im)
+    values and comes out as "[re, im]" pairs.
     """
-    text = list(map("%.17g".__mod__, chunk.tolist()))
-    for t in np.flatnonzero((chunk == np.trunc(chunk)) & (np.abs(chunk) < 1e17)):
-        text[t] += ".0"
-    return text
+    integral = ((chunk == np.trunc(chunk)) & (np.abs(chunk) < 1e17)).view(np.int8)
+    if is_complex:
+        fmts = _PAIR_FMT[2 * integral[0::2] + integral[1::2]]
+    else:
+        fmts = _REAL_FMT[integral]
+    return ", ".join(fmts.tolist()) % tuple(chunk.tolist())
 
 
 def write_cpt(A, path):
@@ -63,11 +80,8 @@ def write_cpt(A, path):
             flat = f.reshape(-1).view(np.float64)
             fh.write(",\n  [" if p else "  [")
             for c0 in range(0, flat.shape[0], _WRITE_CHUNK):
-                text = _format_chunk(flat[c0:c0 + _WRITE_CHUNK])
-                if A.is_complex:
-                    pairs = iter(text)
-                    text = map("[%s, %s]".__mod__, zip(pairs, pairs))
-                fh.write((", " if c0 else "") + ", ".join(text))
+                fh.write((", " if c0 else "")
+                         + _format_chunk(flat[c0:c0 + _WRITE_CHUNK], A.is_complex))
             fh.write("]")
         fh.write("\n]}\n")
 
@@ -107,35 +121,158 @@ def _parse_factor(raw, n, rank, is_complex, p):
     return out.reshape(n, rank)
 
 
+def _check_header(header):
+    """(is_complex, dims, rank) of the header members, checked in that order."""
+    field = header["field"]
+    if field not in ("real", "complex"):
+        raise CptFormatError(f"field must be 'real' or 'complex', got {field!r}")
+    dims = header["dims"]
+    if (not isinstance(dims, list) or not dims
+            or any(not isinstance(n, int) or isinstance(n, bool) or n < 1 for n in dims)):
+        raise CptFormatError("dims must be a non-empty list of positive integers")
+    rank = header["rank"]
+    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
+        raise CptFormatError(f"rank must be a positive integer, got {rank!r}")
+    return field == "complex", dims, rank
+
+
+# the required members, in the order a missing one is reported
+_MEMBERS = ("field", "dims", "rank", "factors")
+_decode_at = json.JSONDecoder().raw_decode
+
+
+def _skip_ws(text, idx):
+    return json.decoder.WHITESPACE.match(text, idx).end()
+
+
+def _expect(text, idx, char, what):
+    """Index past ``char`` at ``idx``; anything else is a JSON syntax error."""
+    if not text.startswith(char, idx):
+        raise json.JSONDecodeError(f"Expecting {what}", text, idx)
+    return idx + 1
+
+
+class _Walk:
+    """One pass over the top-level object of a CPT document.
+
+    Members are decoded one at a time.  Once field, dims and rank are in,
+    each element of a ``factors`` list is decoded, parsed and dropped before
+    the next, so one factor's Python objects are alive at a time.  A
+    ``factors`` that comes before the header is decoded whole and parsed
+    after the walk.
+
+    A format error met on the way is kept, not raised: parsing stops and the
+    rest is only decoded.  So a JSON error anywhere still wins, and the
+    checks report in the order of a whole-document parse: duplicate key,
+    missing member, header, factor count, factors.
+    """
+
+    def __init__(self):
+        self.seen = set()
+        self.duplicate = None   # the first key seen twice
+        self.members = {}       # required members decoded whole (last if repeated)
+        self.mats = []          # streamed factors, parsed, in mode order
+        self.n_streamed = None  # element count of a streamed factors list
+        self.error = None       # the first format error met while streaming
+
+    def run(self, text, idx):
+        """Walk the object whose '{' is at ``idx``; raises JSONDecodeError."""
+        idx = _skip_ws(text, idx + 1)
+        if not text.startswith("}", idx):
+            while True:
+                idx = _expect(text, idx, '"', "property name enclosed in double quotes")
+                key, idx = json.decoder.scanstring(text, idx)
+                idx = _skip_ws(text, idx)
+                idx = _skip_ws(text, _expect(text, idx, ":", "':' delimiter"))
+                if key in self.seen and self.duplicate is None:
+                    self.duplicate = key
+                self.seen.add(key)
+                if (key == "factors" and text.startswith("[", idx)
+                        and self.seen.issuperset(_MEMBERS[:3])):
+                    idx = self._stream_factors(text, idx)
+                else:
+                    value, idx = _decode_at(text, idx)
+                    if key in _MEMBERS:
+                        self.members[key] = value
+                    del value  # not kept alive through the next decode
+                idx = _skip_ws(text, idx)
+                if not text.startswith(",", idx):
+                    break
+                idx = _skip_ws(text, idx + 1)
+        idx = _skip_ws(text, _expect(text, idx, "}", "',' delimiter"))
+        if idx != len(text):
+            raise json.JSONDecodeError("Extra data", text, idx)
+
+    def _stream_factors(self, text, idx):
+        """Parse the list at ``idx`` element by element; index past its ']'."""
+        try:
+            is_complex, dims, rank = _check_header(self.members)
+        except CptFormatError as exc:
+            self.error = self.error or exc
+            dims = ()
+        self.n_streamed = 0
+        idx = _skip_ws(text, idx + 1)
+        if text.startswith("]", idx):
+            return idx + 1
+        while True:
+            raw, idx = _decode_at(text, idx)
+            p = self.n_streamed
+            if self.error is None and p < len(dims):
+                try:
+                    self.mats.append(_parse_factor(raw, dims[p], rank, is_complex, p))
+                except CptFormatError as exc:
+                    self.error = exc
+            del raw  # before the next element is decoded
+            self.n_streamed += 1
+            idx = _skip_ws(text, idx)
+            if not text.startswith(",", idx):
+                return _expect(text, idx, "]", "',' delimiter")
+            idx = _skip_ws(text, idx + 1)
+
+    def tensor(self):
+        """The checked CpTensor, or the first format error in report order."""
+        if self.duplicate is not None:
+            raise CptFormatError(f"duplicate key {self.duplicate!r}")
+        for key in _MEMBERS:
+            if key not in self.seen:
+                raise CptFormatError(f"missing required field '{key}'")
+        is_complex, dims, rank = _check_header(self.members)
+        factors = self.members.get("factors")
+        if self.n_streamed is not None:
+            count = self.n_streamed
+        else:
+            count = len(factors) if isinstance(factors, list) else None
+        if count != len(dims):
+            raise CptFormatError(
+                f"factors must be a list of {len(dims)} arrays (one per mode)"
+            )
+        if self.error is not None:
+            raise self.error
+        if self.n_streamed is not None:
+            return CpTensor(self.mats)
+        return CpTensor([_parse_factor(raw, n, rank, is_complex, p)
+                         for p, (raw, n) in enumerate(zip(factors, dims))])
+
+
 def read_cpt(path):
     """Parse a CPT file into a CpTensor; malformed input raises CptFormatError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise CptFormatError(f"not UTF-8 text: {exc}") from exc
+    walk = _Walk()
+    start = _skip_ws(text, 0)
+    try:
+        if text.startswith("{", start):
+            walk.run(text, start)
+        else:
+            json.loads(text)  # raises its own error, or holds a non-object
     except json.JSONDecodeError as exc:
         raise CptFormatError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
+    except (ValueError, RecursionError) as exc:
+        # an integer past int()'s digit limit, or nesting past the stack
+        raise CptFormatError(f"cannot decode JSON: {exc}") from exc
+    if not text.startswith("{", start):
         raise CptFormatError("top level must be a single object")
-    for key in ("field", "dims", "rank", "factors"):
-        if key not in doc:
-            raise CptFormatError(f"missing required field '{key}'")
-    field = doc["field"]
-    if field not in ("real", "complex"):
-        raise CptFormatError(f"field must be 'real' or 'complex', got {field!r}")
-    dims = doc["dims"]
-    if (not isinstance(dims, list) or not dims
-            or any(not isinstance(n, int) or isinstance(n, bool) or n < 1 for n in dims)):
-        raise CptFormatError("dims must be a non-empty list of positive integers")
-    rank = doc["rank"]
-    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
-        raise CptFormatError(f"rank must be a positive integer, got {rank!r}")
-    factors = doc["factors"]
-    if not isinstance(factors, list) or len(factors) != len(dims):
-        raise CptFormatError(
-            f"factors must be a list of {len(dims)} arrays (one per mode)"
-        )
-    mats = [
-        _parse_factor(raw, n, rank, field == "complex", p)
-        for p, (raw, n) in enumerate(zip(factors, dims))
-    ]
-    return CpTensor(mats)
+    return walk.tensor()

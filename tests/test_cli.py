@@ -7,10 +7,12 @@ import json
 import os
 import shutil
 import subprocess
+import sys
 import unittest
 
 import numpy as np
 
+import tensor_topk
 from tensor_topk import cp
 from tensor_topk.cli import main
 from tensor_topk.cpt_io import read_cpt, write_cpt
@@ -302,6 +304,33 @@ class TestConsoleScript(unittest.TestCase):
                                   capture_output=True, text=True)
             self.assertEqual(proc.returncode, 0)
             self.assertEqual(proc.stdout.strip(), "8 @ (2,2)")
+
+
+class TestModuleEntry(unittest.TestCase):
+    """``python -m tensor_topk`` in a child process, through the real exit path."""
+
+    def run_module(self, *argv):
+        src = os.path.dirname(os.path.dirname(tensor_topk.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "tensor_topk", *argv],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=path))
+
+    def test_valid_file_exits_0_and_non_utf8_file_exits_1(self):
+        import tempfile
+        with tempfile.TemporaryDirectory() as d:
+            path = tiny_file(f"{d}/t.cpt")
+            proc = self.run_module("topk", "--input", path, "--k", "1")
+            self.assertEqual(proc.returncode, 0, proc.stderr)
+            self.assertEqual(proc.stdout.strip(), "8 @ (2,2)")
+            with open(path, "rb") as fh:
+                data = fh.read()
+            with open(path, "wb") as fh:
+                fh.write(data.replace(b" ", b"\xff", 1))
+            proc = self.run_module("topk", "--input", path, "--k", "1")
+            self.assertEqual(proc.returncode, 1)
+            self.assertEqual(proc.stdout, "")
+            self.assertIn("error: not UTF-8 text", proc.stderr)
 
 
 if __name__ == "__main__":

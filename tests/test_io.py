@@ -1,12 +1,16 @@
 """CPT file round-trips and parser validation."""
 
+import contextlib
+import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import random_factors
 from tensor_topk import cp, cpt_io
+from tensor_topk.cli import main
 from tensor_topk.cpt_io import read_cpt, write_cpt
 from tensor_topk.errors import CptFormatError
 
@@ -225,5 +229,103 @@ def test_writer_bytes_match_reference(tmp_path, rng, complex_):
     _reference_write_cpt(A, want)
     assert got.read_bytes() == want.read_bytes()
     B = read_cpt(got)
+    for fa, fb in zip(A.factors, B.factors):
+        assert fa.tobytes() == fb.tobytes()
+
+
+def _relayout(doc, layout):
+    if layout == "factors_first":
+        return json.dumps({"factors": doc["factors"],
+                           **{k: v for k, v in doc.items() if k != "factors"}})
+    if layout == "indented":
+        return json.dumps(doc, indent=2)
+    # unknown keys before, between and after the known ones
+    return json.dumps({"comment": "made by hand", "field": doc["field"],
+                       "extra": {"dims": [0], "factors": None}, "dims": doc["dims"],
+                       "rank": doc["rank"], "factors": doc["factors"], "tail": [1, [2]]})
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("layout", ["factors_first", "indented", "extra_keys"])
+def test_reader_accepts_any_layout(tmp_path, rng, layout, complex_):
+    A = cp.CpTensor(random_factors(rng, (3, 4, 2), 3, complex_=complex_))
+    path = tmp_path / "t.cpt"
+    write_cpt(A, path)
+    path.write_text(_relayout(json.loads(path.read_text()), layout))
+    B = read_cpt(path)
+    assert B.dims == A.dims and B.is_complex == A.is_complex
+    for fa, fb in zip(A.factors, B.factors):
+        assert fa.tobytes() == fb.tobytes()
+
+
+_GOOD = b'{"field": "real", "dims": [2], "rank": 1, "factors": [[1.0, 2.0]]}'
+
+
+@pytest.mark.parametrize("data,message", [
+    (_GOOD + b" {}", "Extra data"),
+    (b"[1.0, 2.0]", "top level must be a single object"),
+    (b'"field"', "top level must be a single object"),
+    (_GOOD[:-1] + b', }', "property name"),
+    (_GOOD.replace(b"2.0]]", b"2.0],]"), "Expecting value"),
+    (_GOOD.replace(b"2.0]", b"2.0,]"), "Expecting value"),
+    (b'{"field": "real", "dims": [2], "rank": 1, "factors": [[1.0, 2.0]], "dims": [3]}',
+     "duplicate key 'dims'"),
+    (b'{"factors": [[1.0, 2.0]], "field": "real", "dims": [2], "rank": 1, "factors": []}',
+     "duplicate key 'factors'"),
+    (b"\xef\xbb\xbf" + _GOOD, "BOM"),
+    (_GOOD.replace(b" ", b"\xff", 1), "not UTF-8"),
+    (_GOOD.replace(b"1.0,", b"1" * 5000 + b","), "cannot decode JSON"),
+    (_GOOD.replace(b"1.0,", b"[" * 100000 + b"]" * 100000 + b","), "cannot decode JSON"),
+], ids=["trailing-data", "array-top", "string-top", "object-trailing-comma",
+        "factors-trailing-comma", "entries-trailing-comma", "duplicate-header-key",
+        "duplicate-factors", "utf8-bom", "non-utf8", "long-integer", "deep-nesting"])
+def test_reader_rejects_with_exit_1(tmp_path, data, message):
+    path = tmp_path / "bad.cpt"
+    path.write_bytes(data)
+    with pytest.raises(CptFormatError, match=message):
+        read_cpt(path)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        assert main(["topk", "--input", str(path), "--k", "1"]) == 1
+    assert err.getvalue().startswith("error: ")
+
+
+@pytest.mark.parametrize("text,message", [
+    # a JSON error after the factors outranks a bad factor
+    ('{"field": "real", "dims": [2], "rank": 1, "factors": [[1.0, "x"]]} x', "Extra data"),
+    ('{"field": "real", "dims": [2], "rank": 0, "factors": [[1.0, 2.0]]} x', "Extra data"),
+    # a missing member outranks a bad header value
+    ('{"field": "integer", "dims": [2], "factors": [[1.0, 2.0]]}', "missing required field 'rank'"),
+    # the header outranks the factors it was streamed past
+    ('{"field": "real", "dims": [2], "rank": 0, "factors": [["x"]]}', "rank must be"),
+    # the factor count outranks a bad first factor, whether short or long
+    ('{"field": "real", "dims": [2, 2], "rank": 1, "factors": [[1.0]]}', "list of 2 arrays"),
+    ('{"field": "real", "dims": [2], "rank": 1, "factors": [[1.0], [1.0, 2.0]]}',
+     "list of 1 arrays"),
+    # with the factors first, the same order holds
+    ('{"factors": [[1.0]], "field": "real", "dims": [2, 2], "rank": 1}', "list of 2 arrays"),
+    ('{"factors": [[1.0], ["x", 2.0]], "field": "real", "dims": [2, 2], "rank": 1}',
+     "factor 1 must hold 2 entries"),
+])
+def test_reader_error_order_is_whole_document_order(tmp_path, text, message):
+    path = tmp_path / "bad.cpt"
+    path.write_text(text)
+    with pytest.raises(CptFormatError, match=message):
+        read_cpt(path)
+
+
+def test_reader_holds_one_factor_at_a_time(tmp_path, rng):
+    # a whole-document json.load peaks at 4.2x the file size on this file,
+    # and keeping the previous factor's objects through the next decode at 2.9x
+    A = cp.CpTensor(random_factors(rng, (16, 16, 16, 16), 256, complex_=True))
+    path = tmp_path / "big.cpt"
+    write_cpt(A, path)
+    tracemalloc.start()
+    try:
+        B = read_cpt(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.6 * path.stat().st_size
     for fa, fb in zip(A.factors, B.factors):
         assert fa.tobytes() == fb.tobytes()
