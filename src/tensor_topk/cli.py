@@ -180,7 +180,7 @@ def _run_qft(args):
     records = run_qft_trials(args.d, args.trials, args.seed, k=args.k,
                              extra=args.extra, block=args.block,
                              rank_cap=args.rank_cap, oracle_cap=args.oracle_cap,
-                             keep_states=bool(args.dump_state))
+                             keep_last_state=bool(args.dump_state))
     top1 = topk = checked = 0
     for rec in records:
         line = (f"trial {rec['trial']} d={rec['d']} rank={rec['rank']} "

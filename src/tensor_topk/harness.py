@@ -83,14 +83,8 @@ def is_topk_hit(A, found_indices, oracle_indices, key):
 
 
 def _fmt_values(values):
-    vals = np.atleast_1d(values)
-    out = []
-    for v in vals:
-        if np.iscomplexobj(vals):
-            out.append(f"{v.real:.17g}{v.imag:+.17g}j")
-        else:
-            out.append(f"{float(v):.17g}")
-    return ";".join(out)
+    # bench tensors are real (gen_random_cp)
+    return ";".join(f"{float(v):.17g}" for v in np.atleast_1d(values))
 
 
 def _fmt_indices(indices):
@@ -284,8 +278,12 @@ def run_func(function, d, max_size, trials, seed, pin_optimum=False,
 
 
 def run_qft_trials(d, trials, seed, k=5, extra=5, block=2, rank_cap=None,
-                   oracle_cap=ORACLE_CAP_DEFAULT, keep_states=False):
-    """QFT measurement trials; dense-oracle columns where the size permits."""
+                   oracle_cap=ORACLE_CAP_DEFAULT, keep_last_state=False):
+    """QFT measurement trials; dense-oracle columns where the size permits.
+
+    With ``keep_last_state``, the last record's ``state`` holds that trial's
+    final CP state; no other trial's state is kept.
+    """
     layout = square_layout(d)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -300,7 +298,7 @@ def run_qft_trials(d, trials, seed, k=5, extra=5, block=2, rank_cap=None,
             "bitstrings": ";".join(res.bitstrings),
             "magnitudes": ";".join(f"{v:.12g}" for v in res.magnitudes),
         }
-        if keep_states:
+        if keep_last_state and trial == trials - 1:
             rec["state"] = res.state
         if (1 << d) <= oracle_cap and rank_cap is None:
             rng = np.random.default_rng(trial_seed(seed, trial, tag=3))

@@ -9,17 +9,22 @@ taken by an earlier candidate with the same out-of-block coordinates, which
 keeps the tuples pairwise distinct.  A sweep that changes no tuple is a fixed
 point and stops the restart early.
 
+`solve` accepts only factors whose `_magnitude_bound` is at most
+``MAGNITUDE_LIMIT``, half the largest float64.  That bound covers every
+product and sum the search forms, so every key is finite: a candidate always
+has an allowed cell, and the first sweep pools all k + extra distinct tuples.
+
 Column j of a block's subproblem (``expand @ alpha``) depends only on the
 window and on candidate j's out-of-block coordinates, its context.  Each
 restart therefore keeps, per window and candidate slot, the context seen on
-the window's last visit with that column's argmax and key value.  A block
-contracts only its dirty columns: every column on the window's first visit,
-columns whose context changed, and dependent candidates, whose masked
-selection needs the whole column.  A block with no dirty column skips the
-expansion and the contraction.  A narrower contraction must give the same
-bits as the full one, and the BLAS guarantees that only on its regular
-blocked path, so `_contraction_width` pads the dirty set and falls back to
-all m columns outside a measured rule (see ``SUBSET_MIN_WORK``).
+the window's last visit with that column's argmax.  A block contracts only
+its dirty columns: every column on the window's first visit, columns whose
+context changed, and dependent candidates, whose masked selection needs the
+whole column.  A block with no dirty column skips the expansion and the
+contraction.  A narrower contraction must give the same bits as the full
+one, and the BLAS guarantees that only on its regular blocked path, so
+`_contraction_width` pads the dirty set and falls back to all m columns
+outside a measured rule (see ``SUBSET_MIN_WORK``).
 
 A block's expansion depends only on the window and the factors, not on the
 candidates or the restart.  So `solve` runs its restarts in lockstep: it
@@ -217,29 +222,24 @@ def init_candidates(A, cfg, rng):
 
 
 def compute_alpha(A, tuples, block):
-    """Per-candidate rank weights and the collision mask for one block.
+    """Per-candidate rank weights for one block.
 
     alpha[r, j] is the product of factor entries at candidate j's coordinates
     over the modes outside the block (indicator vectors collapse inner
-    products to single factor entries).  beta[i, j] is True when candidates
-    i and j agree on every out-of-block coordinate; with an all-mode block
-    the product is empty (alpha = 1) and beta is all True.
+    products to single factor entries); with an all-mode block the product
+    is empty and alpha is all ones.
     """
-    rest = [q for q in range(A.order) if q not in set(block)]
-    return _rank_weights(A, tuples, rest), _collision_mask(tuples[:, rest])
-
-
-def _rank_weights(A, tuples, rest):
-    """alpha of `compute_alpha`, for the out-of-block modes ``rest``."""
     alpha = np.ones((A.rank, tuples.shape[0]), dtype=A.dtype)
-    for q in rest:
-        alpha *= A.factors[q][tuples[:, q], :].T
+    for q in range(A.order):
+        if q not in block:
+            alpha *= A.factors[q][tuples[:, q], :].T
     return alpha
 
 
 def _collision_mask(context):
-    """beta of `compute_alpha`, from each candidate's out-of-block
-    coordinates (one row per candidate, possibly no columns)."""
+    """beta[i, j]: candidates i and j agree on every out-of-block coordinate,
+    from each candidate's ``context`` (one row per candidate, possibly no
+    columns, so all True for an all-mode block)."""
     return np.all(context[:, None, :] == context[None, :, :], axis=-1)
 
 
@@ -271,11 +271,11 @@ class _ContractionCache:
     """One restart's record of every window's last visit.
 
     ``windows[b]`` is None until window b is first visited, then
-    (context, lins, tops): each candidate slot's out-of-block coordinates,
-    its column's argmax and the key value there.  The counters add up the
-    contracted columns, padding included, the blocks that skipped
-    expansion and contraction, and the window expansions this restart built
-    for every live restart.  Its size is O(windows x m x order).
+    (context, lins): each candidate slot's out-of-block coordinates and its
+    column's argmax.  The counters add up the contracted columns, padding
+    included, the blocks that skipped expansion and contraction, and the
+    window expansions this restart built for every live restart.  Its size
+    is O(windows x m x order).
     """
 
     def __init__(self, n_windows):
@@ -315,14 +315,15 @@ def _block_pass(tuples, values, block, keyed, beta, block_dims, key,
        then (free ones from phase 1, dependent ones from earlier steps), so
        each forbidden set is the one the sequential rule sees.
 
-    A candidate whose allowed cells are all -inf keeps its incumbent cell;
-    returns the number of these exhaustion fallbacks.
+    Keys are finite (`solve` bounds the factors) and the entering tuples
+    are pairwise distinct, so at most vol - 1 earlier candidates share a
+    dependent candidate's context: ``masked_argmax`` always finds an allowed
+    cell, and the tuples stay pairwise distinct.
 
-    picks, if given, is (lins, tops, slot, dependent): every column's argmax
-    and the key value there, for candidate j the column of keyed that holds
-    it, and the `_dependent` mask of beta.  Only dependent candidates read
-    keyed then, so it may hold just a subset of the columns, or be None
-    when no candidate is dependent.
+    picks, if given, is (lins, slot, dependent): every column's argmax, for
+    candidate j the column of keyed that holds it, and the `_dependent`
+    mask of beta.  Only dependent candidates read keyed then, so it may hold
+    just a subset of the columns, or be None when no candidate is dependent.
     """
     m = tuples.shape[0]
     block = list(block)
@@ -330,16 +331,12 @@ def _block_pass(tuples, values, block, keyed, beta, block_dims, key,
     inc_lins = (tuples[:, block] * strides).sum(axis=1)
 
     if picks is None:
-        cols = np.arange(m)
+        slot = np.arange(m)
         dependent = _dependent(beta)
         new_lins = kernels.column_argmax(keyed)
-        tops, slot = keyed[new_lins, cols], cols
     else:
-        lins, tops, slot, dependent = picks
+        lins, slot, dependent = picks
         new_lins = lins.copy()
-    stuck = ~dependent & (tops == -np.inf)
-    new_lins[stuck] = inc_lins[stuck]
-    exhausted = int(stuck.sum())
     moved = np.flatnonzero(~dependent & (new_lins != inc_lins))
     if moved.size:
         # Guard against reduction-order roundoff in the batched subproblem
@@ -355,10 +352,7 @@ def _block_pass(tuples, values, block, keyed, beta, block_dims, key,
     for j in np.flatnonzero(dependent):
         forbidden = new_lins[:j][beta[:j, j]]
         lin = kernels.masked_argmax(keyed[:, slot[j]], forbidden)
-        if lin < 0:
-            exhausted += 1
-            lin = int(inc_lins[j])
-        elif lin != inc_lins[j] and int(inc_lins[j]) not in forbidden:
+        if lin != inc_lins[j] and int(inc_lins[j]) not in forbidden:
             trial = tuples[j].copy()
             trial[block] = _decode_linear(lin, block_dims)
             tv = kernels.eval_elements(stacked, offsets, trial[None, :])
@@ -368,7 +362,6 @@ def _block_pass(tuples, values, block, keyed, beta, block_dims, key,
     for t, q in enumerate(block):
         tuples[:, q] = (new_lins // strides[t]) % block_dims[t]
     values[:] = kernels.eval_elements(stacked, offsets, tuples)
-    return exhausted
 
 
 def _sweep(A, restarts, key, schedule, stacked, offsets, work):
@@ -384,44 +377,41 @@ def _sweep(A, restarts, key, schedule, stacked, offsets, work):
     that `solve` allocates once; each block uses a prefix of each, so no
     block allocates an array proportional to its volume.  A restart's
     contracted columns are used up by its block pass before the next
-    restart overwrites them.  Returns each restart's exhaustion count.
+    restart overwrites them.
     """
     expand_buf, cells_buf, keyed_buf = work
     m = restarts[0][0].tuples.shape[0]
     cols = np.arange(m)
-    exhausted = [0] * len(restarts)
     for b, block in enumerate(schedule):
         block_dims = [A.dims[q] for q in block]
         vol = math.prod(block_dims)
         rest = [q for q in range(A.order) if q not in block]
         expand = None
-        for i, (cands, cache) in enumerate(restarts):
+        for cands, cache in restarts:
             context = cands.tuples[:, rest]
             beta = _collision_mask(context)
             dependent = _dependent(beta)
             # dependent candidates need their whole column for masked_argmax
             dirty = dependent.copy()
             if cache.windows[b] is None:
-                lins, tops = np.empty(m, dtype=np.int64), np.empty(m)
+                lins = np.empty(m, dtype=np.int64)
                 dirty[:] = True
             else:
-                seen, lins, tops = cache.windows[b]
+                seen, lins = cache.windows[b]
                 dirty |= (context != seen).any(axis=1)
-            cache.windows[b] = (context, lins, tops)
+            cache.windows[b] = (context, lins)
             n_dirty = int(np.count_nonzero(dirty))
             keyed, slot = None, cols
             if n_dirty:
+                # compute_alpha comes right before the expansion it pairs
+                # with, so a tracer wrapping both can pair them
+                alpha = compute_alpha(A, cands.tuples, block)
                 if expand is None:
-                    # compute_alpha stays right before the expansion it
-                    # pairs with, so a tracer wrapping both can pair them
-                    alpha = compute_alpha(A, cands.tuples, block)[0]
                     expand = kernels.block_expand(
                         stacked, offsets, np.array(block), np.array(block_dims),
                         out=expand_buf[:vol * A.rank].reshape(vol, A.rank),
                     )
                     cache.expansions += 1
-                else:
-                    alpha = _rank_weights(A, cands.tuples, rest)
                 width = _contraction_width(n_dirty, vol, A.rank, m, A.is_complex)
                 if width < m:
                     # pad with the lowest-index clean columns
@@ -437,39 +427,38 @@ def _sweep(A, restarts, key, schedule, stacked, offsets, work):
                                   out=cells_buf[:vol * width].reshape(shape))
                 keyed = key_values(cells, key,
                                    out=keyed_buf[:vol * width].reshape(shape))
-                picked = kernels.column_argmax(keyed)
-                lins[sel] = picked
-                tops[sel] = keyed[picked, cols[:width]]
+                lins[sel] = kernels.column_argmax(keyed)
                 cache.contracted_columns += width
             else:
                 cache.clean_blocks += 1
-            exhausted[i] += _block_pass(
+            _block_pass(
                 cands.tuples, cands.values, block, keyed, beta, block_dims,
-                key, stacked, offsets, picks=(lins, tops, slot, dependent),
+                key, stacked, offsets, picks=(lins, slot, dependent),
             )
-    return exhausted
+
+
+# Largest accepted `_magnitude_bound`; the factor of 2 leaves headroom for
+# rounding in the products and sums it bounds.
+MAGNITUDE_LIMIT = np.finfo(np.float64).max / 2
+
+
+def _magnitude_bound(stacked, offsets):
+    """B = sum_r prod_p max(1, max_i |U_p[i, r]|).
+
+    B bounds the magnitude of every product of factor entries over any
+    subset of the modes, taken in any order, and of every sum of such
+    products over the rank: the entries, alpha, the block expansions and
+    their contraction.  NaN or infinite factors give a NaN or infinite B.
+    """
+    with np.errstate(over="ignore"):
+        peaks = np.maximum.reduceat(np.abs(stacked), offsets[:-1], axis=0)
+        return float(np.maximum(peaks, 1.0).prod(axis=0).sum())
 
 
 def _resolve_block_size(A, cfg):
     if cfg.block_size == "auto":
         return auto_block_size(A.dims, cfg.subproblem_cap)
     return min(int(cfg.block_size), A.order)
-
-
-def _top_up_pool(A, pool, k, rng):
-    # Degenerate corner: fewer distinct tuples than k after pooling.
-    total = A.size()
-    if total <= 4096:
-        for lin in range(total):
-            idx = _decode_linear(lin, A.dims)
-            if idx not in pool:
-                pool[idx] = cp.element(A, idx)
-            if len(pool) >= k:
-                return
-    while len(pool) < k:
-        idx = tuple(int(rng.integers(0, n)) for n in A.dims)
-        if idx not in pool:
-            pool[idx] = cp.element(A, idx)
 
 
 def solve(A, cfg):
@@ -480,7 +469,8 @@ def solve(A, cfg):
     state visited after each sweep of each restart is pooled; the pooled
     set is deduplicated, ordered by the key (ties to the smallest linear
     index), and truncated to k, so entries abandoned mid-run still count.
-    Deterministic for a fixed (A, cfg).
+    Deterministic for a fixed (A, cfg).  Raises ValueError when the factors'
+    `_magnitude_bound` exceeds ``MAGNITUDE_LIMIT`` (see the module docstring).
     """
     _check_key_field(cfg.key, A.is_complex)
     s = _resolve_block_size(A, cfg)
@@ -491,8 +481,13 @@ def solve(A, cfg):
             f"block volume {max_vol} exceeds the subproblem cap of {cfg.subproblem_cap}"
         )
     stacked, offsets = kernels.stack_factors(A.factors)
-    if not np.all(np.isfinite(stacked)):
-        raise ValueError("factors hold NaN or infinite entries")
+    bound = _magnitude_bound(stacked, offsets)
+    if not bound <= MAGNITUDE_LIMIT:
+        raise ValueError(
+            f"factor magnitude bound {bound:.6g} is not at most {MAGNITUDE_LIMIT:.6g}:"
+            " the factors hold NaN or infinite entries, or entries large enough"
+            " that products of them could overflow float64"
+        )
     # sized for the k + extra candidates (fewer on tiny tensors) that
     # init_candidates draws; a real tensor maps its keys in place in the
     # contraction buffer
@@ -507,15 +502,14 @@ def solve(A, cfg):
     traces = [[float(np.max(key_values(c.values, cfg.key)))] for c in cands]
     restart_sweeps = [0] * n
     restart_converged = [False] * n
-    exhausted = 0
     pool = {}
     # every restart starts at sweep 0, so the live ones share a sweep count
     # and one that reaches max_sweeps leaves with the loop
     live = list(range(n))
     for _ in range(cfg.max_sweeps):
         before = [cands[r].tuples.copy() for r in live]
-        exhausted += sum(_sweep(A, [(cands[r], caches[r]) for r in live], cfg.key,
-                                schedule, stacked, offsets, work))
+        _sweep(A, [(cands[r], caches[r]) for r in live], cfg.key, schedule,
+               stacked, offsets, work)
         for r, prev in zip(live, before):
             restart_sweeps[r] += 1
             best = float(np.max(key_values(cands[r].values, cfg.key)))
@@ -528,8 +522,6 @@ def solve(A, cfg):
         live = [r for r in live if not restart_converged[r]]
         if not live:
             break
-    if len(pool) < cfg.k:
-        _top_up_pool(A, pool, cfg.k, np.random.default_rng(cfg.seed + cfg.restarts))
     ptuples = np.array(list(pool.keys()), dtype=np.int64)
     pvalues = np.array(list(pool.values()))
     keyed = key_values(pvalues, cfg.key)
@@ -550,7 +542,9 @@ def solve(A, cfg):
             "block_size": s,
             "schedule": schedule,
             "objective_trace": traces,
-            "exhausted": exhausted,
+            # no candidate can exhaust its cells (see _block_pass); kept for
+            # readers of the diagnostics
+            "exhausted": 0,
             "pool_size": len(pool),
             "contracted_columns": sum(c.contracted_columns for c in caches),
             "clean_blocks": sum(c.clean_blocks for c in caches),

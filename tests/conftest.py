@@ -59,3 +59,17 @@ def dense_topk(dense, k, key_name="max"):
 @pytest.fixture
 def rng():
     return np.random.default_rng(987654321)
+
+
+# Factor lists whose products overflow float64 inside the solver, though
+# every factor entry is finite.  The first is 1x2x4x4 of rank 3 with entries
+# near 1e300, built from +-1e150 factors; the second is 2x2x2 of rank 1,
+# and its products of two 1e200 entries alone overflow.
+OVERFLOW_FACTORS = (
+    [[[0.0, -1e150, 1e150]],
+     [[-0.0, -1e150, 1e150], [-1e150, -2.0, -0.0]],
+     [[0.0, -2.0, 1.0], [-0.0, 1.0, 1.0], [1e150, 2.0, -1e150], [-1e150, 1.0, 0.0]],
+     [[-1e150, 0.0, 2.0], [-1e150, 1.0, -1e150], [1e150, 1.0, 2.0],
+      [-1e150, -1e150, 1e150]]],
+    [[[1e200], [1.0]], [[1e200], [-1e200]], [[-1.0], [1.0]]],
+)

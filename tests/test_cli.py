@@ -12,6 +12,8 @@ import unittest
 
 import numpy as np
 
+from conftest import OVERFLOW_FACTORS
+
 import tensor_topk
 from tensor_topk import cp
 from tensor_topk.cli import main
@@ -128,6 +130,43 @@ class TestTopk(unittest.TestCase):
         code, _, err = run_cli(["topk", "--input", bad, "--k", "1"])
         self.assertEqual(code, 1)
         self.assertIn("not a pair of numbers", err)
+
+    def test_maximag_on_complex_file_all_outputs(self):
+        # entries [[1+2j, 4+3j], [1j, 1+2j]]: by imaginary part 4+3j, then the
+        # tie 1+2j at (1,1) before (2,2), the smaller column-major index
+        path = f"{self.dir}/c.cpt"
+        write_cpt(cp.CpTensor([np.array([[1 + 2j], [1j]]),
+                               np.array([[1 + 0j], [2 - 1j]])]), path)
+        argv = ["topk", "--input", path, "--k", "3", "--extra", "1",
+                "--key", "maximag", "--output"]
+        code, out, err = run_cli(argv + ["text"])
+        self.assertEqual((code, err), (0, ""))
+        self.assertEqual(out.splitlines(),
+                         ["4+3j @ (1,2)", "1+2j @ (1,1)", "1+2j @ (2,2)"])
+        code, out, err = run_cli(argv + ["csv"])
+        self.assertEqual((code, err), (0, ""))
+        self.assertEqual(list(csv.reader(io.StringIO(out))),
+                         [["value", "index"], ["4+3j", "1 2"], ["1+2j", "1 1"],
+                          ["1+2j", "2 2"]])
+        code, out, err = run_cli(argv + ["json"])
+        self.assertEqual((code, err), (0, ""))
+        doc = json.loads(out)
+        self.assertEqual(doc["key"], "maximag")
+        self.assertEqual(doc["values"], ["4+3j", "1+2j", "1+2j"])
+        self.assertEqual(doc["indices"], [[1, 2], [1, 1], [2, 2]])
+        self.assertEqual(doc["objective"], 7.0)
+
+    def test_overflowing_factors_exit_4(self):
+        # finite entries whose products overflow float64: rejected before
+        # the search, where this file used to end in a RuntimeError traceback
+        path = f"{self.dir}/big.cpt"
+        write_cpt(cp.CpTensor([np.array(f) for f in OVERFLOW_FACTORS[0]]), path)
+        code, out, err = run_cli(["topk", "--input", path, "--k", "1", "--extra", "2",
+                                  "--block", "1", "--restarts", "2", "--seed", "3084"])
+        self.assertEqual(code, 4)
+        self.assertEqual(out, "")
+        self.assertIn("error: factor magnitude bound inf", err)
+        self.assertNotIn("Traceback", err)
 
     def test_infeasible_k_exits_2(self):
         code, _, err = run_cli(["topk", "--input", self.file, "--k", "99"])

@@ -139,3 +139,16 @@ def test_run_qft_trials_small():
         assert rec["max_amp_err"] <= 1e-10
         assert rec["top1_match"] and rec["topk_set_match"]
         assert rec["rank"] <= 4
+    assert not any("state" in rec for rec in recs)
+
+
+def test_run_qft_trials_keeps_only_the_last_state():
+    # --dump-state writes the last trial's state, so no other one is held
+    recs = run_qft_trials(4, 3, seed=0, k=3, extra=3, block=2, keep_last_state=True)
+    assert ["state" in rec for rec in recs] == [False, False, True]
+    want = harness.simulate_and_measure(4, init_seed=trial_seed(0, 2, tag=3), k=3,
+                                        extra=3, block_size=2).state
+    got = recs[-1]["state"]
+    assert got.rank == recs[-1]["rank"]
+    for fg, fw in zip(got.factors, want.factors):
+        assert fg.tobytes() == fw.tobytes()

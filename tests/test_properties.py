@@ -73,6 +73,18 @@ def test_solve_values_are_exact_elements(case):
 
 @FEW
 @given(solver_cases())
+def test_output_is_distinct_and_pool_holds_every_candidate(case):
+    # finite keys and distinct tuples: no candidate exhausts its cells, and
+    # the first sweep alone pools all k + extra candidates
+    A, cfg = case
+    res = solve(A, cfg)
+    assert len({tuple(row) for row in res.indices.tolist()}) == cfg.k
+    assert res.diagnostics["pool_size"] >= min(cfg.k + cfg.extra, A.size())
+    assert res.diagnostics["exhausted"] == 0
+
+
+@FEW
+@given(solver_cases())
 def test_min_is_max_of_negated_tensor(case):
     A, cfg = case
     res_min = solve(A, replace(cfg, key=OrderingKey.MIN))

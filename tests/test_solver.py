@@ -12,8 +12,15 @@ from unittest import mock
 
 import numpy as np
 
-from conftest import dense_from_factors, dense_topk, keyed_dense, random_factors
+from conftest import (
+    OVERFLOW_FACTORS,
+    dense_from_factors,
+    dense_topk,
+    keyed_dense,
+    random_factors,
+)
 from tensor_topk import cp, kernels, solver
+from tensor_topk.baselines import oracle_topk
 from tensor_topk.errors import CapacityError, InfeasibleKError
 from tensor_topk.solver import OrderingKey, SolverConfig
 
@@ -120,7 +127,8 @@ class TestAlphaBeta(unittest.TestCase):
               np.array([[5.0], [6.0]])]
         A = cp.CpTensor(fs)
         tuples = np.array([[0, 1, 0]])
-        alpha, beta = solver.compute_alpha(A, tuples, (0,))
+        alpha = solver.compute_alpha(A, tuples, (0,))
+        beta = solver._collision_mask(tuples[:, [1, 2]])
         self.assertEqual(alpha.shape, (1, 1))
         self.assertEqual(alpha[0, 0], 4.0 * 5.0)
         self.assertTrue(beta[0, 0])
@@ -131,7 +139,7 @@ class TestAlphaBeta(unittest.TestCase):
         A = cp.CpTensor(fs)
         tuples = np.stack([rng.integers(0, n, size=6) for n in A.dims], axis=1)
         block = (1, 3)
-        alpha, _ = solver.compute_alpha(A, tuples, block)
+        alpha = solver.compute_alpha(A, tuples, block)
         for j, t in enumerate(tuples):
             # completing the block coords with the candidate's own entries
             # must reproduce the exact tensor entry
@@ -141,11 +149,9 @@ class TestAlphaBeta(unittest.TestCase):
             self.assertAlmostEqual(prod.sum(), cp.element(A, tuple(t)), places=11)
 
     def test_beta_tracks_outside_agreement(self):
-        fs = random_factors(np.random.default_rng(1), (3, 3, 3), 2)
-        A = cp.CpTensor(fs)
         tuples = np.array([[0, 1, 2], [0, 2, 2], [1, 1, 2]])
-        _, beta = solver.compute_alpha(A, tuples, (1,))
         # outside coords are modes 0 and 2
+        beta = solver._collision_mask(tuples[:, [0, 2]])
         self.assertTrue(beta[0, 1])
         self.assertFalse(beta[0, 2])
         self.assertFalse(beta[1, 2])
@@ -154,7 +160,8 @@ class TestAlphaBeta(unittest.TestCase):
         fs = random_factors(np.random.default_rng(2), (3, 4), 5)
         A = cp.CpTensor(fs)
         tuples = np.array([[0, 0], [1, 2]])
-        alpha, beta = solver.compute_alpha(A, tuples, (0, 1))
+        alpha = solver.compute_alpha(A, tuples, (0, 1))
+        beta = solver._collision_mask(tuples[:, []])
         self.assertTrue(np.all(alpha == 1.0))
         self.assertTrue(np.all(beta))
 
@@ -171,7 +178,7 @@ class TestSubproblem(unittest.TestCase):
         block = (0, 2)
         stacked, offsets = kernels.stack_factors(A.factors)
         expand = kernels.block_expand(stacked, offsets, block, (3, 2))
-        cells = expand @ solver.compute_alpha(A, tuples, block)[0]
+        cells = expand @ solver.compute_alpha(A, tuples, block)
         self.assertEqual(cells.shape, (6, 3))
         for j, t in enumerate(tuples):
             for lin in range(6):
@@ -222,6 +229,37 @@ class TestSubproblem(unittest.TestCase):
         with self.assertRaises(ValueError):
             solver.solve(A, SolverConfig(k=3, block_size=1))
 
+    def test_overflowing_products_rejected(self):
+        # finite factors whose products overflow: the first used to raise
+        # "best key value decreased from inf", the second returned inf and
+        # -inf values after exhaustion fallbacks
+        first, second = (cp.CpTensor([np.array(f) for f in fs]) for fs in OVERFLOW_FACTORS)
+        for A, cfg in ((first, SolverConfig(k=1, extra=2, block_size=1, restarts=2,
+                                            seed=3084)),
+                       (second, SolverConfig(k=8, block_size=1, restarts=1))):
+            with self.assertRaisesRegex(ValueError, "magnitude bound inf"):
+                solver.solve(A, cfg)
+
+    def test_entries_near_1e300_under_the_bound_solve(self):
+        # B is about 1e300, under the limit of about 9e307: entries reach
+        # 1e300 and every key stays finite
+        fs = [np.array([[1e150, 1.0], [-1.0, 2.0], [0.5, 1.0]]),
+              np.array([[1e150, 3.0], [2.0, -1.0]]),
+              np.array([[1.0, 1.0], [-1.0, 0.5]])]
+        A = cp.CpTensor(fs)
+        dense = dense_from_factors(fs)
+        self.assertGreater(np.abs(dense).max(), 9e299)
+        self.assertLessEqual(solver._magnitude_bound(*kernels.stack_factors(fs)),
+                             solver.MAGNITUDE_LIMIT)
+        for key, name in ((OrderingKey.MAX, "max"), (OrderingKey.MIN, "min")):
+            res = solver.solve(A, SolverConfig(k=4, extra=3, block_size=1, key=key,
+                                               seed=5))
+            self.assertTrue(np.all(np.isfinite(res.values)))
+            self.assertEqual([tuple(t) for t in res.indices], dense_topk(dense, 4, name))
+            self.assertEqual(res.values.tobytes(),
+                             cp.elements_at(A, res.indices).tobytes())
+            self.assertEqual(res.diagnostics["exhausted"], 0)
+
 
 def _reference_block_pass(A, tuples, values, block, keyed, key_name):
     """PAPER.md's greedy rule, one candidate at a time.
@@ -230,7 +268,9 @@ def _reference_block_pass(A, tuples, values, block, keyed, key_name):
     the smallest linear index, first block mode fastest) that no earlier
     candidate with the same out-of-block coordinates has taken.  A move is
     rechecked against the exact entry and undone unless it beats the
-    entering value; a candidate with no finite allowed cell keeps its own.
+    entering value.  Also returns how many candidates found no finite
+    allowed cell (each then keeps its own), which finite keys and distinct
+    entering tuples rule out.
     """
     block = list(block)
     rest = [q for q in range(A.order) if q not in block]
@@ -293,42 +333,35 @@ class TestBlockPassReference(unittest.TestCase):
         return np.array([rows[i] for i in pick], dtype=np.int64)
 
     def _run(self, rng, complex_, key, key_name, make_keyed):
-        """Compare both on every pattern; returns the total exhaustion count."""
-        total = 0
+        """Compare both on every pattern."""
         for dims, block, pattern in self.PATTERNS:
             A = cp.CpTensor(random_factors(rng, dims, 3, complex_=complex_))
             stacked, offsets = kernels.stack_factors(A.factors)
             tuples = self._tuples(rng, dims, block, pattern, 12)
             values = cp.elements_at(A, tuples)
-            alpha, beta = solver.compute_alpha(A, tuples, block)
+            alpha = solver.compute_alpha(A, tuples, block)
+            beta = solver._collision_mask(
+                tuples[:, [q for q in range(A.order) if q not in block]])
             keyed = make_keyed(A, block, alpha, key)
             want_t, want_v, want_x = _reference_block_pass(
                 A, tuples, values, block, keyed, key_name)
             got_t, got_v = tuples.copy(), values.copy()
-            got_x = solver._block_pass(got_t, got_v, block, keyed, beta,
-                                       [dims[q] for q in block], key,
-                                       stacked, offsets)
+            solver._block_pass(got_t, got_v, block, keyed, beta,
+                               [dims[q] for q in block], key, stacked, offsets)
             msg = f"{pattern} {key_name}"
             np.testing.assert_array_equal(got_t, want_t, err_msg=msg)
             self.assertEqual(got_v.tobytes(), want_v.tobytes(), msg=msg)
-            self.assertEqual(got_x, want_x, msg=msg)
-            if np.all(np.isfinite(keyed)):
-                # distinct entering tuples: at most vol of them share a context
-                self.assertEqual(got_x, 0, msg=msg)
-            total += got_x
-        return total
+            # distinct entering tuples: at most vol of them share a context
+            self.assertEqual(want_x, 0, msg=msg)
+            self.assertEqual(len(set(map(tuple, got_t))), len(got_t), msg=msg)
 
     @staticmethod
-    def _random_keyed(rng, with_neg_inf=False):
+    def _random_keyed(rng):
         def make(A, block, alpha, key):
             # rounded so that ties are common; unrelated to the tensor, so
             # the recheck often undoes a move
             vol = math.prod(A.dims[q] for q in block)
-            keyed = np.round(rng.uniform(-2, 2, size=(vol, alpha.shape[1])), 0)
-            if with_neg_inf:
-                keyed[rng.random(keyed.shape) < 0.5] = -np.inf
-                keyed[:, 1] = -np.inf
-            return keyed
+            return np.round(rng.uniform(-2, 2, size=(vol, alpha.shape[1])), 0)
         return make
 
     @staticmethod
@@ -354,36 +387,28 @@ class TestBlockPassReference(unittest.TestCase):
             self._run(rng, False, OrderingKey.MAX, "max", self._exact_keyed)
             self._run(rng, True, OrderingKey.MAX_REAL, "maxreal", self._exact_keyed)
 
-    def test_exhaustion_fallback(self):
-        rng = np.random.default_rng(2027)
-        for _ in range(5):
-            # candidate 1's cells are all -inf, so every pattern exhausts
-            exhausted = self._run(rng, False, OrderingKey.MAX, "max",
-                                  self._random_keyed(rng, with_neg_inf=True))
-            self.assertGreaterEqual(exhausted, len(self.PATTERNS))
-
 
 def _reference_sweep(A, cands, key, schedule, stacked, offsets, work):
     """The sweep as it was before the contraction cache: every block expands
     and contracts all m columns, then runs the two-phase block pass."""
     expand_buf, cells_buf, keyed_buf = work
     m = cands.tuples.shape[0]
-    exhausted = 0
     for block in schedule:
         block_dims = [A.dims[q] for q in block]
         vol = math.prod(block_dims)
-        alpha, beta = solver.compute_alpha(A, cands.tuples, block)
+        alpha = solver.compute_alpha(A, cands.tuples, block)
+        beta = solver._collision_mask(
+            cands.tuples[:, [q for q in range(A.order) if q not in block]])
         expand = kernels.block_expand(
             stacked, offsets, np.array(block), np.array(block_dims),
             out=expand_buf[:vol * A.rank].reshape(vol, A.rank),
         )
         cells = np.matmul(expand, alpha, out=cells_buf[:vol * m].reshape(vol, m))
         keyed = solver.key_values(cells, key, out=keyed_buf[:vol * m].reshape(vol, m))
-        exhausted += solver._block_pass(
+        solver._block_pass(
             cands.tuples, cands.values, block, keyed, beta, block_dims,
             key, stacked, offsets,
         )
-    return exhausted
 
 
 def _work_buffers(A, schedule, m):
@@ -420,20 +445,18 @@ class TestSweepReference(unittest.TestCase):
         blocks = 0
         sweeps = [0] * cfg.restarts
         for sweep in range(cfg.max_sweeps):
-            got_x = solver._sweep(A, [(gots[r], caches[r]) for r in live], cfg.key,
-                                  schedule, stacked, offsets, work)
-            self.assertEqual(len(got_x), len(live))
+            solver._sweep(A, [(gots[r], caches[r]) for r in live], cfg.key,
+                          schedule, stacked, offsets, work)
             converged = []
-            for r, x in zip(live, got_x):
+            for r in live:
                 before = refs[r].tuples.copy()
-                want_x = _reference_sweep(A, refs[r], cfg.key, schedule, stacked,
-                                          offsets, work_ref)
+                _reference_sweep(A, refs[r], cfg.key, schedule, stacked, offsets,
+                                 work_ref)
                 msg = f"restart {r} sweep {sweep}"
                 np.testing.assert_array_equal(gots[r].tuples, refs[r].tuples,
                                               err_msg=msg)
                 self.assertEqual(gots[r].values.tobytes(), refs[r].values.tobytes(),
                                  msg=msg)
-                self.assertEqual(x, want_x, msg=msg)
                 blocks += len(schedule)
                 sweeps[r] += 1
                 if np.array_equal(before, refs[r].tuples):
@@ -727,6 +750,18 @@ class TestSolveAgainstDense(unittest.TestCase):
                                            key=OrderingKey.MAX_ABS))
         self.assertEqual([tuple(t) for t in res.indices],
                          dense_topk(dense, 2, "maxabs"))
+
+    def test_complex_maximag_matches_oracle(self):
+        rng = np.random.default_rng(82)
+        A = cp.CpTensor(random_factors(rng, (3, 4, 3), 3, complex_=True))
+        want = oracle_topk(A, 4, key=OrderingKey.MAX_IMAG)
+        for s in (1, 3):
+            res = solver.solve(A, SolverConfig(k=4, extra=8, block_size=s,
+                                               key=OrderingKey.MAX_IMAG, seed=2))
+            np.testing.assert_array_equal(res.indices, want.indices, err_msg=f"s={s}")
+            np.testing.assert_allclose(res.values, want.values, rtol=0, atol=1e-14)
+            self.assertEqual(res.values.tobytes(),
+                             cp.elements_at(A, res.indices).tobytes())
 
     def test_sweep_archive_retains_displaced_entries(self):
         # pooled output must be at least as good as the final state alone,
