@@ -42,7 +42,13 @@ def oracle_topk(A, k, key=OrderingKey.MAX, max_elems=ORACLE_CAP_DEFAULT):
         raise CapacityError(f"dense size {total} exceeds the cap of {max_elems} entries")
     flat = cp.materialize(A, max_elems).ravel(order="F")
     keyed = key_values(flat, key)
-    order = np.lexsort((np.arange(total), -keyed))[:k]
+    neg = -keyed
+    # Only entries whose key ties or beats the k-th can be in the top k, so
+    # just those are sorted.  NaN sorts last, as in a full lexsort, and
+    # ``~(neg > kth)`` keeps every entry when the k-th key is NaN.
+    kth = np.partition(neg, k - 1)[k - 1]
+    cand = np.flatnonzero(~(neg > kth))
+    order = cand[np.lexsort((cand, neg[cand]))[:k]]
     indices = np.column_stack(np.unravel_index(order, A.dims, order="F")).astype(np.int64)
     values = flat[order]
     return TopKResult(

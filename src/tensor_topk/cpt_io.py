@@ -10,11 +10,13 @@ A CPT file is a single UTF-8 JSON object:
 Factor p is a flat list of n_p * R numbers in row-major order; complex
 entries are [re, im] pairs.  Values are written with 17 significant digits,
 so write/read round-trips are bit-exact for float64.  JSON has no NaN or
-infinity, so the writer refuses a tensor holding one before it opens the
+infinity, so the writer refuses a tensor holding one before it touches the
 file, and the reader rejects them.  The writer streams: it formats and
 writes each factor in bounded chunks, so its memory does not grow with the
-file.  The reader accepts only JSON numbers (not booleans, strings or null)
-as entries.
+file.  It replaces an existing regular file with a new one rather than
+truncating it: the new file's mode comes from the umask, and other hard
+links to the old file keep the old content.  The reader accepts only JSON
+numbers (not booleans, strings or null) as entries.
 
 The reader holds the file's text plus one factor's Python objects: it walks
 the top-level object member by member, and parses each element of
@@ -26,8 +28,11 @@ raise CptFormatError (the CLI's exit 1), like every other malformed input.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
+import os
+import stat
 
 import numpy as np
 
@@ -66,11 +71,22 @@ def _format_chunk(chunk, is_complex):
 def write_cpt(A, path):
     """Write a CpTensor to ``path`` in CPT format.
 
-    Raises ValueError, before the file is opened, when an entry is NaN or
-    infinite.
+    An existing regular file at ``path`` is unlinked and written anew, so the
+    result is a new inode: its mode comes from the umask, and hard links to
+    the old file keep the old content.  A symlink is written through to its
+    target, as by ``open(path, "w")``.  Raises ValueError, before the path is
+    touched, when an entry is NaN or infinite.
     """
     if not all(np.isfinite(f).all() for f in A.factors):
         raise ValueError("CPT cannot store NaN or infinite factor entries")
+    # Not truncated: ext4 starts writeback of a truncated-and-rewritten file
+    # at close, and the next O_TRUNC of it waits for that writeback to end.
+    # A temp file renamed over the old one trips the same flush.  Overwriting
+    # in place without truncating could leave old and new bytes mixed after
+    # a crash, in a file that still parses.  A new inode has nothing to wait on.
+    with contextlib.suppress(FileNotFoundError):
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{"field": "%s",\n "dims": [%s],\n "rank": %d,\n "factors": [\n'
                  % ("complex" if A.is_complex else "real",

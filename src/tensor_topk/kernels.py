@@ -84,16 +84,14 @@ def column_argmax(keyed):
 
 
 def masked_argmax(keyed, forbidden):
-    """Index of the largest keyed value outside ``forbidden``, or -1.
+    """Index of the largest keyed value outside ``forbidden``.
 
-    Ties resolve to the smallest index.  Values are assumed finite.
+    Ties resolve to the smallest index.  Values are assumed finite, and at
+    least one index must be left outside ``forbidden``.
     """
     keyed = np.ascontiguousarray(keyed, dtype=np.float64)
     forbidden = np.ascontiguousarray(forbidden, dtype=np.int64)
     if forbidden.shape[0]:
         keyed = keyed.copy()
         keyed[forbidden] = -np.inf
-    lin = int(np.argmax(keyed))
-    if np.isneginf(keyed[lin]):
-        return -1
-    return lin
+    return int(np.argmax(keyed))

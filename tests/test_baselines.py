@@ -21,7 +21,7 @@ from tensor_topk.baselines import (
 from tensor_topk.errors import CapacityError, DegenerateInputError
 from tensor_topk.generators import RandomSpec, gen_random_cp
 from tensor_topk.harness import is_topk_hit
-from tensor_topk.solver import OrderingKey
+from tensor_topk.solver import OrderingKey, key_values
 
 
 def _heap_topk(dense, k, sign=1.0):
@@ -57,6 +57,41 @@ def test_oracle_tie_order():
     A = cp.cp_ones((2, 3))
     res = oracle_topk(A, 3, key=OrderingKey.MAX)
     assert [tuple(t) for t in res.indices] == [(0, 0), (1, 0), (0, 1)]
+
+
+def _full_sort_order(A, k, key):
+    # the oracle's selection as one lexsort of every entry, kept as the reference
+    keyed = key_values(cp.materialize(A).ravel(order="F"), key)
+    return np.lexsort((np.arange(keyed.size), -keyed))[:k]
+
+
+def _oracle_order(A, k, key):
+    res = oracle_topk(A, k, key=key)
+    return np.ravel_multi_index(tuple(res.indices.T), A.dims, order="F")
+
+
+@pytest.mark.parametrize("key", [OrderingKey.MAX, OrderingKey.MIN, OrderingKey.MAX_ABS])
+def test_oracle_exact_ties_match_full_sort(rng, key):
+    # small integer factors tie many entries, signed zeros among them
+    for _ in range(10):
+        dims = tuple(int(rng.integers(2, 6)) for _ in range(3))
+        fs = [rng.integers(-2, 3, size=(n, 2)).astype(np.float64) for n in dims]
+        fs[0][0] = -0.0
+        A = cp.CpTensor(fs)
+        for k in (1, 2, 5, A.size() // 2, A.size()):
+            np.testing.assert_array_equal(_oracle_order(A, k, key),
+                                          _full_sort_order(A, k, key))
+
+
+def test_oracle_nan_keys_match_full_sort():
+    # row 1 of mode 0 makes a slab of NaN entries; they rank after every number
+    f0 = np.array([[1.0, 2.0], [np.nan, 1.0], [3.0, -1.0]])
+    A = cp.CpTensor([f0, np.array([[1.0, 1.0], [2.0, 0.5], [1.0, 1.0]])])
+    for key in (OrderingKey.MAX, OrderingKey.MIN):
+        for k in range(1, A.size() + 1):
+            np.testing.assert_array_equal(_oracle_order(A, k, key),
+                                          _full_sort_order(A, k, key))
+    assert np.isnan(oracle_topk(A, A.size()).values[-3:]).all()
 
 
 def test_oracle_cap():

@@ -317,6 +317,30 @@ class TestQft(unittest.TestCase):
             self.assertTrue(state.is_complex)
             self.assertEqual(state.dims, (4, 4))
 
+    def test_qft_dump_state_into_missing_directory_exits_1(self):
+        import tempfile
+        with tempfile.TemporaryDirectory() as d:
+            code, _, err = run_cli(["qft", "--d", "4", "--trials", "1",
+                                    "--dump-state", f"{d}/missing/state.cpt"])
+        self.assertEqual(code, 1)
+        self.assertTrue(err.startswith("error:"), err)
+        self.assertNotIn("Traceback", err)
+
+    def test_qft_dump_state_replaces_an_earlier_dump(self):
+        import tempfile
+        with tempfile.TemporaryDirectory() as d:
+            path, copy = f"{d}/state.cpt", f"{d}/copy.cpt"
+            for qubits, dims in (("9", (8, 8, 8)), ("4", (4, 4))):
+                code, _, _ = run_cli(["qft", "--d", qubits, "--trials", "1",
+                                      "--seed", "5", "--dump-state", path])
+                self.assertEqual(code, 0)
+                state = read_cpt(path)
+                self.assertEqual(state.dims, dims)
+            # the shorter second dump round-trips byte for byte
+            write_cpt(state, copy)
+            with open(path, "rb") as a, open(copy, "rb") as b:
+                self.assertEqual(a.read(), b.read())
+
     def test_zero_trials_exits_4(self):
         # zero trials would print nothing and leave --dump-state no state to write
         import tempfile

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -179,6 +180,45 @@ def test_writer_refuses_non_finite(tmp_path, bad):
     with pytest.raises(ValueError, match="NaN or infinite"):
         write_cpt(cp.CpTensor([f0, np.ones((3, 1))]), path)
     assert not path.exists()
+    # an existing file is left as it was, not replaced
+    write_cpt(cp.cp_ones((2, 3)), path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        write_cpt(cp.CpTensor([f0, np.ones((3, 1))]), path)
+    assert path.read_bytes() == before
+
+
+def test_rewrite_replaces_a_longer_file(tmp_path, rng):
+    path, link, fresh = tmp_path / "t.cpt", tmp_path / "link.cpt", tmp_path / "fresh.cpt"
+    write_cpt(cp.CpTensor(random_factors(rng, (40, 30), 4)), path)
+    old = path.read_bytes()
+    os.link(path, link)
+    A = cp.CpTensor(random_factors(rng, (3, 2), 1))
+    write_cpt(A, path)
+    write_cpt(A, fresh)
+    assert path.read_bytes() == fresh.read_bytes()
+    # a new file took the name; the old one lives on under its other link
+    assert link.read_bytes() == old
+    assert not os.path.samefile(path, link)
+
+
+def test_rewrite_through_a_symlink_writes_its_target(tmp_path, rng):
+    target, path, fresh = tmp_path / "target.cpt", tmp_path / "t.cpt", tmp_path / "fresh.cpt"
+    write_cpt(cp.CpTensor(random_factors(rng, (40, 30), 4)), target)
+    path.symlink_to(target)
+    A = cp.CpTensor(random_factors(rng, (3, 2), 1))
+    write_cpt(A, path)
+    write_cpt(A, fresh)
+    assert path.is_symlink()
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+def test_writing_to_a_directory_raises(tmp_path):
+    path = tmp_path / "d.cpt"
+    path.mkdir()
+    with pytest.raises(IsADirectoryError):
+        write_cpt(cp.cp_ones((2, 3)), path)
+    assert path.is_dir()
 
 
 def _reference_fmt(x):
