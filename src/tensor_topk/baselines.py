@@ -1,11 +1,12 @@
 """Reference methods: the exhaustive dense oracle and a shifted power iteration.
 
+The oracle's default cap, ``ORACLE_CAP_DEFAULT``, is ``cp.DENSE_CAP_DEFAULT``.
 Power iteration runs at one fixed setting: at most ``MAX_ITERS`` steps,
 recompression to rank ``RANK_CAP`` (with `recompress`'s own sweep and
 tolerance defaults), the overlap test ``1 - OVERLAP_TOL`` and
-``HOPM_ITERS`` rank-one fit sweeps for the peak.  A tensor with at most
-``NONNEG_CHECK_CAP`` entries is scanned and shifted by just enough to make
-it nonnegative, ``max(0, -min(A))``; a larger one is shifted by
+``recompress.HOPM_ITERS`` rank-one fit sweeps for the peak.  A tensor with
+at most ``NONNEG_CHECK_CAP`` entries is scanned and shifted by just enough
+to make it nonnegative, ``max(0, -min(A))``; a larger one is shifted by
 ``frob_norm(A)``.
 """
 
@@ -20,12 +21,11 @@ from .errors import CapacityError, DegenerateInputError, InfeasibleKError
 from .recompress import rank_one_argmax, recompress
 from .solver import OrderingKey, TopKResult, key_values
 
-ORACLE_CAP_DEFAULT = 1 << 22
+ORACLE_CAP_DEFAULT = cp.DENSE_CAP_DEFAULT
 
 MAX_ITERS = 200
 RANK_CAP = 10
 OVERLAP_TOL = 1e-12
-HOPM_ITERS = 100
 NONNEG_CHECK_CAP = 1 << 20
 
 
@@ -157,5 +157,5 @@ def power_iteration_max(A, seed=0):
         y = z
         if converged:
             break
-    loc = rank_one_argmax(y, iters=HOPM_ITERS, seed=seed)
+    loc = rank_one_argmax(y, seed=seed)
     return PowerIterResult(cp.element(A, loc), loc, iterations, converged, als_sweeps)

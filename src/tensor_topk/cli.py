@@ -10,7 +10,9 @@ invalid arguments (usage errors, out-of-range values, mismatched shapes).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 import numpy as np
@@ -175,8 +177,18 @@ def _add_qft(sub):
                    help="write the final state of the last trial as complex CPT")
 
 
+def _check_dump_path(path):
+    # fail as writing would, before any trial runs, and create nothing
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or os.curdir):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def _run_qft(args):
     square_layout(args.d)  # validates early
+    if args.dump_state:
+        _check_dump_path(args.dump_state)
     records = run_qft_trials(args.d, args.trials, args.seed, k=args.k,
                              extra=args.extra, block=args.block,
                              rank_cap=args.rank_cap, oracle_cap=args.oracle_cap,

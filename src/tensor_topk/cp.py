@@ -150,8 +150,11 @@ def materialize(A, max_elems=DENSE_CAP_DEFAULT):
     """Dense ndarray of A, shape A.dims.
 
     Raises CapacityError when the dense size exceeds ``max_elems``.  Rank
-    columns are accumulated in bounded chunks so scratch memory stays near
-    ``max_elems`` scalars even at high rank.
+    columns are summed in chunks of at most ``_EXPAND_SCRATCH`` scalars.  A
+    real tensor with size x rank <= ``_EXPAND_SCRATCH`` (2^24) is one chunk,
+    and its entries are then bit-equal to `elements_at`'s, which the dense
+    oracle's exact agreement with solver values rests on.  Complex tensors
+    and larger real ones can differ in the last bits.
     """
     total = A.size()
     if total > max_elems:

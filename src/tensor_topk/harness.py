@@ -32,14 +32,8 @@ from .generators import (
     griewank_grids,
     schwefel_grids,
 )
-from .qft import (
-    qft_reference,
-    random_product_state,
-    simulate_and_measure,
-    square_layout,
-    statevector,
-)
-from .solver import OrderingKey, SolverConfig, key_values, solve
+from .qft import qft_reference, simulate_and_measure, statevector
+from .solver import SUBPROBLEM_CAP, OrderingKey, SolverConfig, key_values, solve
 
 BENCH_COLUMNS = [
     "trial", "dist", "trial_seed", "method", "k", "extra", "block", "d",
@@ -226,7 +220,7 @@ def write_bench_csv(path, rows, summaries):
 
 
 def run_func(function, d, max_size, trials, seed, pin_optimum=False,
-             oracle_cap=ORACLE_CAP_DEFAULT, restarts=5, max_sweeps=50):
+             oracle_cap=ORACLE_CAP_DEFAULT):
     """Grid-tensor minimization trials; returns one record per trial.
 
     Grid sizes are drawn from [2, max_size]; each trial solves with block
@@ -259,7 +253,6 @@ def run_func(function, d, max_size, trials, seed, pin_optimum=False,
             rec["oracle_min"] = None
         for s in (1, 2):
             cfg = SolverConfig(k=1, extra=5, block_size=s, key=OrderingKey.MIN,
-                               restarts=restarts, max_sweeps=max_sweeps,
                                seed=trial_seed(seed, trial, tag=2))
             try:
                 res = solve(A, cfg)
@@ -267,7 +260,7 @@ def run_func(function, d, max_size, trials, seed, pin_optimum=False,
                 # there is no --block here, so name the flag that shrinks blocks
                 raise CapacityError(
                     f"grid {rec['dims']}: {exc}; blocks span up to 2 modes, so"
-                    f" use --n {math.isqrt(cfg.subproblem_cap)} or less"
+                    f" use --n {math.isqrt(SUBPROBLEM_CAP)} or less"
                 ) from exc
             rec[f"min_s{s}"] = float(res.values[0])
             if reference is not None:
@@ -284,7 +277,6 @@ def run_qft_trials(d, trials, seed, k=5, extra=5, block=2, rank_cap=None,
     With ``keep_last_state``, the last record's ``state`` holds that trial's
     final CP state; no other trial's state is kept.
     """
-    layout = square_layout(d)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     _check_oracle_cap(oracle_cap)
@@ -301,9 +293,7 @@ def run_qft_trials(d, trials, seed, k=5, extra=5, block=2, rank_cap=None,
         if keep_last_state and trial == trials - 1:
             rec["state"] = res.state
         if (1 << d) <= oracle_cap and rank_cap is None:
-            rng = np.random.default_rng(trial_seed(seed, trial, tag=3))
-            psi0 = statevector(random_product_state(layout, rng), oracle_cap)
-            psi = qft_reference(psi0)
+            psi = qft_reference(statevector(res.initial_state, oracle_cap))
             dense = statevector(res.state, oracle_cap)
             rec["max_amp_err"] = float(np.max(np.abs(dense - psi)))
             order = np.lexsort((np.arange(psi.shape[0]), -np.abs(psi)))[:k]

@@ -33,7 +33,7 @@ import numpy as np
 from . import cp
 from .errors import ShapeMismatchError
 from .recompress import recompress
-from .solver import OrderingKey, SolverConfig, TopKResult, solve
+from .solver import OrderingKey, SolverConfig, solve
 
 
 @dataclass(frozen=True)
@@ -216,7 +216,7 @@ def run_qft(state, layout, rank_cap=None, recompress_seed=0):
     return reverse_qubit_order(state, layout)
 
 
-def statevector(state, max_elems=1 << 22):
+def statevector(state, max_elems=cp.DENSE_CAP_DEFAULT):
     """Dense statevector (global big-endian basis order) of a CP state."""
     return cp.materialize(state, max_elems).ravel(order="C")
 
@@ -229,45 +229,36 @@ def qft_reference(psi0):
 
 @dataclass
 class MeasurementResult:
-    """Top amplitudes of the transformed state, largest magnitude first."""
+    """Top amplitudes of ``state``, the QFT of ``initial_state``, largest
+    magnitude first; ``bitstrings`` are their d-bit global basis indices."""
 
     indices: np.ndarray
-    amplitudes: np.ndarray
     magnitudes: np.ndarray
     bitstrings: list
-    topk: TopKResult
+    initial_state: cp.CpTensor
     state: cp.CpTensor
 
 
-def _global_bits(idx, layout):
-    bits = []
-    for i in idx:
-        bits.append(format(int(i), f"0{layout.per_mode}b"))
-    return "".join(bits)
-
-
 def simulate_and_measure(d, init_seed=0, k=1, extra=5, block_size=2,
-                         rank_cap=None, restarts=5, max_sweeps=50):
+                         rank_cap=None):
     """Prepare a random product state, run the QFT, read off the top-k.
 
-    The d qubits use the square layout.  Measurement is the block-alternating
-    solver under the magnitude key; reported values are the complex
-    amplitudes with their magnitudes alongside.
+    The d qubits use the square layout, and ``init_seed`` seeds the product
+    state, the recompressions and the solver.  Measurement is the
+    block-alternating solver under the magnitude key, with `SolverConfig`'s
+    default restarts and sweeps.
     """
     layout = square_layout(d)
-    rng = np.random.default_rng(init_seed)
-    state = random_product_state(layout, rng)
-    state = run_qft(state, layout, rank_cap=rank_cap, recompress_seed=init_seed)
+    initial = random_product_state(layout, np.random.default_rng(init_seed))
+    state = run_qft(initial, layout, rank_cap=rank_cap, recompress_seed=init_seed)
     cfg = SolverConfig(k=k, extra=extra, block_size=min(block_size, layout.modes),
-                       key=OrderingKey.MAX_ABS, restarts=restarts,
-                       max_sweeps=max_sweeps, seed=init_seed)
+                       key=OrderingKey.MAX_ABS, seed=init_seed)
     res = solve(state, cfg)
-    amps = np.asarray(res.values, dtype=np.complex128)
+    basis = np.ravel_multi_index(tuple(res.indices.T), layout.dims())
     return MeasurementResult(
         indices=res.indices,
-        amplitudes=amps,
-        magnitudes=np.abs(amps),
-        bitstrings=[_global_bits(row, layout) for row in res.indices],
-        topk=res,
+        magnitudes=np.abs(res.values),
+        bitstrings=[format(int(n), f"0{d}b") for n in basis],
+        initial_state=initial,
         state=state,
     )

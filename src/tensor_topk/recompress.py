@@ -12,6 +12,7 @@ from .cp import CpTensor, _wrap, frob_norm
 from .errors import DegenerateInputError
 
 RIDGE_SCALE = 1e-12
+HOPM_ITERS = 100
 
 
 class _Recompressed(CpTensor):
@@ -115,12 +116,13 @@ def recompress(A, target_rank, iters=50, tol=1e-8, seed=0):
     return _fitted(facs, sweeps)
 
 
-def rank_one_argmax(A, iters=100, seed=0):
+def rank_one_argmax(A, seed=0):
     """Index tuple of the dominant entry of A's best rank-one approximation.
 
-    Runs the higher-order power method from a random start, then takes the
-    per-mode argmax of the absolute factor vectors.  Ties resolve to the
-    smallest index.  Deterministic for a fixed seed.
+    Runs the higher-order power method from a random start, for at most
+    ``HOPM_ITERS`` sweeps, then takes the per-mode argmax of the absolute
+    factor vectors.  Ties resolve to the smallest index.  Deterministic for
+    a fixed seed.
     """
     if frob_norm(A) == 0.0:
         raise DegenerateInputError("rank_one_argmax needs a nonzero tensor")
@@ -131,7 +133,7 @@ def rank_one_argmax(A, iters=100, seed=0):
         if A.is_complex:
             v = v + 1j * rng.standard_normal(n)
         vecs.append(v / np.linalg.norm(v))
-    for _ in range(iters):
+    for _ in range(HOPM_ITERS):
         drift = 0.0
         for p in range(A.order):
             w = np.ones(A.rank, dtype=A.dtype)

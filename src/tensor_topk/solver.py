@@ -7,7 +7,8 @@ cells are exact tensor entries (the candidate's out-of-block coordinates stay
 fixed).  Candidates are processed in order and may not land on a cell already
 taken by an earlier candidate with the same out-of-block coordinates, which
 keeps the tuples pairwise distinct.  A sweep that changes no tuple is a fixed
-point and stops the restart early.
+point and stops the restart early.  A block holds at most ``SUBPROBLEM_CAP``
+cells.
 
 `solve` accepts only factors whose `_magnitude_bound` is at most
 ``MAGNITUDE_LIMIT``, half the largest float64.  That bound covers every
@@ -100,13 +101,16 @@ def _check_key_field(key, is_complex):
         )
 
 
+SUBPROBLEM_CAP = 1 << 20  # largest block volume, in cells, `solve` accepts
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs for `solve`.
 
     block_size may be an integer s (clamped to the tensor order) or "auto",
     which picks the largest s whose block volumes stay within
-    ``subproblem_cap``.  Restart r uses seed + r.
+    ``SUBPROBLEM_CAP``.  Restart r uses seed + r.
     """
 
     k: int
@@ -116,7 +120,6 @@ class SolverConfig:
     max_sweeps: int = 50
     restarts: int = 5
     seed: int = 0
-    subproblem_cap: int = 1 << 20
 
     def __post_init__(self):
         if self.k < 1:
@@ -125,8 +128,6 @@ class SolverConfig:
             raise ValueError(f"extra must be >= 0, got {self.extra}")
         if self.max_sweeps < 1 or self.restarts < 1:
             raise ValueError("max_sweeps and restarts must be >= 1")
-        if self.subproblem_cap < 1:
-            raise ValueError("subproblem_cap must be >= 1")
         if isinstance(self.block_size, str):
             if self.block_size != "auto":
                 raise ValueError(f"block_size must be an int or 'auto', got {self.block_size!r}")
@@ -295,7 +296,7 @@ def _dependent(beta):
 
 
 def _block_pass(tuples, values, block, keyed, beta, block_dims, key,
-                stacked, offsets, picks=None):
+                stacked, offsets, picks):
     """Update every candidate's block coordinates against one block.
 
     keyed is the (vol, m) key-mapped subproblem for the entering candidate
@@ -320,23 +321,16 @@ def _block_pass(tuples, values, block, keyed, beta, block_dims, key,
     dependent candidate's context: ``masked_argmax`` always finds an allowed
     cell, and the tuples stay pairwise distinct.
 
-    picks, if given, is (lins, slot, dependent): every column's argmax, for
-    candidate j the column of keyed that holds it, and the `_dependent`
-    mask of beta.  Only dependent candidates read keyed then, so it may hold
-    just a subset of the columns, or be None when no candidate is dependent.
+    picks is (lins, slot, dependent): every column's argmax, for candidate
+    j the column of keyed that holds it, and the `_dependent` mask of beta.
+    Only dependent candidates read keyed, so it may hold just a subset of
+    the columns, or be None when no candidate is dependent.
     """
-    m = tuples.shape[0]
     block = list(block)
     strides = np.cumprod([1] + list(block_dims[:-1]))
     inc_lins = (tuples[:, block] * strides).sum(axis=1)
-
-    if picks is None:
-        slot = np.arange(m)
-        dependent = _dependent(beta)
-        new_lins = kernels.column_argmax(keyed)
-    else:
-        lins, slot, dependent = picks
-        new_lins = lins.copy()
+    lins, slot, dependent = picks
+    new_lins = lins.copy()
     moved = np.flatnonzero(~dependent & (new_lins != inc_lins))
     if moved.size:
         # Guard against reduction-order roundoff in the batched subproblem
@@ -457,7 +451,7 @@ def _magnitude_bound(stacked, offsets):
 
 def _resolve_block_size(A, cfg):
     if cfg.block_size == "auto":
-        return auto_block_size(A.dims, cfg.subproblem_cap)
+        return auto_block_size(A.dims, SUBPROBLEM_CAP)
     return min(int(cfg.block_size), A.order)
 
 
@@ -476,9 +470,9 @@ def solve(A, cfg):
     s = _resolve_block_size(A, cfg)
     schedule = block_schedule(A.order, s)
     max_vol = max(math.prod(A.dims[q] for q in w) for w in schedule)
-    if max_vol > cfg.subproblem_cap:
+    if max_vol > SUBPROBLEM_CAP:
         raise CapacityError(
-            f"block volume {max_vol} exceeds the subproblem cap of {cfg.subproblem_cap}"
+            f"block volume {max_vol} exceeds the subproblem cap of {SUBPROBLEM_CAP}"
         )
     stacked, offsets = kernels.stack_factors(A.factors)
     bound = _magnitude_bound(stacked, offsets)

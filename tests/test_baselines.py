@@ -100,6 +100,24 @@ def test_oracle_cap():
         oracle_topk(A, 1, max_elems=10**6)
 
 
+@pytest.mark.parametrize("dist", ["u01", "um11", "u075"])
+def test_dense_entries_are_bit_equal_to_elements_at_on_bench_draws(dist):
+    # The oracle's values, and so its exact agreement with the solver's
+    # values and tie order, rest on this: a real tensor with size x rank
+    # <= 2^24 is materialized in one rank chunk, whose entries are the
+    # bits `cp.elements_at` gives.  Complex tensors and larger real ones
+    # (several chunks) differ in the last bits.
+    for trial in range(10):
+        rng = np.random.default_rng(np.random.SeedSequence([0, trial]))
+        A = gen_random_cp(RandomSpec(distribution=dist), rng)
+        assert A.size() * A.rank <= 1 << 24
+        flat = cp.materialize(A).ravel(order="F")
+        for start in range(0, A.size(), 1 << 16):
+            lins = np.arange(start, min(start + (1 << 16), A.size()))
+            idx = np.column_stack(np.unravel_index(lins, A.dims, order="F"))
+            assert cp.elements_at(A, idx).tobytes() == flat[lins].tobytes(), trial
+
+
 def test_power_iteration_separable_positive(rng):
     cols = [rng.uniform(0.1, 1.0, size=n) for n in (5, 4, 6)]
     A = cp.CpTensor([c[:, None] for c in cols])

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -318,12 +319,28 @@ class TestQft(unittest.TestCase):
             self.assertEqual(state.dims, (4, 4))
 
     def test_qft_dump_state_into_missing_directory_exits_1(self):
+        # the destination is checked before any trial runs or prints
         import tempfile
         with tempfile.TemporaryDirectory() as d:
-            code, _, err = run_cli(["qft", "--d", "4", "--trials", "1",
-                                    "--dump-state", f"{d}/missing/state.cpt"])
+            code, out, err = run_cli(["qft", "--d", "4", "--trials", "1",
+                                      "--dump-state", f"{d}/missing/state.cpt"])
+            self.assertFalse(os.path.exists(f"{d}/missing"))
         self.assertEqual(code, 1)
+        self.assertEqual(out, "")
         self.assertTrue(err.startswith("error:"), err)
+        self.assertIn("No such file or directory", err)
+        self.assertNotIn("Traceback", err)
+
+    def test_qft_dump_state_onto_a_directory_exits_1(self):
+        import tempfile
+        with tempfile.TemporaryDirectory() as d:
+            code, out, err = run_cli(["qft", "--d", "4", "--trials", "1",
+                                      "--dump-state", d])
+            self.assertEqual(os.listdir(d), [])
+        self.assertEqual(code, 1)
+        self.assertEqual(out, "")
+        self.assertTrue(err.startswith("error:"), err)
+        self.assertIn("Is a directory", err)
         self.assertNotIn("Traceback", err)
 
     def test_qft_dump_state_replaces_an_earlier_dump(self):
@@ -352,6 +369,110 @@ class TestQft(unittest.TestCase):
                 self.assertIn("trials must be >= 1", err)
                 self.assertEqual(out, "")
                 self.assertFalse(os.path.exists(path))
+
+
+PINNED_QFT_STDOUT = """\
+trial 0 d=9 rank=64 top: 000000000;010000000;100000000;111111101;111111110 |amp|: 0.679870268704;0.235598701756;0.220708801025;0.167044907293;0.156521132372 amp_err=*
+trial 1 d=9 rank=64 top: 000000000;111111110;000010000;001000000;000000011 |amp|: 0.662868033248;0.221297798029;0.212471871245;0.191089170307;0.183280919179 amp_err=*
+oracle: top-1 match 2/2, top-5 set match 2/2
+"""
+
+PINNED_GRIEWANK_STDOUT = """\
+trial 0 dims=4x2x2x2x2 min_s1=371.001961056 min_s2=371.001961056 oracle=371.001961056
+trial 1 dims=4x2x3x3x4 min_s1=111.044583898 min_s2=111.044583898 oracle=111.044583898
+s=1: found the true minimum in 2/2 trials
+s=2: found the true minimum in 2/2 trials
+"""
+
+PINNED_SCHWEFEL_STDOUT = """\
+trial 0 dims=5x3x2x3 min_s1=5.0911349831e-05 min_s2=5.0911349831e-05 oracle=5.0911349831e-05
+trial 1 dims=3x5x3x5 min_s1=5.0911349831e-05 min_s2=5.0911349831e-05 oracle=5.0911349831e-05
+s=1: found the true minimum in 2/2 trials
+s=2: found the true minimum in 2/2 trials
+"""
+
+PINNED_BENCH_STDOUT = """\
+u01 ours_s1_K1: accuracy 1.000 (1/1, 0 excluded)
+u01 ours_s1_K5: accuracy 1.000 (1/1, 0 excluded)
+u01 ours_s2_K1: accuracy 1.000 (1/1, 0 excluded)
+u01 ours_s2_K5: accuracy 1.000 (1/1, 0 excluded)
+u01 power_iteration: accuracy 1.000 (1/1, 0 excluded)
+um11 ours_s1_K1: accuracy 0.000 (0/1, 0 excluded)
+um11 ours_s1_K5: accuracy 1.000 (1/1, 0 excluded)
+um11 ours_s2_K1: accuracy 1.000 (1/1, 0 excluded)
+um11 ours_s2_K5: accuracy 1.000 (1/1, 0 excluded)
+um11 power_iteration: accuracy 1.000 (1/1, 0 excluded)
+"""
+
+# the bench CSV below its schema line, without the environmental wall_time
+PINNED_BENCH_CSV = """\
+trial,dist,trial_seed,method,k,extra,block,d,dims,rank,values,indices,oracle_match,hit,excluded
+0,u01,1490961094,ours_s1_K1,1,1,1,8,7x7x5x7x7x7x2x4,7,0.58913307392653969,"2,7,2,7,6,6,2,1",true,true,false
+0,u01,1490961094,ours_s1_K5,1,5,1,8,7x7x5x7x7x7x2x4,7,0.58913307392653969,"2,7,2,7,6,6,2,1",true,true,false
+0,u01,1490961094,ours_s2_K1,1,1,2,8,7x7x5x7x7x7x2x4,7,0.58913307392653969,"2,7,2,7,6,6,2,1",true,true,false
+0,u01,1490961094,ours_s2_K5,1,5,2,8,7x7x5x7x7x7x2x4,7,0.58913307392653969,"2,7,2,7,6,6,2,1",true,true,false
+0,u01,1490961094,power_iteration,1,0,0,8,7x7x5x7x7x7x2x4,7,0.58913307392653969,"2,7,2,7,6,6,2,1",true,true,false
+0,u01,1490961094,oracle,1,0,0,8,7x7x5x7x7x7x2x4,7,0.58913307392653969,"2,7,2,7,6,6,2,1",true,true,false
+0,um11,1490961094,ours_s1_K1,1,1,1,8,7x7x5x7x7x7x2x4,7,0.33265199817531971,"7,2,5,7,2,6,1,3",false,false,false
+0,um11,1490961094,ours_s1_K5,1,5,1,8,7x7x5x7x7x7x2x4,7,0.45583078366855356,"2,4,5,6,3,2,2,1",true,true,false
+0,um11,1490961094,ours_s2_K1,1,1,2,8,7x7x5x7x7x7x2x4,7,0.45583078366855356,"2,4,5,6,3,2,2,1",true,true,false
+0,um11,1490961094,ours_s2_K5,1,5,2,8,7x7x5x7x7x7x2x4,7,0.45583078366855356,"2,4,5,6,3,2,2,1",true,true,false
+0,um11,1490961094,power_iteration,1,0,0,8,7x7x5x7x7x7x2x4,7,0.45583078366855356,"2,4,5,6,3,2,2,1",true,true,false
+0,um11,1490961094,oracle,1,0,0,8,7x7x5x7x7x7x2x4,7,0.45583078366855356,"2,4,5,6,3,2,2,1",true,true,false
+summary,u01,,ours_s1_K1,,,,,,,1.000000,,hits=1/1,,0
+summary,u01,,ours_s1_K5,,,,,,,1.000000,,hits=1/1,,0
+summary,u01,,ours_s2_K1,,,,,,,1.000000,,hits=1/1,,0
+summary,u01,,ours_s2_K5,,,,,,,1.000000,,hits=1/1,,0
+summary,u01,,power_iteration,,,,,,,1.000000,,hits=1/1,,0
+summary,um11,,ours_s1_K1,,,,,,,0.000000,,hits=0/1,,0
+summary,um11,,ours_s1_K5,,,,,,,1.000000,,hits=1/1,,0
+summary,um11,,ours_s2_K1,,,,,,,1.000000,,hits=1/1,,0
+summary,um11,,ours_s2_K5,,,,,,,1.000000,,hits=1/1,,0
+summary,um11,,power_iteration,,,,,,,1.000000,,hits=1/1,,0
+"""
+
+
+class TestPinnedCliOutputs(unittest.TestCase):
+    """Byte-for-byte stdout and CSV of fixed runs, recorded from an earlier
+    version; an unchanged solver, oracle, power iteration and QFT reproduce
+    them exactly."""
+
+    def test_qft(self):
+        code, out, _ = run_cli(["qft", "--d", "9", "--trials", "2", "--seed", "1"])
+        self.assertEqual(code, 0)
+        # the dense check's rounding error is the only value not pinned
+        errs = [float(v) for v in re.findall(r"amp_err=(\S+)", out)]
+        self.assertEqual(len(errs), 2)
+        self.assertTrue(all(e <= 1e-10 for e in errs), errs)
+        self.assertEqual(re.sub(r"amp_err=\S+", "amp_err=*", out), PINNED_QFT_STDOUT)
+
+    def test_func(self):
+        for argv, want in (
+                (["griewank", "--d", "5", "--n", "4", "--trials", "2", "--seed", "3"],
+                 PINNED_GRIEWANK_STDOUT),
+                (["schwefel", "--d", "4", "--n", "5", "--trials", "2", "--seed", "2",
+                  "--pin-optimum"], PINNED_SCHWEFEL_STDOUT)):
+            code, out, _ = run_cli(["func", *argv])
+            self.assertEqual(code, 0)
+            self.assertEqual(out, want)
+
+    def test_bench(self):
+        import tempfile
+        with tempfile.TemporaryDirectory() as d:
+            out_csv = f"{d}/bench.csv"
+            code, out, _ = run_cli(["bench", "--trials", "1", "--dist", "u01,um11",
+                                    "--k", "1", "--seed", "4", "--out", out_csv])
+            with open(out_csv, newline="") as fh:
+                self.assertEqual(fh.readline(), "# schema=1\n")
+                rows = list(csv.reader(fh))
+        self.assertEqual(code, 0)
+        self.assertEqual(out, PINNED_BENCH_STDOUT + f"wrote {out_csv}\n")
+        drop = rows[0].index("wall_time")
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        for row in rows:
+            writer.writerow(row[:drop] + row[drop + 1:])
+        self.assertEqual(buf.getvalue(), PINNED_BENCH_CSV)
 
 
 class TestConsoleScript(unittest.TestCase):

@@ -178,7 +178,7 @@ def test_qft_reference_formula():
 
 
 def test_simulate_and_measure_against_dense():
-    res = simulate_and_measure(4, init_seed=11, k=3, restarts=3)
+    res = simulate_and_measure(4, init_seed=11, k=3)
     lay = square_layout(4)
     state = random_product_state(lay, np.random.default_rng(11))
     ref = np.fft.ifft(cp_to_dense_state(state)) * 4.0
@@ -187,7 +187,12 @@ def test_simulate_and_measure_against_dense():
     got_lin = int("".join(res.bitstrings[0]), 2)
     assert got_lin == best
     assert res.magnitudes[0] == pytest.approx(mags[best], rel=1e-12)
-    # amplitudes are read back from the state, bitstrings track indices
+    # the initial state is the seed's product state, magnitudes are exact
+    # entries of the transformed state, and bitstrings track indices
+    for fg, fw in zip(res.initial_state.factors, state.factors):
+        assert fg.tobytes() == fw.tobytes()
+    exact = np.abs(cp.elements_at(res.state, res.indices))
+    assert res.magnitudes.tobytes() == exact.tobytes()
     for row, bits in zip(res.indices, res.bitstrings):
         assert len(bits) == 4
         assert int(bits, 2) == int(np.ravel_multi_index(tuple(row), lay.dims()))

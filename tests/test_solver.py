@@ -59,6 +59,7 @@ class TestSchedule(unittest.TestCase):
         self.assertEqual(solver.auto_block_size((4, 4, 4), 64), 3)
         self.assertEqual(solver.auto_block_size((4, 4, 4), 16), 2)
         self.assertEqual(solver.auto_block_size((4, 4, 4), 4), 1)
+        self.assertEqual(solver.auto_block_size((6, 5, 4, 3), 120), 3)
         with self.assertRaises(CapacityError):
             solver.auto_block_size((4, 4, 4), 3)
 
@@ -186,9 +187,10 @@ class TestSubproblem(unittest.TestCase):
                 self.assertAlmostEqual(cells[lin, j], dense[i0, t[1], i2], places=11)
 
     def test_cap(self):
-        A = cp.CpTensor(random_factors(np.random.default_rng(0), (40, 40), 2))
-        with self.assertRaises(CapacityError):
-            solver.solve(A, SolverConfig(k=1, block_size=2, subproblem_cap=100))
+        # a 1025 x 1025 block passes the 2^20-cell cap
+        A = cp.CpTensor(random_factors(np.random.default_rng(0), (1025, 1025), 2))
+        with self.assertRaisesRegex(CapacityError, "1050625 exceeds the subproblem cap"):
+            solver.solve(A, SolverConfig(k=1, block_size=2))
 
     @staticmethod
     def _select(vals, dims, forbidden, key):
@@ -308,6 +310,13 @@ def _reference_block_pass(A, tuples, values, block, keyed, key_name):
     return out, cp.elements_at(A, out), exhausted
 
 
+def _full_picks(keyed, beta):
+    # every column of keyed contracted: the argmaxes, identity slots and the
+    # dependent mask
+    return (kernels.column_argmax(keyed), np.arange(keyed.shape[1]),
+            solver._dependent(beta))
+
+
 class TestBlockPassReference(unittest.TestCase):
     """The two-phase block pass against the one-at-a-time greedy rule."""
 
@@ -347,7 +356,8 @@ class TestBlockPassReference(unittest.TestCase):
                 A, tuples, values, block, keyed, key_name)
             got_t, got_v = tuples.copy(), values.copy()
             solver._block_pass(got_t, got_v, block, keyed, beta,
-                               [dims[q] for q in block], key, stacked, offsets)
+                               [dims[q] for q in block], key, stacked, offsets,
+                               _full_picks(keyed, beta))
             msg = f"{pattern} {key_name}"
             np.testing.assert_array_equal(got_t, want_t, err_msg=msg)
             self.assertEqual(got_v.tobytes(), want_v.tobytes(), msg=msg)
@@ -407,7 +417,7 @@ def _reference_sweep(A, cands, key, schedule, stacked, offsets, work):
         keyed = solver.key_values(cells, key, out=keyed_buf[:vol * m].reshape(vol, m))
         solver._block_pass(
             cands.tuples, cands.values, block, keyed, beta, block_dims,
-            key, stacked, offsets,
+            key, stacked, offsets, _full_picks(keyed, beta),
         )
 
 
@@ -785,8 +795,9 @@ PINNED_CONFIGS = {
                     dict(k=3, extra=5, block_size=2, seed=1)),
     "real_min_s1": (102, (4, 5, 3, 4), 4, False,
                     dict(k=4, extra=6, block_size=1, key=OrderingKey.MIN, seed=2)),
-    "real_max_auto": (103, (6, 5, 4, 3), 3, False,
-                      dict(k=2, extra=8, block_size="auto", subproblem_cap=120, seed=3)),
+    # auto_block_size((6, 5, 4, 3), 120) is 3
+    "real_max_s3": (103, (6, 5, 4, 3), 3, False,
+                    dict(k=2, extra=8, block_size=3, seed=3)),
     "real_max_full": (104, (4, 3, 5), 2, False,
                       dict(k=3, extra=10, block_size=3, seed=4)),
     "collide_max_s1": (105, (3, 3, 3), 3, False,
@@ -809,7 +820,7 @@ PINNED_CONFIGS = {
 PINNED_OUTPUTS = {
     "real_max_s2": ([[4, 3, 0, 0], [4, 2, 5, 0], [2, 3, 1, 0]], 16),
     "real_min_s1": ([[2, 4, 1, 1], [2, 4, 0, 1], [0, 4, 1, 3], [2, 2, 1, 1]], 15),
-    "real_max_auto": ([[5, 3, 2, 2], [5, 3, 3, 1]], 13),
+    "real_max_s3": ([[5, 3, 2, 2], [5, 3, 3, 1]], 13),
     "real_max_full": ([[1, 0, 4], [0, 1, 0], [1, 2, 4]], 10),
     "collide_max_s1": ([[0, 1, 2], [1, 1, 0], [2, 0, 2]], 20),
     "collide_min_s2": ([[0, 1, 0], [0, 2, 1], [2, 1, 0]], 14),
