@@ -33,8 +33,11 @@ def oracle_topk(A, k, key=OrderingKey.MAX, max_elems=ORACLE_CAP_DEFAULT):
     """Exact top-k by materializing the tensor and scanning every entry.
 
     Ground truth for anything small enough to densify; ties resolve to the
-    smallest linear index, like the solver.
+    smallest linear index, like the solver.  Raises ValueError for k < 1,
+    before anything is densified.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     total = A.size()
     if total < k:
         raise InfeasibleKError(f"k={k} exceeds the tensor size of {total} entries")

@@ -113,35 +113,34 @@ def _wrap(factors):
     return A
 
 
-def _check_index(A, idx):
-    idx = tuple(int(i) for i in idx)
-    if len(idx) != A.order:
-        raise ShapeMismatchError(
-            f"index has {len(idx)} coordinates, tensor has order {A.order}"
-        )
-    for p, (i, n) in enumerate(zip(idx, A.dims)):
-        if not 0 <= i < n:
-            raise IndexError(f"coordinate {i} out of range [0, {n}) in mode {p}")
-    return idx
-
-
 def element(A, idx):
     """Entry of A at a 0-based index tuple.
 
     The arithmetic order is fixed (product over modes, then sum over rank
-    columns), so repeated calls return bit-identical scalars.
+    columns), so repeated calls return bit-identical scalars.  Raises like
+    `elements_at`.
     """
-    idx = _check_index(A, idx)
-    stacked, offsets = kernels.stack_factors(A.factors)
-    val = kernels.eval_elements(stacked, offsets, np.array([idx], dtype=np.int64))[0]
+    val = elements_at(A, [idx])[0]
     return complex(val) if A.is_complex else float(val)
 
 
 def elements_at(A, tuples):
-    """Vectorized `element` over an (m, d) array of index tuples."""
+    """Vectorized `element` over an (m, d) array of index tuples.
+
+    Raises ShapeMismatchError unless tuples is (m, A.order), and IndexError
+    naming the mode, the coordinate and its range when a coordinate lies
+    outside [0, n_p).
+    """
     tuples = np.ascontiguousarray(tuples, dtype=np.int64)
     if tuples.ndim != 2 or tuples.shape[1] != A.order:
         raise ShapeMismatchError(f"expected an (m, {A.order}) index array")
+    dims = np.array(A.dims, dtype=np.int64)
+    outside = (tuples < 0) | (tuples >= dims)
+    if outside.any():
+        row, p = np.argwhere(outside)[0]
+        raise IndexError(
+            f"coordinate {tuples[row, p]} out of range [0, {dims[p]}) in mode {p}"
+        )
     stacked, offsets = kernels.stack_factors(A.factors)
     return kernels.eval_elements(stacked, offsets, tuples)
 

@@ -6,17 +6,14 @@ pure function of the master seed: trial streams are seeded by (seed, trial),
 so adding or removing a method never changes the tensor draws.  Only the
 wall_time column is environmental.
 
-Set TENSOR_TOPK_THREADS to run trials in a process pool; rows are buffered
-and written in trial order either way.
+Every driver runs its trials in order, in-process.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -40,16 +37,6 @@ BENCH_COLUMNS = [
     "dims", "rank", "values", "indices", "oracle_match", "hit", "excluded",
     "wall_time",
 ]
-
-
-def worker_count():
-    raw = os.environ.get("TENSOR_TOPK_THREADS", "").strip()
-    if not raw:
-        return 1
-    count = int(raw)
-    if count < 1:
-        raise ValueError(f"TENSOR_TOPK_THREADS must be >= 1, got {count}")
-    return count
 
 
 def trial_seed(master_seed, trial, tag=0):
@@ -86,7 +73,9 @@ def _fmt_indices(indices):
     return ";".join(",".join(str(int(v) + 1) for v in row) for row in rows)
 
 
-def _check_oracle_cap(oracle_cap):
+def _check_run(trials, oracle_cap):
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     # a cap below 1 excludes every trial from the oracle, so every accuracy
     # would read nan (0/0) and the run would still succeed
     if oracle_cap < 1:
@@ -154,27 +143,15 @@ def bench_trial(master_seed, trial, dist, k, key, oracle_cap, restarts,
     return rows
 
 
-def _bench_trial_star(args):
-    return bench_trial(*args)
-
-
 def run_bench(out_path, trials, dists, k, key, seed, oracle_cap=ORACLE_CAP_DEFAULT,
               restarts=5, max_sweeps=50):
     """Run the benchmark grid and write the schema-1 CSV; returns summaries."""
     if not dists:
         raise ValueError(f"no distribution given; choose from {sorted(DISTRIBUTIONS)}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    _check_oracle_cap(oracle_cap)
-    tasks = [(seed, t, dist, k, key, oracle_cap, restarts, max_sweeps)
-             for dist in dists for t in range(trials)]
-    workers = worker_count()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_trial = list(pool.map(_bench_trial_star, tasks, chunksize=1))
-    else:
-        per_trial = [bench_trial(*task) for task in tasks]
-    rows = [row for chunk in per_trial for row in chunk]
+    _check_run(trials, oracle_cap)
+    rows = [row for dist in dists for t in range(trials)
+            for row in bench_trial(seed, t, dist, k, key, oracle_cap, restarts,
+                                   max_sweeps)]
     summaries = summarize_bench(rows)
     write_bench_csv(out_path, rows, summaries)
     return summaries
@@ -228,11 +205,9 @@ def run_func(function, d, max_size, trials, seed, pin_optimum=False,
     """
     if function not in ("griewank", "schwefel"):
         raise ValueError(f"unknown function {function!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_run(trials, oracle_cap)
     if max_size < 2:
         raise ValueError(f"the largest grid size (--n) must be >= 2, got {max_size}")
-    _check_oracle_cap(oracle_cap)
     records = []
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(trial)]))
@@ -277,9 +252,7 @@ def run_qft_trials(d, trials, seed, k=5, extra=5, block=2, rank_cap=None,
     With ``keep_last_state``, the last record's ``state`` holds that trial's
     final CP state; no other trial's state is kept.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    _check_oracle_cap(oracle_cap)
+    _check_run(trials, oracle_cap)
     records = []
     for trial in range(trials):
         res = simulate_and_measure(d, init_seed=trial_seed(seed, trial, tag=3),

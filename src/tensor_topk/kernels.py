@@ -59,8 +59,8 @@ def block_expand(stacked, offsets, modes, dims, *, out=None):
 
 
 def column_argmax(keyed):
-    """``keyed.argmax(axis=0)`` of a C-contiguous (n, m) array: ties to the
-    smallest row, and a column holding NaN to its first NaN.
+    """``keyed.argmax(axis=0)`` of a C-contiguous (n, m) array with no NaN:
+    ties to the smallest row.
 
     Argmax along axis 0 first copies the whole array transposed.  Here the
     rows are cut into g slabs of n // g, g the largest divisor of n up to
@@ -77,9 +77,6 @@ def column_argmax(keyed):
     gs = (keyed.reshape(groups, per, m)[:, ps, js] == best[js]).argmax(axis=0)
     rows = np.full(m, n, dtype=np.int64)
     np.minimum.at(rows, js, gs * per + ps)
-    # a NaN column matched no maximum
-    for j in np.flatnonzero(rows == n):
-        rows[j] = keyed[:, j].argmax()
     return rows
 
 

@@ -184,14 +184,6 @@ def auto_block_size(dims, cap):
     )
 
 
-def _decode_linear(lin, dims):
-    idx = []
-    for n in dims:
-        idx.append(lin % n)
-        lin //= n
-    return tuple(idx)
-
-
 def init_candidates(A, cfg, rng):
     """Draw k + extra distinct uniform index tuples.
 
@@ -205,7 +197,8 @@ def init_candidates(A, cfg, rng):
     dims = A.dims
     if total <= max(1024, 4 * m):
         lins = rng.permutation(total)[:m]
-        tuples = np.array([_decode_linear(int(l), dims) for l in lins], dtype=np.int64)
+        strides = np.cumprod([1] + list(dims[:-1]))
+        tuples = lins[:, None] // strides % dims
     else:
         seen = set()
         rows = []
@@ -337,8 +330,7 @@ def _block_pass(tuples, values, block, keyed, beta, block_dims, key,
         # values: re-evaluate the contenders through the element kernel and
         # keep each incumbent unless truly beaten.
         trial = tuples[moved]
-        for t, q in enumerate(block):
-            trial[:, q] = (new_lins[moved] // strides[t]) % block_dims[t]
+        trial[:, block] = new_lins[moved, None] // strides % block_dims
         tv = kernels.eval_elements(stacked, offsets, trial)
         worse = moved[key_values(tv, key) < key_values(values[moved], key)]
         new_lins[worse] = inc_lins[worse]
@@ -348,13 +340,12 @@ def _block_pass(tuples, values, block, keyed, beta, block_dims, key,
         lin = kernels.masked_argmax(keyed[:, slot[j]], forbidden)
         if lin != inc_lins[j] and int(inc_lins[j]) not in forbidden:
             trial = tuples[j].copy()
-            trial[block] = _decode_linear(lin, block_dims)
+            trial[block] = lin // strides % block_dims
             tv = kernels.eval_elements(stacked, offsets, trial[None, :])
             if key_values(tv, key)[0] < key_values(values[j:j + 1], key)[0]:
                 lin = int(inc_lins[j])
         new_lins[j] = lin
-    for t, q in enumerate(block):
-        tuples[:, q] = (new_lins // strides[t]) % block_dims[t]
+    tuples[:, block] = new_lins[:, None] // strides % block_dims
     values[:] = kernels.eval_elements(stacked, offsets, tuples)
 
 

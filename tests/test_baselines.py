@@ -100,6 +100,14 @@ def test_oracle_cap():
         oracle_topk(A, 1, max_elems=10**6)
 
 
+def test_oracle_rejects_k_below_one(rng):
+    # k=0 used to return an empty result, and k=-2 8 of the 12 entries
+    A = cp.CpTensor(random_factors(rng, (3, 4), 2))
+    for k in (0, -2):
+        with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+            oracle_topk(A, k)
+
+
 @pytest.mark.parametrize("dist", ["u01", "um11", "u075"])
 def test_dense_entries_are_bit_equal_to_elements_at_on_bench_draws(dist):
     # The oracle's values, and so its exact agreement with the solver's

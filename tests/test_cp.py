@@ -60,6 +60,17 @@ def test_element_bounds_checks(rng):
         cp.element(A, (0, 0, 0))  # wrong arity is a shape error, not bounds
 
 
+def test_elements_at_bounds_checks(rng):
+    # the stacked-factor gather used to read a neighbouring factor's rows
+    # for these and return a value with no error
+    A = cp.CpTensor(random_factors(rng, (3, 4), 2))
+    for tuples, msg in (([[3, 0]], r"coordinate 3 out of range \[0, 3\) in mode 0"),
+                        ([[-1, 0]], r"coordinate -1 out of range \[0, 3\) in mode 0"),
+                        ([[0, 0], [2, 4]], r"coordinate 4 out of range \[0, 4\) in mode 1")):
+        with pytest.raises(IndexError, match=msg):
+            cp.elements_at(A, tuples)
+
+
 def test_elements_at_batch(rng):
     fs = random_factors(rng, (4, 3, 5), 3)
     A = cp.CpTensor(fs)

@@ -9,7 +9,7 @@ import pytest
 from tensor_topk import cp, harness
 from tensor_topk.harness import (BENCH_COLUMNS, bench_trial, is_topk_hit,
                                  run_bench, run_func, run_qft_trials,
-                                 summarize_bench, trial_seed, worker_count)
+                                 summarize_bench, trial_seed)
 from tensor_topk.solver import OrderingKey
 
 
@@ -19,16 +19,6 @@ def test_trial_seed_stable_and_tagged():
     assert a != trial_seed(0, 8)
     assert a != trial_seed(1, 7)
     assert a != trial_seed(0, 7, tag=1)
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("TENSOR_TOPK_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("TENSOR_TOPK_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("TENSOR_TOPK_THREADS", "0")
-    with pytest.raises(ValueError):
-        worker_count()
 
 
 def test_hit_set_equality(rng):
@@ -83,16 +73,6 @@ def _read_rows(path):
     for row in rows:
         row.pop("wall_time")  # environmental, excluded from comparisons
     return rows
-
-
-def test_run_bench_csv_deterministic_across_workers(tmp_path, monkeypatch):
-    kw = dict(trials=3, dists=["u01"], k=5, key=OrderingKey.MAX, seed=2,
-              restarts=2)
-    monkeypatch.setenv("TENSOR_TOPK_THREADS", "1")
-    run_bench(tmp_path / "a.csv", **kw)
-    monkeypatch.setenv("TENSOR_TOPK_THREADS", "2")
-    run_bench(tmp_path / "b.csv", **kw)
-    assert _read_rows(tmp_path / "a.csv") == _read_rows(tmp_path / "b.csv")
 
 
 def test_run_bench_rows_in_trial_order(tmp_path):

@@ -89,7 +89,6 @@ def test_column_argmax_matches_argmax(rng):
     for n in (24, 1000):
         keyed = np.round(rng.uniform(-3, 3, size=(n, 7)), 0)
         keyed[:, 0] = -np.inf
-        keyed[5, 1] = np.nan
         keyed[:, 2] = np.minimum(keyed[:, 2], 0.0)
         keyed[[3, 9], 2] = [-0.0, 0.0]
         keyed[:, 3] = 1.0

@@ -197,7 +197,7 @@ class TestSubproblem(unittest.TestCase):
         # the selection step of solve's block pass: key-map, masked argmax, decode
         keyed = solver.key_values(vals, key)
         lin = kernels.masked_argmax(keyed, np.asarray(forbidden, dtype=np.int64))
-        return vals[lin], solver._decode_linear(lin, dims)
+        return vals[lin], np.unravel_index(lin, dims, order="F")
 
     def test_selection_skips_forbidden(self):
         vals = np.array([3.0, 6.0, 4.0, 8.0])  # 2x2, mode-0 fastest
@@ -302,11 +302,11 @@ def _reference_block_pass(A, tuples, values, block, keyed, key_name):
             best = inc
         elif best != inc and inc not in forbidden:
             trial = t.copy()
-            trial[block] = solver._decode_linear(best, dims)
+            trial[block] = np.unravel_index(best, dims, order="F")
             if key(cp.element(A, tuple(trial))) < key(values[j]):
                 best = inc
         taken.append((ctx, best))
-        out[j, block] = solver._decode_linear(best, dims)
+        out[j, block] = np.unravel_index(best, dims, order="F")
     return out, cp.elements_at(A, out), exhausted
 
 
