@@ -1,13 +1,13 @@
 """Reference methods: the exhaustive dense oracle and a shifted power iteration.
 
 The oracle's default cap, ``ORACLE_CAP_DEFAULT``, is ``cp.DENSE_CAP_DEFAULT``.
-Power iteration runs at one fixed setting: at most ``MAX_ITERS`` steps,
-recompression to rank ``RANK_CAP`` (with `recompress`'s own sweep and
-tolerance defaults), the overlap test ``1 - OVERLAP_TOL`` and
-``recompress.HOPM_ITERS`` rank-one fit sweeps for the peak.  A tensor with
-at most ``NONNEG_CHECK_CAP`` entries is scanned and shifted by just enough
-to make it nonnegative, ``max(0, -min(A))``; a larger one is shifted by
-``frob_norm(A)``.
+Power iteration takes no settings: at most ``MAX_ITERS`` steps,
+recompression to rank ``RANK_CAP`` (at most ``recompress.ALS_SWEEPS`` ALS
+sweeps, to the fit tolerance ``recompress.ALS_TOL``), the overlap test
+``1 - OVERLAP_TOL`` and ``recompress.HOPM_ITERS`` rank-one fit sweeps for
+the peak.  A tensor with at most ``NONNEG_CHECK_CAP`` entries is scanned
+and shifted by just enough to make it nonnegative, ``max(0, -min(A))``; a
+larger one is shifted by ``frob_norm(A)``.
 """
 
 from __future__ import annotations
@@ -117,14 +117,13 @@ class PowerIterResult:
     als_sweeps: int
 
 
-def power_iteration_max(A, seed=0):
+def power_iteration_max(A):
     """Largest-entry estimate via Hadamard-product power iteration.
 
     Shifts A to a nonnegative tensor B, iterates y <- B o y with
     normalization (recompressing whenever the rank passes ``RANK_CAP``),
     reads the peak location from the last iterate's best rank-one factors,
-    and reports the exact entry of A there.  Real tensors only.  ``seed``
-    seeds the recompressions and the rank-one fit.
+    and reports the exact entry of A there.  Real tensors only.
 
     The loop stops when consecutive iterates overlap to within
     ``OVERLAP_TOL`` or after ``MAX_ITERS`` steps.  The shift is the least
@@ -132,8 +131,9 @@ def power_iteration_max(A, seed=0):
     `_resolve_shift`).  Separable rank-one inputs converge, and so did 5 of
     the 30 draws of bench trials 0-9 on u01, um11 and u075; the other 25
     ran all ``MAX_ITERS`` steps, although 23 of them found the peak.  Each
-    recompression stops once its relative fit changes by less than 1e-8
-    between ALS sweeps, or after 50 sweeps (`recompress`'s defaults).
+    recompression stops once its relative fit changes by less than
+    ``recompress.ALS_TOL`` between ALS sweeps, or after
+    ``recompress.ALS_SWEEPS`` sweeps.
     """
     if A.is_complex:
         raise ValueError("power iteration orders real values; tensor is complex")
@@ -150,8 +150,8 @@ def power_iteration_max(A, seed=0):
             raise DegenerateInputError("iterate collapsed to zero")
         z = cp.scale(z, 1.0 / norm_z)
         if z.rank > RANK_CAP:
-            z = recompress(z, RANK_CAP, seed=seed)
-            als_sweeps += z.sweeps
+            z, sweeps = recompress(z, RANK_CAP)
+            als_sweeps += sweeps
             zn = cp.frob_norm(z)
             if zn == 0.0:
                 raise DegenerateInputError("iterate collapsed to zero")
@@ -160,5 +160,5 @@ def power_iteration_max(A, seed=0):
         y = z
         if converged:
             break
-    loc = rank_one_argmax(y, seed=seed)
+    loc = rank_one_argmax(y)
     return PowerIterResult(cp.element(A, loc), loc, iterations, converged, als_sweeps)

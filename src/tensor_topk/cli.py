@@ -20,11 +20,12 @@ import numpy as np
 from .baselines import ORACLE_CAP_DEFAULT
 from .cpt_io import read_cpt, write_cpt
 from .errors import CapacityError, CptFormatError, InfeasibleKError
+from .generators import DISTRIBUTIONS
 from .harness import run_bench, run_func, run_qft_trials
 from .qft import square_layout
 from .solver import OrderingKey, SolverConfig, solve
 
-KEY_CHOICES = ["max", "min", "maxabs", "maxreal", "maximag"]
+KEY_CHOICES = [k.value for k in OrderingKey]
 EXIT_INVALID = 4
 
 
@@ -115,7 +116,7 @@ def _add_bench(sub):
 
 def _run_bench(args):
     if args.dist == "all":
-        dists = ["um11", "u075", "u01"]
+        dists = list(DISTRIBUTIONS)
     else:
         dists = [d.strip() for d in args.dist.split(",") if d.strip()]
     summaries = run_bench(args.out, trials=args.trials, dists=dists, k=args.k,

@@ -83,15 +83,13 @@ def uniform_grid(lo, hi, size, include=None):
     return grid
 
 
-def griewank_grids(d, sizes, include_zero=False):
-    sizes = [sizes] * d if np.isscalar(sizes) else list(sizes)
+def griewank_grids(sizes, include_zero=False):
     lo, hi = GRIEWANK_BOUNDS
     return [uniform_grid(lo, hi, n, include=0.0 if include_zero else None)
             for n in sizes]
 
 
-def schwefel_grids(d, sizes, include_optimum=False):
-    sizes = [sizes] * d if np.isscalar(sizes) else list(sizes)
+def schwefel_grids(sizes, include_optimum=False):
     lo, hi = SCHWEFEL_BOUNDS
     return [uniform_grid(lo, hi, n,
                          include=SCHWEFEL_OPTIMUM if include_optimum else None)

@@ -73,9 +73,12 @@ def _fmt_indices(indices):
     return ";".join(",".join(str(int(v) + 1) for v in row) for row in rows)
 
 
-def _check_run(trials, oracle_cap):
+def _check_run(trials, seed, oracle_cap):
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    # SeedSequence would reject it only once the first trial draws
+    if seed < 0:
+        raise ValueError(f"the master seed (--seed) must be >= 0, got {seed}")
     # a cap below 1 excludes every trial from the oracle, so every accuracy
     # would read nan (0/0) and the run would still succeed
     if oracle_cap < 1:
@@ -148,7 +151,7 @@ def run_bench(out_path, trials, dists, k, key, seed, oracle_cap=ORACLE_CAP_DEFAU
     """Run the benchmark grid and write the schema-1 CSV; returns summaries."""
     if not dists:
         raise ValueError(f"no distribution given; choose from {sorted(DISTRIBUTIONS)}")
-    _check_run(trials, oracle_cap)
+    _check_run(trials, seed, oracle_cap)
     rows = [row for dist in dists for t in range(trials)
             for row in bench_trial(seed, t, dist, k, key, oracle_cap, restarts,
                                    max_sweeps)]
@@ -205,7 +208,7 @@ def run_func(function, d, max_size, trials, seed, pin_optimum=False,
     """
     if function not in ("griewank", "schwefel"):
         raise ValueError(f"unknown function {function!r}")
-    _check_run(trials, oracle_cap)
+    _check_run(trials, seed, oracle_cap)
     if max_size < 2:
         raise ValueError(f"the largest grid size (--n) must be >= 2, got {max_size}")
     records = []
@@ -213,10 +216,10 @@ def run_func(function, d, max_size, trials, seed, pin_optimum=False,
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(trial)]))
         sizes = [int(rng.integers(2, max_size + 1)) for _ in range(d)]
         if function == "griewank":
-            grids = griewank_grids(d, sizes, include_zero=pin_optimum)
+            grids = griewank_grids(sizes, include_zero=pin_optimum)
             A = gen_griewank(grids)
         else:
-            grids = schwefel_grids(d, sizes, include_optimum=pin_optimum)
+            grids = schwefel_grids(sizes, include_optimum=pin_optimum)
             A = gen_schwefel(grids)
         rec = {"trial": trial, "function": function,
                "dims": "x".join(str(n) for n in sizes), "entries": A.size()}
@@ -252,7 +255,7 @@ def run_qft_trials(d, trials, seed, k=5, extra=5, block=2, rank_cap=None,
     With ``keep_last_state``, the last record's ``state`` holds that trial's
     final CP state; no other trial's state is kept.
     """
-    _check_run(trials, oracle_cap)
+    _check_run(trials, seed, oracle_cap)
     records = []
     for trial in range(trials):
         res = simulate_and_measure(d, init_seed=trial_seed(seed, trial, tag=3),

@@ -201,7 +201,7 @@ def random_product_state(layout, rng):
     return cp.scale(state, 1.0 / cp.frob_norm(state))
 
 
-def run_qft(state, layout, rank_cap=None, recompress_seed=0):
+def run_qft(state, layout, rank_cap=None):
     """Apply the full QFT circuit to a CP state.
 
     The gates of `qft_circuit` are followed by `reverse_qubit_order`.  When
@@ -212,7 +212,7 @@ def run_qft(state, layout, rank_cap=None, recompress_seed=0):
     for gate in qft_circuit(layout.qubits):
         state = apply_gate(state, gate, layout)
         if rank_cap is not None and state.rank > rank_cap:
-            state = recompress(state, rank_cap, seed=recompress_seed)
+            state, _ = recompress(state, rank_cap)
     return reverse_qubit_order(state, layout)
 
 
@@ -244,13 +244,12 @@ def simulate_and_measure(d, init_seed=0, k=1, extra=5, block_size=2,
     """Prepare a random product state, run the QFT, read off the top-k.
 
     The d qubits use the square layout, and ``init_seed`` seeds the product
-    state, the recompressions and the solver.  Measurement is the
-    block-alternating solver under the magnitude key, with `SolverConfig`'s
-    default restarts and sweeps.
+    state and the solver.  Measurement is the block-alternating solver under
+    the magnitude key, with `SolverConfig`'s default restarts and sweeps.
     """
     layout = square_layout(d)
     initial = random_product_state(layout, np.random.default_rng(init_seed))
-    state = run_qft(initial, layout, rank_cap=rank_cap, recompress_seed=init_seed)
+    state = run_qft(initial, layout, rank_cap=rank_cap)
     cfg = SolverConfig(k=k, extra=extra, block_size=min(block_size, layout.modes),
                        key=OrderingKey.MAX_ABS, seed=init_seed)
     res = solve(state, cfg)

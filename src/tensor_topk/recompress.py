@@ -8,28 +8,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cp import CpTensor, _wrap, frob_norm
+from .cp import _wrap, frob_norm
 from .errors import DegenerateInputError
 
 RIDGE_SCALE = 1e-12
 HOPM_ITERS = 100
-
-
-class _Recompressed(CpTensor):
-    """The CpTensor `recompress` returns, with the ALS sweeps it ran.
-
-    Callers that add up recompression effort (power iteration's
-    ``als_sweeps``) read ``sweeps``; to everyone else it is a CpTensor.
-    """
-
-    __slots__ = ("sweeps",)
-
-
-def _fitted(factors, sweeps):
-    out = _Recompressed.__new__(_Recompressed)
-    out._factors = _wrap(factors).factors
-    out.sweeps = sweeps
-    return out
+ALS_SWEEPS = 50
+ALS_TOL = 1e-8
 
 
 def _term_norms(A):
@@ -39,42 +24,31 @@ def _term_norms(A):
     return norms
 
 
-def _init_factors(A, target_rank, rng):
-    # Greedy seed: keep the largest-norm rank-one terms; pad any shortfall
-    # (target above the stored rank, or zero terms) with random columns.
-    order = np.argsort(-_term_norms(A), kind="stable")
-    out = []
-    for f in A.factors:
-        n = f.shape[0]
-        cols = np.empty((n, target_rank), dtype=A.dtype)
-        for t in range(target_rank):
-            if t < order.shape[0]:
-                cols[:, t] = f[:, order[t]]
-            else:
-                fill = rng.standard_normal(n)
-                if A.is_complex:
-                    fill = fill + 1j * rng.standard_normal(n)
-                cols[:, t] = fill
-        out.append(cols)
-    return out
+def _init_factors(A, target_rank):
+    # Greedy start: the target_rank largest-norm rank-one terms.  take(axis=1)
+    # gathers into C order; f[:, keep] would give Fortran order, and the
+    # ALS products on it could round differently.
+    keep = np.argsort(-_term_norms(A), kind="stable")[:target_rank]
+    return [f.take(keep, axis=1) for f in A.factors]
 
 
-def recompress(A, target_rank, iters=50, tol=1e-8, seed=0):
+def recompress(A, target_rank):
     """Best-fit CP tensor of rank ``target_rank``, by ALS sweeps.
 
-    Stops after ``iters`` sweeps or when the relative fit changes by less
-    than ``tol`` between sweeps.  Normal equations are solved with a ridge of
-    RIDGE_SCALE times the Gram trace, so redundant (rank-deficient) inputs
-    do not break the solve.  Deterministic for a fixed seed.  The result's
-    ``sweeps`` attribute is the number of ALS sweeps run (0 for a zero A).
+    ``target_rank`` must lie in [1, A.rank]; the fit starts from A's
+    ``target_rank`` largest-norm terms.  Stops after ``ALS_SWEEPS`` sweeps
+    or when the relative fit changes by less than ``ALS_TOL`` between
+    sweeps.  Normal equations are solved with a ridge of RIDGE_SCALE times
+    the Gram trace, so redundant (rank-deficient) inputs do not break the
+    solve.  Returns the fitted tensor and the number of ALS sweeps run
+    (0 for a zero A).
     """
-    if target_rank < 1:
-        raise ValueError(f"target rank must be >= 1, got {target_rank}")
-    rng = np.random.default_rng(seed)
+    if not 1 <= target_rank <= A.rank:
+        raise ValueError(f"target rank must be in [1, {A.rank}], got {target_rank}")
     norm_a = frob_norm(A)
     if norm_a == 0.0:
-        return _fitted([np.zeros((n, target_rank), dtype=A.dtype) for n in A.dims], 0)
-    facs = _init_factors(A, target_rank, rng)
+        return _wrap([np.zeros((n, target_rank), dtype=A.dtype) for n in A.dims]), 0
+    facs = _init_factors(A, target_rank)
     # cross[p] = A_p^T conj(B_p), gram[p] = B_p^H B_p.  The Gram matrix takes
     # conj(f) as a separate array: f.conj() is f itself for real f, and
     # numpy would then route f.T @ f to syrk, whose bits differ from gemm's.
@@ -86,7 +60,7 @@ def recompress(A, target_rank, iters=50, tol=1e-8, seed=0):
     tiny = np.finfo(float).tiny
     prev_fit = None
     sweeps = 0
-    for sweeps in range(1, iters + 1):
+    for sweeps in range(1, ALS_SWEEPS + 1):
         # pc/pg: Hadamard products over the modes already updated this sweep.
         # Mode p multiplies on the modes after it in ascending order, so each
         # product is the same left fold from ones as over all q != p.
@@ -110,23 +84,22 @@ def recompress(A, target_rank, iters=50, tol=1e-8, seed=0):
         bb = float(pg.sum().real)
         err2 = max(norm_a * norm_a - 2.0 * float(ab.real) + bb, 0.0)
         fit = np.sqrt(err2) / norm_a
-        if prev_fit is not None and abs(prev_fit - fit) < tol:
+        if prev_fit is not None and abs(prev_fit - fit) < ALS_TOL:
             break
         prev_fit = fit
-    return _fitted(facs, sweeps)
+    return _wrap(facs), sweeps
 
 
-def rank_one_argmax(A, seed=0):
+def rank_one_argmax(A):
     """Index tuple of the dominant entry of A's best rank-one approximation.
 
-    Runs the higher-order power method from a random start, for at most
-    ``HOPM_ITERS`` sweeps, then takes the per-mode argmax of the absolute
-    factor vectors.  Ties resolve to the smallest index.  Deterministic for
-    a fixed seed.
+    Runs the higher-order power method from a random start drawn with seed
+    0, for at most ``HOPM_ITERS`` sweeps, then takes the per-mode argmax of
+    the absolute factor vectors.  Ties resolve to the smallest index.
     """
     if frob_norm(A) == 0.0:
         raise DegenerateInputError("rank_one_argmax needs a nonzero tensor")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     vecs = []
     for n in A.dims:
         v = rng.standard_normal(n)

@@ -110,7 +110,8 @@ class SolverConfig:
 
     block_size may be an integer s (clamped to the tensor order) or "auto",
     which picks the largest s whose block volumes stay within
-    ``SUBPROBLEM_CAP``.  Restart r uses seed + r.
+    ``SUBPROBLEM_CAP``.  Restart r uses seed + r.  The counts and the seed
+    must be integers (numpy integers too, bools not), and the seed >= 0.
     """
 
     k: int
@@ -122,16 +123,24 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        auto = self.block_size == "auto"
+        if isinstance(self.block_size, str) and not auto:
+            raise ValueError(f"block_size must be an int or 'auto', got {self.block_size!r}")
+        ints = ("k", "extra", "max_sweeps", "restarts", "seed") + (() if auto else ("block_size",))
+        for name in ints:
+            value = getattr(self, name)
+            # bool is an int subclass, but True is no count or seed
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.extra < 0:
             raise ValueError(f"extra must be >= 0, got {self.extra}")
         if self.max_sweeps < 1 or self.restarts < 1:
             raise ValueError("max_sweeps and restarts must be >= 1")
-        if isinstance(self.block_size, str):
-            if self.block_size != "auto":
-                raise ValueError(f"block_size must be an int or 'auto', got {self.block_size!r}")
-        elif self.block_size < 1:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not auto and self.block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {self.block_size}")
 
 

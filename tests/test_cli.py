@@ -370,6 +370,47 @@ class TestQft(unittest.TestCase):
                 self.assertEqual(out, "")
                 self.assertFalse(os.path.exists(path))
 
+    def test_rank_cap_zero_exits_4(self):
+        code, out, err = run_cli(["qft", "--d", "4", "--rank-cap", "0"])
+        self.assertEqual(code, 4)
+        self.assertIn("target rank", err)
+        self.assertEqual(out, "")
+
+
+class TestNegativeSeed(unittest.TestCase):
+    """``--seed -1`` exits 4 naming the seed, before anything is written."""
+
+    def setUp(self):
+        import tempfile
+        self.dir = tempfile.mkdtemp()
+
+    def tearDown(self):
+        shutil.rmtree(self.dir, ignore_errors=True)
+
+    def _check(self, argv, msg, written):
+        code, out, err = run_cli([*argv, "--seed", "-1"])
+        self.assertEqual(code, 4)
+        self.assertIn(msg, err)
+        self.assertNotIn("Traceback", err)
+        self.assertEqual(out, "")
+        self.assertFalse(os.path.exists(written))
+
+    def test_topk_names_the_solver_seed(self):
+        # topk hands its flags to SolverConfig, which names its own field
+        self._check(["topk", "--input", tiny_file(f"{self.dir}/t.cpt"), "--k", "1"],
+                    "seed must be >= 0, got -1", f"{self.dir}/none")
+
+    def test_drivers_name_the_flag(self):
+        out_csv = f"{self.dir}/bench.csv"
+        dump = f"{self.dir}/state.cpt"
+        for argv, written in (
+                (["bench", "--trials", "1", "--dist", "u01", "--out", out_csv], out_csv),
+                (["func", "griewank", "--d", "3", "--trials", "1"], out_csv),
+                (["qft", "--d", "4", "--dump-state", dump], dump)):
+            with self.subTest(command=argv[0]):
+                self._check(argv, "the master seed (--seed) must be >= 0, got -1",
+                            written)
+
 
 PINNED_QFT_STDOUT = """\
 trial 0 d=9 rank=64 top: 000000000;010000000;100000000;111111101;111111110 |amp|: 0.679870268704;0.235598701756;0.220708801025;0.167044907293;0.156521132372 amp_err=*

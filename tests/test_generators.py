@@ -91,8 +91,8 @@ def test_griewank_zero_grid_minimum_is_exact_zero(rng):
 
 
 def test_grid_helpers(rng):
-    gs = generators.griewank_grids(3, [4, 5, 6], include_zero=True)
+    gs = generators.griewank_grids([4, 5, 6], include_zero=True)
     assert [len(g) for g in gs] == [4, 5, 6]
     assert all(0.0 in g for g in gs)
-    ss = generators.schwefel_grids(2, [7, 7], include_optimum=True)
+    ss = generators.schwefel_grids([7, 7], include_optimum=True)
     assert all(SCHWEFEL_OPTIMUM in g for g in ss)

@@ -160,7 +160,7 @@ def test_rank_stays_bounded_without_recompression():
 def test_rank_cap_is_enforced():
     lay = square_layout(9)
     state = random_product_state(lay, np.random.default_rng(1))
-    out = run_qft(state, lay, rank_cap=8, recompress_seed=1)
+    out = run_qft(state, lay, rank_cap=8)
     assert out.rank <= 8
 
 

@@ -4,23 +4,29 @@ import pytest
 from conftest import dense_from_factors, random_factors
 from tensor_topk import cp
 from tensor_topk.errors import DegenerateInputError
-from tensor_topk.recompress import RIDGE_SCALE, _init_factors, rank_one_argmax, recompress
+from tensor_topk.recompress import (
+    ALS_SWEEPS,
+    ALS_TOL,
+    RIDGE_SCALE,
+    _init_factors,
+    rank_one_argmax,
+    recompress,
+)
 
 
-def _reference_recompress(A, target_rank, iters=50, tol=1e-8, seed=0):
+def _reference_recompress(A, target_rank):
     # The ALS loop with every Hadamard product rebuilt from ones, per mode
     # and for the fit: the arithmetic recompress must reproduce bit for bit.
     # Returns the factors and the number of sweeps run.
-    rng = np.random.default_rng(seed)
     norm_a = cp.frob_norm(A)
     if norm_a == 0.0:
         return [np.zeros((n, target_rank), dtype=A.dtype) for n in A.dims], 0
-    facs = _init_factors(A, target_rank, rng)
+    facs = _init_factors(A, target_rank)
     cross = [A.factors[p].T @ np.conj(facs[p]) for p in range(A.order)]
     gram = [np.conj(facs[p]).T @ facs[p] for p in range(A.order)]
     prev_fit = None
     sweeps = 0
-    for _ in range(iters):
+    for _ in range(ALS_SWEEPS):
         sweeps += 1
         for p in range(A.order):
             cmat = np.ones((A.rank, target_rank), dtype=A.dtype)
@@ -46,20 +52,20 @@ def _reference_recompress(A, target_rank, iters=50, tol=1e-8, seed=0):
         bb = float(np.real(gram_full.sum()))
         err2 = max(norm_a * norm_a - 2.0 * float(np.real(ab)) + bb, 0.0)
         fit = np.sqrt(err2) / norm_a
-        if prev_fit is not None and abs(prev_fit - fit) < tol:
+        if prev_fit is not None and abs(prev_fit - fit) < ALS_TOL:
             break
         prev_fit = fit
     return facs, sweeps
 
 
-# (dims, stored rank, target rank): orders 1 to 5, targets below and above
-# the stored rank (the random padding path), and a real n=64, R=37 Gram
-# matrix, where syrk and gemm give different bits
+# (dims, stored rank, target rank): orders 1 to 5, targets below and equal
+# to the stored rank, and a real n=64, R=37 Gram matrix, where syrk and gemm
+# give different bits
 BIT_CASES = [
     ((7,), 3, 2),
-    ((5, 6), 4, 6),
+    ((5, 6), 6, 4),
     ((6, 5, 4), 6, 3),
-    ((4, 3, 5, 2), 2, 5),
+    ((4, 3, 5, 2), 5, 5),
     ((3, 4, 2, 3, 2), 5, 4),
     ((64, 6, 5), 45, 37),
 ]
@@ -71,17 +77,32 @@ def test_bits_match_reference_loop(rng, dims, rank, target, complex_):
     fs = random_factors(rng, dims, rank, complex_=complex_)
     fs[0][:, 0] = -0.0
     A = cp.CpTensor(fs)
-    B = recompress(A, target, iters=20, tol=1e-10, seed=4)
-    want, sweeps = _reference_recompress(A, target, iters=20, tol=1e-10, seed=4)
+    B, sweeps = recompress(A, target)
+    want, want_sweeps = _reference_recompress(A, target)
     for got, ref in zip(B.factors, want):
         assert got.tobytes() == ref.tobytes()
-    assert B.sweeps == sweeps
+    assert sweeps == want_sweeps
+
+
+@pytest.mark.parametrize("target", [0, 4])
+def test_target_rank_outside_stored_rank_is_rejected(rng, target):
+    A = cp.CpTensor(random_factors(rng, (5, 4, 3), 3))
+    with pytest.raises(ValueError, match="target rank"):
+        recompress(A, target)
+
+
+def test_zero_tensor_recompresses_to_zeros_without_sweeps():
+    A = cp.CpTensor([np.zeros((3, 4)), np.zeros((5, 4))])
+    B, sweeps = recompress(A, 2)
+    assert sweeps == 0
+    assert B.rank == 2
+    assert not any(f.any() for f in B.factors)
 
 
 def test_exact_rank_recovery(rng):
     fs = random_factors(rng, (6, 5, 4), 3)
     A = cp.CpTensor(fs)
-    B = recompress(A, 3, iters=200, tol=1e-12, seed=1)
+    B, _ = recompress(A, 3)
     assert B.rank == 3
     np.testing.assert_allclose(cp.materialize(B), dense_from_factors(fs),
                                rtol=1e-6, atol=1e-8)
@@ -94,7 +115,7 @@ def test_padded_rank_collapses(rng):
     scale = np.array([1.0, 0.0, 0.0])  # only first copy carries weight
     dup[0] = dup[0] * np.repeat(scale, 2)
     A = cp.CpTensor(dup)
-    B = recompress(A, 2, iters=200, tol=1e-12, seed=0)
+    B, _ = recompress(A, 2)
     np.testing.assert_allclose(cp.materialize(B), cp.materialize(A),
                                rtol=1e-6, atol=1e-8)
 
@@ -105,7 +126,7 @@ def test_truncation_error_decreases_with_rank(rng):
     dense = dense_from_factors(fs)
     errs = []
     for target in (1, 3, 6):
-        B = recompress(A, target, iters=120, seed=3)
+        B, _ = recompress(A, target)
         errs.append(np.linalg.norm((cp.materialize(B) - dense).ravel()))
     assert errs[0] >= errs[1] >= errs[2]
 
@@ -113,7 +134,7 @@ def test_truncation_error_decreases_with_rank(rng):
 def test_complex_recompress(rng):
     fs = random_factors(rng, (4, 4, 3), 2, complex_=True)
     A = cp.CpTensor(fs)
-    B = recompress(A, 2, iters=200, tol=1e-12, seed=5)
+    B, _ = recompress(A, 2)
     np.testing.assert_allclose(cp.materialize(B), dense_from_factors(fs),
                                rtol=1e-5, atol=1e-7)
 
@@ -123,7 +144,7 @@ def test_rank_one_argmax_separable(rng):
     cols = [np.array([0.2, 0.9, 0.4]), np.array([0.8, 0.3]),
             np.array([0.1, 0.5, 0.7, 0.6])]
     A = cp.CpTensor([c[:, None] for c in cols])
-    loc = rank_one_argmax(A, seed=2)
+    loc = rank_one_argmax(A)
     assert loc == (1, 0, 2)
 
 
@@ -139,4 +160,4 @@ def test_rank_one_argmax_dominant_entry(rng):
     fs[1][1, 0] = 50.0
     fs[2][0, 0] = 50.0
     A = cp.CpTensor(fs)
-    assert rank_one_argmax(A, seed=1) == (2, 1, 0)
+    assert rank_one_argmax(A) == (2, 1, 0)

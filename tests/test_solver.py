@@ -78,6 +78,31 @@ class TestConfig(unittest.TestCase):
         with self.assertRaises(ValueError):
             SolverConfig(k=1, block_size="wide")
 
+    def test_negative_seed_is_rejected_by_name(self):
+        with self.assertRaisesRegex(ValueError, "seed must be >= 0, got -1"):
+            SolverConfig(k=1, seed=-1)
+
+    def test_non_integer_fields_are_rejected_by_name(self):
+        # a float or bool once got past validation: k=2.5 failed later in
+        # solve, block_size=2.5 solved as 2 and k=True as 1
+        for name in ("k", "extra", "max_sweeps", "restarts", "seed", "block_size"):
+            for bad in (2.5, True, "3", None):
+                if name == "block_size" and isinstance(bad, str):
+                    continue  # strings other than 'auto' have their own message
+                kw = {"k": 1, name: bad}
+                with self.subTest(field=name, value=bad):
+                    with self.assertRaisesRegex(ValueError, f"^{name} must be an integer"):
+                        SolverConfig(**kw)
+
+    def test_numpy_integers_are_accepted(self):
+        cfg = SolverConfig(k=np.int64(2), extra=np.int32(1), block_size=np.int64(1),
+                           max_sweeps=np.int64(3), restarts=np.uint8(2),
+                           seed=np.int64(7))
+        res = solver.solve(_tiny_rank1(), cfg)
+        ref = solver.solve(_tiny_rank1(), SolverConfig(k=2, extra=1, block_size=1,
+                                                       max_sweeps=3, restarts=2, seed=7))
+        self.assertEqual(res.indices.tolist(), ref.indices.tolist())
+
     def test_key_lookup(self):
         self.assertIs(OrderingKey.from_name("maxabs"), OrderingKey.MAX_ABS)
         self.assertIs(OrderingKey.from_name("min"), OrderingKey.MIN)
