@@ -44,6 +44,23 @@ def _fmt_scalar(v):
     return f"{float(v):.12g}"
 
 
+# the flag that sets each SolverConfig field
+_SOLVER_FLAGS = {"k": "--k", "extra": "--extra", "block_size": "--block",
+                 "max_sweeps": "--max-sweeps", "restarts": "--restarts",
+                 "seed": "--seed"}
+
+
+def _solver_config(**fields):
+    """SolverConfig of flag values; its error names the flag at fault.
+
+    Every SolverConfig error message begins with the field's name.
+    """
+    try:
+        return SolverConfig(**fields)
+    except ValueError as exc:
+        raise ValueError(f"{exc} ({_SOLVER_FLAGS[str(exc).split()[0]]})") from None
+
+
 def _block_arg(raw):
     if raw == "auto":
         return "auto"
@@ -72,10 +89,10 @@ JSON_DIAGNOSTICS = ("block_size", "exhausted", "pool_size", "contracted_columns"
 
 
 def _run_topk(args):
+    cfg = _solver_config(k=args.k, extra=args.extra, block_size=args.block,
+                         key=OrderingKey.from_name(args.key), seed=args.seed,
+                         restarts=args.restarts, max_sweeps=args.max_sweeps)
     A = read_cpt(args.input)
-    cfg = SolverConfig(k=args.k, extra=args.extra, block_size=args.block,
-                       key=OrderingKey.from_name(args.key), seed=args.seed,
-                       restarts=args.restarts, max_sweeps=args.max_sweeps)
     res = solve(A, cfg)
     rows = [(res.values[j], tuple(int(v) + 1 for v in res.indices[j]))
             for j in range(len(res.values))]
@@ -115,14 +132,17 @@ def _add_bench(sub):
 
 
 def _run_bench(args):
+    key = OrderingKey.from_name(args.key)
+    # each trial's solver rows set their own block, extra and seed
+    _solver_config(k=args.k, key=key, restarts=args.restarts,
+                   max_sweeps=args.max_sweeps)
     if args.dist == "all":
         dists = list(DISTRIBUTIONS)
     else:
         dists = [d.strip() for d in args.dist.split(",") if d.strip()]
     summaries = run_bench(args.out, trials=args.trials, dists=dists, k=args.k,
-                          key=OrderingKey.from_name(args.key), seed=args.seed,
-                          oracle_cap=args.oracle_cap, restarts=args.restarts,
-                          max_sweeps=args.max_sweeps)
+                          key=key, seed=args.seed, oracle_cap=args.oracle_cap,
+                          restarts=args.restarts, max_sweeps=args.max_sweeps)
     for s in summaries:
         print(f"{s['dist']} {s['method']}: accuracy {s['accuracy']:.3f} "
               f"({s['hits']}/{s['counted']}, {s['excluded']} excluded)")
@@ -187,7 +207,12 @@ def _check_dump_path(path):
 
 
 def _run_qft(args):
+    # a negative count would reach square_layout's sqrt as NaN
+    if args.d < 1:
+        raise ValueError(f"the qubit count (--d) must be >= 1, got {args.d}")
     square_layout(args.d)  # validates early
+    # each trial seeds its own solve
+    _solver_config(k=args.k, extra=args.extra, block_size=args.block)
     if args.dump_state:
         _check_dump_path(args.dump_state)
     records = run_qft_trials(args.d, args.trials, args.seed, k=args.k,

@@ -18,8 +18,15 @@ from .errors import CapacityError, ShapeMismatchError
 
 DENSE_CAP_DEFAULT = 1 << 22
 
-# scalar budget for the (cells x rank) scratch used by materialize
+# materialize sums the rank columns in groups of max(1, _EXPAND_SCRATCH //
+# cells) columns and adds each group's sum to the dense result in turn.  The
+# grouping fixes the rounding of every entry, so changing the constant changes
+# bits; it sizes no buffer.
 _EXPAND_SCRATCH = 1 << 24
+
+# scalar budget of one slab of (cells x rank group) products in materialize,
+# which bounds its scratch; the slabs change no bits
+_SLAB = 1 << 18
 
 
 class CpTensor:
@@ -148,26 +155,56 @@ def elements_at(A, tuples):
 def materialize(A, max_elems=DENSE_CAP_DEFAULT):
     """Dense ndarray of A, shape A.dims.
 
-    Raises CapacityError when the dense size exceeds ``max_elems``.  Rank
-    columns are summed in chunks of at most ``_EXPAND_SCRATCH`` scalars.  A
-    real tensor with size x rank <= ``_EXPAND_SCRATCH`` (2^24) is one chunk,
-    and its entries are then bit-equal to `elements_at`'s, which the dense
-    oracle's exact agreement with solver values rests on.  Complex tensors
-    and larger real ones can differ in the last bits.
+    Raises CapacityError when the dense size exceeds ``max_elems``.  The rank
+    columns are summed in groups (see ``_EXPAND_SCRATCH``).  Within a group,
+    each entry is the left fold of its factor rows in mode order, summed over
+    the group's columns, as `kernels.block_expand` and ``.sum(axis=1)`` form
+    it.  The cells are formed one slab at a time: the leading modes whose
+    volume times the group width fits ``_SLAB`` scalars are expanded once,
+    and each row combination of the remaining modes multiplies onto that
+    block, so scratch stays near one slab per remaining mode.  A real tensor
+    with size x rank <= ``_EXPAND_SCRATCH`` (2^24) is one group, and its
+    entries are then bit-equal to `elements_at`'s, which the dense oracle's
+    exact agreement with solver values rests on.  Complex tensors and larger
+    real ones can differ in the last bits.
     """
     total = A.size()
     if total > max_elems:
         raise CapacityError(f"dense size {total} exceeds the cap of {max_elems} entries")
     stacked, offsets = kernels.stack_factors(A.factors)
-    modes = np.arange(A.order, dtype=np.int64)
-    dims = np.array(A.dims, dtype=np.int64)
+    dims = A.dims
     rank = A.rank
-    chunk = max(1, min(rank, _EXPAND_SCRATCH // max(total, 1)))
+    chunk = max(1, min(rank, _EXPAND_SCRATCH // total))
+    lead = 1
+    while lead < A.order and math.prod(dims[:lead + 1]) * chunk <= _SLAB:
+        lead += 1
+    modes = np.arange(lead, dtype=np.int64)
     flat = np.zeros(total, dtype=A.dtype)
     for c0 in range(0, rank, chunk):
         cols = np.ascontiguousarray(stacked[:, c0:c0 + chunk])
-        flat += kernels.block_expand(cols, offsets, modes, dims).sum(axis=1)
+        block = kernels.block_expand(cols, offsets, modes, dims[:lead])
+        slow = [cols[offsets[p]:offsets[p + 1]] for p in range(lead, A.order)]
+        scratch = [np.empty_like(block) for _ in slow]
+        _add_slabs(flat, block, slow, scratch, 0, block.shape[0])
     return flat.reshape(A.dims, order="F")
+
+
+def _add_slabs(flat, acc, slow, scratch, start, step):
+    """Add the rank sums of every cell that extends ``acc`` by ``slow``.
+
+    ``acc`` holds the running products of the cells flat[start:start +
+    len(acc)]; each row of ``slow[0]`` multiplies onto it (into
+    ``scratch[0]``), and row i's cells begin ``i * step`` further on.  Each
+    partial product is kept while the later modes' rows run over it.
+    """
+    if not slow:
+        flat[start:start + acc.shape[0]] += acc.sum(axis=1)
+        return
+    rows = slow[0]
+    for i in range(rows.shape[0]):
+        prod = np.multiply(rows[i], acc, out=scratch[0])
+        _add_slabs(flat, prod, slow[1:], scratch[1:], start + i * step,
+                   step * rows.shape[0])
 
 
 def hadamard(A, B):

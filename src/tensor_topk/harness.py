@@ -150,7 +150,12 @@ def run_bench(out_path, trials, dists, k, key, seed, oracle_cap=ORACLE_CAP_DEFAU
               restarts=5, max_sweeps=50):
     """Run the benchmark grid and write the schema-1 CSV; returns summaries."""
     if not dists:
-        raise ValueError(f"no distribution given; choose from {sorted(DISTRIBUTIONS)}")
+        raise ValueError(f"no distribution given (--dist); choose from {sorted(DISTRIBUTIONS)}")
+    # RandomSpec would reject it only when its first trial draws
+    unknown = [name for name in dists if name not in DISTRIBUTIONS]
+    if unknown:
+        raise ValueError(f"unknown distribution {unknown[0]!r} in --dist; "
+                         f"choose from {sorted(DISTRIBUTIONS)}")
     _check_run(trials, seed, oracle_cap)
     rows = [row for dist in dists for t in range(trials)
             for row in bench_trial(seed, t, dist, k, key, oracle_cap, restarts,
@@ -211,6 +216,8 @@ def run_func(function, d, max_size, trials, seed, pin_optimum=False,
     _check_run(trials, seed, oracle_cap)
     if max_size < 2:
         raise ValueError(f"the largest grid size (--n) must be >= 2, got {max_size}")
+    if d < 1:
+        raise ValueError(f"the number of modes (--d) must be >= 1, got {d}")
     records = []
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(trial)]))

@@ -136,8 +136,9 @@ class SolverConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.extra < 0:
             raise ValueError(f"extra must be >= 0, got {self.extra}")
-        if self.max_sweeps < 1 or self.restarts < 1:
-            raise ValueError("max_sweeps and restarts must be >= 1")
+        for name in ("max_sweeps", "restarts"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not auto and self.block_size < 1:

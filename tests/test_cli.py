@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import unittest
+from unittest import mock
 
 import numpy as np
 
@@ -375,6 +376,57 @@ class TestQft(unittest.TestCase):
         self.assertEqual(code, 4)
         self.assertIn("target rank", err)
         self.assertEqual(out, "")
+
+
+class TestBadFlagsFailBeforeWork(unittest.TestCase):
+    """A bad value exits 4 naming its flag, before any trial, read or write."""
+
+    CASES = (
+        ("bench", "--dist", "u01,bogus"),
+        ("bench", "--dist", "bogus"),
+        ("bench", "--k", "0"),
+        ("bench", "--restarts", "0"),
+        ("bench", "--max-sweeps", "0"),
+        ("func", "--d", "0"),
+        ("func", "--d", "-3"),
+        ("qft", "--d", "0"),
+        ("qft", "--d", "-4"),
+        ("qft", "--k", "0"),
+        ("qft", "--extra", "-1"),
+        ("qft", "--block", "0"),
+        ("topk", "--k", "0"),
+        ("topk", "--extra", "-1"),
+        ("topk", "--block", "0"),
+        ("topk", "--restarts", "0"),
+        ("topk", "--max-sweeps", "0"),
+    )
+
+    def test_table(self):
+        import tempfile
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before the flags were checked")
+
+        base = {
+            "bench": lambda d: ["bench", "--trials", "2", "--out", f"{d}/bench.csv"],
+            "func": lambda d: ["func", "griewank", "--trials", "2"],
+            "qft": lambda d: ["qft", "--d", "4", "--dump-state", f"{d}/state.cpt"],
+            "topk": lambda d: ["topk", "--input", f"{d}/t.cpt", "--k", "1"],
+        }
+        with contextlib.ExitStack() as stack:
+            for target in ("harness.bench_trial", "harness.simulate_and_measure",
+                           "harness.gen_griewank", "harness.gen_schwefel",
+                           "cli.read_cpt", "cli.solve"):
+                stack.enter_context(mock.patch(f"tensor_topk.{target}", no_work))
+            for command, flag, value in self.CASES:
+                with self.subTest(command=command, flag=flag, value=value), \
+                        tempfile.TemporaryDirectory() as d:
+                    code, out, err = run_cli([*base[command](d), flag, value])
+                    self.assertEqual(code, 4)
+                    self.assertEqual(out, "")
+                    self.assertTrue(err.startswith("error:"), err)
+                    self.assertIn(flag, err)
+                    self.assertEqual(os.listdir(d), [])
 
 
 class TestNegativeSeed(unittest.TestCase):
