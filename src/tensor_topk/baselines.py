@@ -1,13 +1,16 @@
 """Reference methods: the exhaustive dense oracle and a shifted power iteration.
 
-The oracle's default cap, ``ORACLE_CAP_DEFAULT``, is ``cp.DENSE_CAP_DEFAULT``.
-Power iteration takes no settings: at most ``MAX_ITERS`` steps,
-recompression to rank ``RANK_CAP`` (at most ``recompress.ALS_SWEEPS`` ALS
-sweeps, to the fit tolerance ``recompress.ALS_TOL``), the overlap test
-``1 - OVERLAP_TOL`` and ``recompress.HOPM_ITERS`` rank-one fit sweeps for
-the peak.  A tensor with at most ``NONNEG_CHECK_CAP`` entries is scanned
-and shifted by just enough to make it nonnegative, ``max(0, -min(A))``; a
-larger one is shifted by ``frob_norm(A)``.
+Both scan a dense array from `cp.materialize`, whose rounding is a GEMM's,
+only to rank entries and locate them; every value they report or use is
+read exactly through `cp.elements_at`.  The oracle's default cap,
+``ORACLE_CAP_DEFAULT``, is ``cp.DENSE_CAP_DEFAULT``.  Power iteration
+takes no settings: at most ``MAX_ITERS`` steps, recompression to rank
+``RANK_CAP`` (at most ``recompress.ALS_SWEEPS`` ALS sweeps, to the fit
+tolerance ``recompress.ALS_TOL``), the overlap test ``1 - OVERLAP_TOL`` and
+``recompress.HOPM_ITERS`` rank-one fit sweeps for the peak.  A tensor with
+at most ``NONNEG_CHECK_CAP`` entries is scanned and shifted by just enough
+to make it nonnegative, ``max(0, -min(A))``; a larger one is shifted by
+``frob_norm(A)``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cp
-from .errors import CapacityError, DegenerateInputError, InfeasibleKError
+from .errors import DegenerateInputError, InfeasibleKError
 from .recompress import rank_one_argmax, recompress
 from .solver import OrderingKey, TopKResult, key_values
 
@@ -33,19 +36,18 @@ def oracle_topk(A, k, key=OrderingKey.MAX, max_elems=ORACLE_CAP_DEFAULT):
     """Exact top-k by materializing the tensor and scanning every entry.
 
     Ground truth for anything small enough to densify; ties resolve to the
-    smallest linear index, like the solver.  Raises ValueError for k < 1,
-    before anything is densified.
+    smallest linear index, like the solver.  The dense array only ranks the
+    entries: the values, and the objective summed from them, are read
+    through `cp.elements_at`, so they are the bits the solver reports.
+    Raises ValueError for k < 1, before anything is densified, and
+    `materialize`'s CapacityError above ``max_elems`` entries.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     total = A.size()
     if total < k:
         raise InfeasibleKError(f"k={k} exceeds the tensor size of {total} entries")
-    if total > max_elems:
-        raise CapacityError(f"dense size {total} exceeds the cap of {max_elems} entries")
-    flat = cp.materialize(A, max_elems).ravel(order="F")
-    keyed = key_values(flat, key)
-    neg = -keyed
+    neg = -key_values(cp.materialize(A, max_elems).ravel(order="F"), key)
     # Only entries whose key ties or beats the k-th can be in the top k, so
     # just those are sorted.  NaN sorts last, as in a full lexsort, and
     # ``~(neg > kth)`` keeps every entry when the k-th key is NaN.
@@ -53,11 +55,11 @@ def oracle_topk(A, k, key=OrderingKey.MAX, max_elems=ORACLE_CAP_DEFAULT):
     cand = np.flatnonzero(~(neg > kth))
     order = cand[np.lexsort((cand, neg[cand]))[:k]]
     indices = np.column_stack(np.unravel_index(order, A.dims, order="F")).astype(np.int64)
-    values = flat[order]
+    values = cp.elements_at(A, indices)
     return TopKResult(
         values=values,
         indices=indices,
-        objective=float(keyed[order].sum()),
+        objective=float(key_values(values, key).sum()),
         sweeps_used=0,
         converged=True,
         diagnostics={"method": "oracle", "scanned": int(total)},
@@ -68,19 +70,23 @@ def _resolve_shift(A):
     """The constant power iteration adds to A before iterating.
 
     On a tensor of at most ``NONNEG_CHECK_CAP`` entries, the smallest shift
-    that makes it nonnegative, ``max(0, -min(A))``, from one dense scan:
-    a larger shift pulls B's entry ratios toward 1, so each Hadamard step
-    separates the peak less.  B's entries at A's minimum can still come out
-    negative by one rounding error, as B is built from the factors.  A
-    larger tensor is never scanned and gets ``frob_norm(A)``, which keeps B
-    nonnegative only where that norm bounds A's negative entries.  So does
-    a constant negative tensor, which the least shift would turn into zero.
+    that makes it nonnegative, ``max(0, -min(A))``: one dense scan locates
+    the least and the largest entry, and `cp.elements_at` reads both
+    exactly.  A larger shift pulls B's entry ratios toward 1, so each
+    Hadamard step separates the peak less.  B's entries at A's minimum can
+    still come out negative by one rounding error, as B is built from the
+    factors.  A larger tensor is never scanned and gets ``frob_norm(A)``,
+    which keeps B nonnegative only where that norm bounds A's negative
+    entries.  So does a constant negative tensor, which the least shift
+    would turn into zero.
     """
     if A.size() <= NONNEG_CHECK_CAP:
-        dense = cp.materialize(A, NONNEG_CHECK_CAP)
-        low = float(dense.min())
-        if low >= 0.0 or low < dense.max():
-            return max(0.0, -low)
+        flat = cp.materialize(A, NONNEG_CHECK_CAP).ravel(order="F")
+        lins = [flat.argmin(), flat.argmax()]
+        ends = np.column_stack(np.unravel_index(lins, A.dims, order="F"))
+        low, high = cp.elements_at(A, ends)
+        if low >= 0.0 or low < high:
+            return max(0.0, -float(low))
     return cp.frob_norm(A)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .baselines import ORACLE_CAP_DEFAULT
 from .cpt_io import read_cpt, write_cpt
-from .errors import CapacityError, CptFormatError, InfeasibleKError
+from .errors import CapacityError, CptFormatError, InfeasibleKError, ShapeMismatchError
 from .generators import DISTRIBUTIONS
 from .harness import run_bench, run_func, run_qft_trials
 from .qft import square_layout
@@ -210,7 +210,10 @@ def _run_qft(args):
     # a negative count would reach square_layout's sqrt as NaN
     if args.d < 1:
         raise ValueError(f"the qubit count (--d) must be >= 1, got {args.d}")
-    square_layout(args.d)  # validates early
+    try:
+        square_layout(args.d)
+    except ShapeMismatchError as exc:
+        raise ValueError(f"{exc} (--d)") from None
     # each trial seeds its own solve
     _solver_config(k=args.k, extra=args.extra, block_size=args.block)
     if args.dump_state:

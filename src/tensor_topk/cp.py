@@ -18,16 +18,6 @@ from .errors import CapacityError, ShapeMismatchError
 
 DENSE_CAP_DEFAULT = 1 << 22
 
-# materialize sums the rank columns in groups of max(1, _EXPAND_SCRATCH //
-# cells) columns and adds each group's sum to the dense result in turn.  The
-# grouping fixes the rounding of every entry, so changing the constant changes
-# bits; it sizes no buffer.
-_EXPAND_SCRATCH = 1 << 24
-
-# scalar budget of one slab of (cells x rank group) products in materialize,
-# which bounds its scratch; the slabs change no bits
-_SLAB = 1 << 18
-
 
 class CpTensor:
     """Immutable CP-format tensor over float64 or complex128.
@@ -153,58 +143,43 @@ def elements_at(A, tuples):
 
 
 def materialize(A, max_elems=DENSE_CAP_DEFAULT):
-    """Dense ndarray of A, shape A.dims.
+    """Dense ndarray of A, shape A.dims, as a Fortran-order view.
 
-    Raises CapacityError when the dense size exceeds ``max_elems``.  The rank
-    columns are summed in groups (see ``_EXPAND_SCRATCH``).  Within a group,
-    each entry is the left fold of its factor rows in mode order, summed over
-    the group's columns, as `kernels.block_expand` and ``.sum(axis=1)`` form
-    it.  The cells are formed one slab at a time: the leading modes whose
-    volume times the group width fits ``_SLAB`` scalars are expanded once,
-    and each row combination of the remaining modes multiplies onto that
-    block, so scratch stays near one slab per remaining mode.  A real tensor
-    with size x rank <= ``_EXPAND_SCRATCH`` (2^24) is one group, and its
-    entries are then bit-equal to `elements_at`'s, which the dense oracle's
-    exact agreement with solver values rests on.  Complex tensors and larger
-    real ones can differ in the last bits.
+    Raises CapacityError when the dense size exceeds ``max_elems``.  The
+    modes are split into a leading and a trailing half where the two
+    halves' cell counts sum least (an empty half is one cell of ones).
+    `kernels.block_expand` expands each half, and the dense tensor is one
+    GEMM, ``trail @ lead.T``, whose C-order rows run over the leading cells
+    fastest.  The rank columns go through in chunks of ``max(1, size //
+    (n_lead + n_trail))``, each chunk's product added to the result, so the
+    two halves hold no more scalars than the result unless one rank column
+    alone does.  The rounding is the GEMM's: entries can differ from
+    `elements_at`'s in the last bits, so callers that report values read
+    them through `elements_at`.
     """
     total = A.size()
     if total > max_elems:
         raise CapacityError(f"dense size {total} exceeds the cap of {max_elems} entries")
     stacked, offsets = kernels.stack_factors(A.factors)
-    dims = A.dims
-    rank = A.rank
-    chunk = max(1, min(rank, _EXPAND_SCRATCH // total))
-    lead = 1
-    while lead < A.order and math.prod(dims[:lead + 1]) * chunk <= _SLAB:
-        lead += 1
-    modes = np.arange(lead, dtype=np.int64)
-    flat = np.zeros(total, dtype=A.dtype)
-    for c0 in range(0, rank, chunk):
+    dims = np.array(A.dims, dtype=np.int64)
+    lead_cells = [math.prod(A.dims[:s]) for s in range(A.order + 1)]
+    split = min(range(A.order + 1),
+                key=lambda s: lead_cells[s] + total // lead_cells[s])
+    n_lead = lead_cells[split]
+    chunk = max(1, total // (n_lead + total // n_lead))
+    halves = (np.arange(split), np.arange(split, A.order))
+    dense = None
+    for c0 in range(0, A.rank, chunk):
         cols = np.ascontiguousarray(stacked[:, c0:c0 + chunk])
-        block = kernels.block_expand(cols, offsets, modes, dims[:lead])
-        slow = [cols[offsets[p]:offsets[p + 1]] for p in range(lead, A.order)]
-        scratch = [np.empty_like(block) for _ in slow]
-        _add_slabs(flat, block, slow, scratch, 0, block.shape[0])
-    return flat.reshape(A.dims, order="F")
-
-
-def _add_slabs(flat, acc, slow, scratch, start, step):
-    """Add the rank sums of every cell that extends ``acc`` by ``slow``.
-
-    ``acc`` holds the running products of the cells flat[start:start +
-    len(acc)]; each row of ``slow[0]`` multiplies onto it (into
-    ``scratch[0]``), and row i's cells begin ``i * step`` further on.  Each
-    partial product is kept while the later modes' rows run over it.
-    """
-    if not slow:
-        flat[start:start + acc.shape[0]] += acc.sum(axis=1)
-        return
-    rows = slow[0]
-    for i in range(rows.shape[0]):
-        prod = np.multiply(rows[i], acc, out=scratch[0])
-        _add_slabs(flat, prod, slow[1:], scratch[1:], start + i * step,
-                   step * rows.shape[0])
+        lead, trail = (kernels.block_expand(cols, offsets, modes, dims[modes])
+                       if modes.size else np.ones((1, cols.shape[1]), dtype=cols.dtype)
+                       for modes in halves)
+        part = trail @ lead.T
+        if dense is None:
+            dense = part
+        else:
+            dense += part
+    return dense.reshape(-1).reshape(A.dims, order="F")
 
 
 def hadamard(A, B):

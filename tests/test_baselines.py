@@ -108,22 +108,42 @@ def test_oracle_rejects_k_below_one(rng):
             oracle_topk(A, k)
 
 
-@pytest.mark.parametrize("dist", ["u01", "um11", "u075"])
-def test_dense_entries_are_bit_equal_to_elements_at_on_bench_draws(dist):
-    # The oracle's values, and so its exact agreement with the solver's
-    # values and tie order, rest on this: a real tensor with size x rank
-    # <= 2^24 is materialized in one rank chunk, whose entries are the
-    # bits `cp.elements_at` gives.  Complex tensors and larger real ones
-    # (several chunks) differ in the last bits.
+def _bench_draws(dist):
+    # bench --seed 0, trials 0-9
     for trial in range(10):
-        rng = np.random.default_rng(np.random.SeedSequence([0, trial]))
-        A = gen_random_cp(RandomSpec(distribution=dist), rng)
-        assert A.size() * A.rank <= 1 << 24
-        flat = cp.materialize(A).ravel(order="F")
-        for start in range(0, A.size(), 1 << 16):
-            lins = np.arange(start, min(start + (1 << 16), A.size()))
-            idx = np.column_stack(np.unravel_index(lins, A.dims, order="F"))
-            assert cp.elements_at(A, idx).tobytes() == flat[lins].tobytes(), trial
+        yield gen_random_cp(RandomSpec(distribution=dist),
+                            np.random.default_rng(np.random.SeedSequence([0, trial])))
+
+
+def _exact_entries(A):
+    # every entry through `cp.elements_at`, in F-linear order
+    lins = np.arange(A.size())
+    return cp.elements_at(A, np.column_stack(np.unravel_index(lins, A.dims, order="F")))
+
+
+@pytest.mark.parametrize("dist", ["u01", "um11", "u075"])
+def test_oracle_ranks_and_reports_exact_entries_on_bench_draws(dist):
+    # The dense array rounds like a GEMM; the oracle's indices must still be
+    # the exact ranking, ties to the smallest F-linear index, and its values
+    # the bits `cp.elements_at` gives, which the solver's values are too.
+    for A in _bench_draws(dist):
+        exact = _exact_entries(A)
+        for key in (OrderingKey.MAX, OrderingKey.MIN):
+            keyed = key_values(exact, key)
+            ranking = np.lexsort((np.arange(keyed.size), -keyed))
+            for k in (1, 5):
+                res = oracle_topk(A, k, key=key)
+                want = ranking[:k]
+                np.testing.assert_array_equal(
+                    np.ravel_multi_index(tuple(res.indices.T), A.dims, order="F"), want)
+                assert res.values.tobytes() == exact[want].tobytes()
+
+
+def test_shift_is_the_exact_least_entry_on_bench_draws():
+    for A in _bench_draws("um11"):
+        low = _exact_entries(A).min()
+        assert low < 0.0
+        assert np.float64(_resolve_shift(A)).tobytes() == np.float64(-low).tobytes()
 
 
 def test_power_iteration_separable_positive(rng):

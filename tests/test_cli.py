@@ -391,6 +391,7 @@ class TestBadFlagsFailBeforeWork(unittest.TestCase):
         ("func", "--d", "-3"),
         ("qft", "--d", "0"),
         ("qft", "--d", "-4"),
+        ("qft", "--d", "10"),
         ("qft", "--k", "0"),
         ("qft", "--extra", "-1"),
         ("qft", "--block", "0"),

@@ -1,13 +1,12 @@
 """CP container and algebra ops against a dense outer-product reference."""
 
-import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import dense_from_factors, random_factors
-from tensor_topk import cp, kernels
+from tensor_topk import cp
 from tensor_topk.errors import ShapeMismatchError
 from tensor_topk.generators import RandomSpec, gen_random_cp
 from tensor_topk.qft import random_product_state, run_qft, square_layout
@@ -107,74 +106,32 @@ def test_materialize_cap(rng):
         cp.materialize(A, max_elems=100)
 
 
-def _whole_volume_materialize(A):
-    """Reference dense path: one block expansion over every mode per rank
-    group, whose bits `cp.materialize` must keep."""
-    total = A.size()
-    stacked, offsets = kernels.stack_factors(A.factors)
-    modes = np.arange(A.order, dtype=np.int64)
-    dims = np.array(A.dims, dtype=np.int64)
-    chunk = max(1, min(A.rank, cp._EXPAND_SCRATCH // total))
-    flat = np.zeros(total, dtype=A.dtype)
-    for c0 in range(0, A.rank, chunk):
-        cols = np.ascontiguousarray(stacked[:, c0:c0 + chunk])
-        flat += kernels.block_expand(cols, offsets, modes, dims).sum(axis=1)
-    return flat.reshape(A.dims, order="F")
-
-
-def _assert_materialize_keeps_bits(A):
+@pytest.mark.parametrize("case", ["one_chunk", "multi_chunk", "order_1", "wide_mode_0",
+                                  "complex", "qft16"])
+def test_materialize_is_within_rounding_of_the_dense_reference(rng, case):
+    if case == "qft16":
+        layout = square_layout(16)  # complex, 16^4 cells of rank 4096
+        A = run_qft(random_product_state(layout, np.random.default_rng(7)), layout)
+        fs = A.factors
+    else:
+        dims, rank = {"one_chunk": ((8, 8, 8, 6, 4, 6, 4), 10),
+                      "multi_chunk": ((40, 40, 40), 300),  # eight chunks of up to 39 columns
+                      "order_1": ((300,), 90),
+                      "wide_mode_0": ((5000, 3, 2), 70),
+                      "complex": ((6, 5, 7, 4), 30)}[case]
+        fs = random_factors(rng, dims, rank, complex_=case == "complex")
+        A = cp.CpTensor(fs)
     got = cp.materialize(A)
-    want = _whole_volume_materialize(A)
-    assert got.shape == want.shape and got.dtype == want.dtype
-    assert got.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("case", ["one_group", "multi_group", "order_1", "wide_mode_0"])
-def test_materialize_keeps_the_whole_volume_bits(rng, case):
-    dims, rank = {"one_group": ((8, 8, 8, 6, 4, 6, 4), 10),  # two slow modes
-                  "multi_group": ((40, 40, 40), 300),  # rank groups of 262 and 38
-                  "order_1": ((300,), 90),
-                  # mode 0 alone is over a slab; it leads anyway
-                  "wide_mode_0": ((5000, 3, 2), 70)}[case]
-    A = cp.CpTensor(random_factors(rng, dims, rank))
-    assert (case == "wide_mode_0") == (dims[0] * rank > cp._SLAB)
-    _assert_materialize_keeps_bits(A)
-
-
-def test_materialize_keeps_the_whole_volume_bits_on_a_qft16_state():
-    # complex, 16^4 cells of rank 4096: sixteen rank groups of 256 columns
-    layout = square_layout(16)
-    state = run_qft(random_product_state(layout, np.random.default_rng(7)), layout)
-    assert state.rank > cp._EXPAND_SCRATCH // state.size()
-    _assert_materialize_keeps_bits(state)
-
-
-@pytest.mark.parametrize("complex_", [False, True])
-def test_materialize_keeps_bits_wherever_the_slab_splits(rng, monkeypatch, complex_):
-    dims, rank = (3, 4, 5, 2, 3), 7
-    A = cp.CpTensor(random_factors(rng, dims, rank, complex_=complex_))
-    want = _whole_volume_materialize(A)
-    led = []
-    expand = kernels.block_expand
-
-    def recording_expand(stacked, offsets, modes, dims):
-        led.append(len(modes))
-        return expand(stacked, offsets, modes, dims)
-
-    monkeypatch.setattr(cp.kernels, "block_expand", recording_expand)
-    for lead in range(len(dims) + 1):
-        # a slab of exactly the first `lead` modes' cells (lead 0: mode 0
-        # alone is over the slab, and leads anyway)
-        monkeypatch.setattr(cp, "_SLAB", math.prod(dims[:lead]) * rank - (lead == 0))
-        led.clear()
-        assert cp.materialize(A).tobytes() == want.tobytes()
-        assert led == [max(lead, 1)]
+    assert got.shape == A.dims and got.dtype == A.dtype
+    assert got.flags.f_contiguous
+    bound = 64 * np.finfo(np.float64).eps * dense_from_factors([np.abs(f) for f in fs])
+    assert np.all(np.abs(got - dense_from_factors(fs)) <= bound)
 
 
 def test_materialize_scratch_stays_near_a_few_slabs():
-    # bench --seed 0 trial 3 (8x8x8x6x4x6x4, rank 10) is one rank group
-    # whose whole expansion is 23.6 MB; a block and two slow modes take three
-    # slabs at most
+    # bench --seed 0 trial 3 (8x8x8x6x4x6x4, rank 10): the two halves hold
+    # 512 and 576 cells of one rank chunk, whose product is the output
+    # itself, so the peak stays below two outputs
     A = gen_random_cp(RandomSpec(distribution="u01"),
                       np.random.default_rng(np.random.SeedSequence([0, 3])))
     assert A.dims == (8, 8, 8, 6, 4, 6, 4) and A.rank == 10
@@ -185,7 +142,7 @@ def test_materialize_scratch_stays_near_a_few_slabs():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < dense_bytes + 3 * cp._SLAB * 8
+    assert peak < 2 * dense_bytes
 
 
 def test_hadamard(rng):
