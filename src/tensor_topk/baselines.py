@@ -129,7 +129,8 @@ def power_iteration_max(A):
     Shifts A to a nonnegative tensor B, iterates y <- B o y with
     normalization (recompressing whenever the rank passes ``RANK_CAP``),
     reads the peak location from the last iterate's best rank-one factors,
-    and reports the exact entry of A there.  Real tensors only.
+    and reports the exact entry of A there.  Real tensors only, with finite
+    factors and norm (ValueError otherwise, before the first step).
 
     The loop stops when consecutive iterates overlap to within
     ``OVERLAP_TOL`` or after ``MAX_ITERS`` steps.  The shift is the least
@@ -143,7 +144,7 @@ def power_iteration_max(A):
     """
     if A.is_complex:
         raise ValueError("power iteration orders real values; tensor is complex")
-    if cp.frob_norm(A) == 0.0:
+    if cp.finite_frob_norm(A) == 0.0:
         raise DegenerateInputError("power iteration needs a nonzero tensor")
     shift_s = _resolve_shift(A)
     B = cp.shift(A, shift_s)

@@ -209,6 +209,20 @@ def frob_norm(A):
     return math.sqrt(max(float(np.real(inner(A, A))), 0.0))
 
 
+def finite_frob_norm(A):
+    """`frob_norm`, raising ValueError unless it is finite.
+
+    NaN or infinite factors give a NaN or infinite norm, and so do finite
+    factors whose norm overflows; the warnings numpy raises on the way are
+    silenced, as the error reports them.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        norm = frob_norm(A)
+    if not math.isfinite(norm):
+        raise ValueError(f"factors and their Frobenius norm must be finite, got norm {norm}")
+    return norm
+
+
 def ttm(A, mat, mode):
     """Multiply mode ``mode`` by a matrix: factor U_p becomes mat @ U_p."""
     mat = np.asarray(mat)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_from_factors, random_factors
-from tensor_topk import cp
+from tensor_topk import baselines, cp
 from tensor_topk.baselines import (
     NONNEG_CHECK_CAP,
     _resolve_shift,
@@ -218,6 +218,17 @@ def test_power_iteration_zero_tensor():
     A = cp.CpTensor([np.zeros((3, 1)), np.zeros((4, 1))])
     with pytest.raises(DegenerateInputError):
         power_iteration_max(A)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_power_iteration_rejects_non_finite_factors(rng, monkeypatch, value):
+    fs = random_factors(rng, (4, 3, 5), 12)
+    fs[2][3, 7] = value
+    calls = []
+    monkeypatch.setattr(baselines, "recompress", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match="must be finite"):
+        power_iteration_max(cp.CpTensor(fs))
+    assert not calls
 
 
 def test_shift_is_zero_on_nonnegative_tensor(rng):

@@ -7,8 +7,11 @@ from tensor_topk.errors import DegenerateInputError
 from tensor_topk.recompress import (
     ALS_SWEEPS,
     ALS_TOL,
+    MERGE_ROW_LIMIT,
     RIDGE_SCALE,
+    _cross_gram,
     _init_factors,
+    _merge_buffer,
     rank_one_argmax,
     recompress,
 )
@@ -59,8 +62,12 @@ def _reference_recompress(A, target_rank):
 
 
 # (dims, stored rank, target rank): orders 1 to 5, targets below and equal
-# to the stored rank, and a real n=64, R=37 Gram matrix, where syrk and gemm
-# give different bits
+# to the stored rank, a real n=64, R=37 Gram matrix, where syrk and gemm
+# give different bits, and target rank 1, where the real products stay
+# apart.  Then power iteration's shapes (orders 7-10, stored rank 30-110,
+# target 10, n 2-13), whose real modes all merge their cross and Gram
+# products, and modes of 33 and 40 rows with T = 6, which the merge rule
+# keeps apart.
 BIT_CASES = [
     ((7,), 3, 2),
     ((5, 6), 6, 4),
@@ -68,6 +75,12 @@ BIT_CASES = [
     ((4, 3, 5, 2), 5, 5),
     ((3, 4, 2, 3, 2), 5, 4),
     ((64, 6, 5), 45, 37),
+    ((4, 3, 2), 7, 1),
+    ((2, 13, 5, 3, 7, 4, 9), 30, 10),
+    ((3, 6, 11, 2, 8, 5, 4, 13), 60, 10),
+    ((4, 2, 9, 7, 3, 12, 5, 6, 2), 90, 10),
+    ((5, 3, 2, 13, 4, 8, 6, 2, 10, 3), 110, 10),
+    ((40, 5, 33), 12, 6),
 ]
 
 
@@ -84,11 +97,80 @@ def test_bits_match_reference_loop(rng, dims, rank, target, complex_):
     assert sweeps == want_sweeps
 
 
+def test_merged_cross_gram_rule():
+    """Every mode the merge rule admits gets the separate products' bits.
+
+    The grid spans n around ``MERGE_ROW_LIMIT``, power iteration's shapes
+    (n 2-13, R 30-110, T 10) and targets from 1 to past 34, with the mode's
+    factor B_p in C order, as `_init_factors` gives it, and in Fortran order,
+    as the solve gives it.  A BLAS that changes its kernels fails here first.
+    """
+    rng = np.random.default_rng(302)
+    admitted = 0
+    for n in (1, 2, 3, 5, 8, 13, 16, 31, 32, 33, 64, 300):
+        for rank, target in ((1, 1), (2, 1), (2, 2), (10, 3), (30, 10), (45, 10),
+                             (110, 10), (45, 34), (45, 37), (200, 40), (1000, 4)):
+            a = rng.uniform(-1, 1, size=(n, rank))
+            for f in (rng.uniform(-1, 1, size=(n, target)),
+                      np.linalg.solve(np.eye(target) + 0.5,
+                                      rng.uniform(-1, 1, size=(target, n))).T):
+                wide = _merge_buffer(a, target)
+                assert (wide is not None) == (target >= 2 and n < MERGE_ROW_LIMIT)
+                admitted += wide is not None
+                out = np.empty((rank + target, target))
+                _cross_gram(a, f, wide, out)
+                apart = np.vstack([a.T @ f.conj(), np.conj(f).T @ f])
+                assert out.tobytes() == apart.tobytes(), (n, rank, target, f.flags.c_contiguous)
+    assert admitted == 2 * 8 * 9
+    assert _merge_buffer(np.ones((3, 4), dtype=complex), 2) is None
+
+
 @pytest.mark.parametrize("target", [0, 4])
 def test_target_rank_outside_stored_rank_is_rejected(rng, target):
     A = cp.CpTensor(random_factors(rng, (5, 4, 3), 3))
     with pytest.raises(ValueError, match="target rank"):
         recompress(A, target)
+
+
+@pytest.mark.parametrize("target", [True, 2.5, 2.0, "2", None])
+def test_target_rank_that_is_no_integer_is_rejected(rng, target):
+    A = cp.CpTensor(random_factors(rng, (5, 4, 3), 3))
+    with pytest.raises(ValueError, match=f"target rank must be an integer, got {target!r}"):
+        recompress(A, target)
+
+
+def test_numpy_integer_target_rank_is_accepted(rng):
+    A = cp.CpTensor(random_factors(rng, (5, 4, 3), 3))
+    B, sweeps = recompress(A, np.int64(2))
+    want, want_sweeps = recompress(A, 2)
+    assert sweeps == want_sweeps
+    for got, ref in zip(B.factors, want.factors):
+        assert got.tobytes() == ref.tobytes()
+
+
+# A NaN or infinite entry, and finite factors whose norm overflows
+NON_FINITE = [(0, 1, np.nan), (2, 0, np.inf), (1, 2, -np.inf), (None, None, 1e200)]
+
+
+def _non_finite_tensor(rng, row, col, value):
+    fs = random_factors(rng, (4, 3, 5), 3)
+    if row is None:
+        fs = [f * value for f in fs]
+    else:
+        fs[1][row, col] = value
+    return cp.CpTensor(fs)
+
+
+@pytest.mark.parametrize("row, col, value", NON_FINITE)
+def test_recompress_rejects_non_finite_factors(rng, row, col, value):
+    with pytest.raises(ValueError, match="must be finite"):
+        recompress(_non_finite_tensor(rng, row, col, value), 2)
+
+
+@pytest.mark.parametrize("row, col, value", NON_FINITE)
+def test_rank_one_argmax_rejects_non_finite_factors(rng, row, col, value):
+    with pytest.raises(ValueError, match="must be finite"):
+        rank_one_argmax(_non_finite_tensor(rng, row, col, value))
 
 
 def test_zero_tensor_recompresses_to_zeros_without_sweeps():
