@@ -22,7 +22,7 @@ import numpy as np
 from . import cp
 from .errors import DegenerateInputError, InfeasibleKError
 from .recompress import rank_one_argmax, recompress
-from .solver import OrderingKey, TopKResult, key_values
+from .solver import OrderingKey, TopKResult, _check_key_field, key_values
 
 ORACLE_CAP_DEFAULT = cp.DENSE_CAP_DEFAULT
 
@@ -39,11 +39,13 @@ def oracle_topk(A, k, key=OrderingKey.MAX, max_elems=ORACLE_CAP_DEFAULT):
     smallest linear index, like the solver.  The dense array only ranks the
     entries: the values, and the objective summed from them, are read
     through `cp.elements_at`, so they are the bits the solver reports.
-    Raises ValueError for k < 1, before anything is densified, and
+    Raises ValueError for k < 1 and, as `solve` does, for the real keys max
+    and min on a complex tensor, before anything is densified, and
     `materialize`'s CapacityError above ``max_elems`` entries.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    _check_key_field(key, A.is_complex)
     total = A.size()
     if total < k:
         raise InfeasibleKError(f"k={k} exceeds the tensor size of {total} entries")

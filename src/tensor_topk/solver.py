@@ -30,14 +30,19 @@ outside a measured rule (see ``SUBSET_MIN_WORK``).
 A block's expansion depends only on the window and the factors, not on the
 candidates or the restart.  So `solve` runs its restarts in lockstep: it
 draws every restart's candidates first, and each sweep visits a window once
-for all live restarts.  The first live restart with a dirty column there
-builds the expansion into the one shared buffer, and every later restart
-contracts against it.  Each restart keeps its own candidates, cache and
-counters, and runs the same operations on the same bits as it would alone,
-so the output does not depend on the lockstep.  The contraction and key
-buffers stay one per solve: a restart's block pass uses up its columns
-before the next restart overwrites them.  A restart leaves the live set at
-its fixed point or after ``max_sweeps`` sweeps.
+for all live restarts.  Per window, the live restarts' tuples are stacked
+once, and the contexts, collision masks, dependent masks and rank weights
+(one `compute_alpha` over every live candidate) come from that stack.  The
+first live restart with a dirty column builds the expansion into the one
+shared buffer, and every later restart contracts against it.  Each restart
+then runs its own dirty test, contraction, column argmax and block pass, in
+restart order, on the same bits as it would alone, so the output does not
+depend on the lockstep.  The contraction and key buffers stay one per
+solve: a restart's block pass uses up its columns before the next restart
+overwrites them.  A block pass evaluates an entry only where a candidate
+moves: a rechecked move keeps the recheck's value, and a forced move (the
+incumbent cell taken by an earlier candidate) is evaluated once.  A restart
+leaves the live set at its fixed point or after ``max_sweeps`` sweeps.
 """
 
 from __future__ import annotations
@@ -243,8 +248,9 @@ def compute_alpha(A, tuples, block):
 def _collision_mask(context):
     """beta[i, j]: candidates i and j agree on every out-of-block coordinate,
     from each candidate's ``context`` (one row per candidate, possibly no
-    columns, so all True for an all-mode block)."""
-    return np.all(context[:, None, :] == context[None, :, :], axis=-1)
+    columns, so all True for an all-mode block).  A stack of contexts,
+    (n, m, c), gives a stack of masks, (n, m, m)."""
+    return np.all(context[..., :, None, :] == context[..., None, :, :], axis=-1)
 
 
 # A column subset of the real contraction, E @ alpha[:, sel], is bit-equal to
@@ -277,9 +283,9 @@ class _ContractionCache:
     ``windows[b]`` is None until window b is first visited, then
     (context, lins): each candidate slot's out-of-block coordinates and its
     column's argmax.  The counters add up the contracted columns, padding
-    included, the blocks that skipped expansion and contraction, and the
-    window expansions this restart built for every live restart.  Its size
-    is O(windows x m x order).
+    included, the blocks that skipped expansion and contraction, the window
+    expansions this restart built for every live restart, and its block
+    passes' `_block_pass` counts.  Its size is O(windows x m x order).
     """
 
     def __init__(self, n_windows):
@@ -287,15 +293,20 @@ class _ContractionCache:
         self.contracted_columns = 0
         self.clean_blocks = 0
         self.expansions = 0
+        self.moves = 0
+        self.rechecks = 0
+        self.reverted = 0
+        self.forced_moves = 0
 
 
 def _dependent(beta):
-    """Candidates with an earlier candidate in their context.
+    """Candidates with an earlier candidate in their context; for a stack of
+    `_collision_mask` masks, one row per mask.
 
     beta's diagonal is True, so a column's first True row is below the
     diagonal exactly when an earlier candidate shares the context.
     """
-    return beta.argmax(axis=0) < np.arange(beta.shape[0])
+    return beta.argmax(axis=-2) < np.arange(beta.shape[-1])
 
 
 def _block_pass(tuples, values, block, keyed, beta, block_dims, key,
@@ -328,6 +339,15 @@ def _block_pass(tuples, values, block, keyed, beta, block_dims, key,
     j the column of keyed that holds it, and the `_dependent` mask of beta.
     Only dependent candidates read keyed, so it may hold just a subset of
     the columns, or be None when no candidate is dependent.
+
+    Only a candidate that moves gets a new value: a move that survives its
+    recheck keeps the recheck's value, and a forced move, a dependent
+    candidate whose incumbent cell an earlier candidate took, is evaluated
+    once.  ``eval_elements`` gives each row the same bits whatever rows
+    share the call, so every value equals a fresh evaluation of its tuple.
+    Returns the counts (moves, rechecks, reverted, forced_moves): the
+    candidates that moved, the moves rechecked, the rechecked moves undone
+    and the forced moves, so moves == rechecks - reverted + forced_moves.
     """
     block = list(block)
     strides = np.cumprod([1] + list(block_dims[:-1]))
@@ -335,6 +355,7 @@ def _block_pass(tuples, values, block, keyed, beta, block_dims, key,
     lins, slot, dependent = picks
     new_lins = lins.copy()
     moved = np.flatnonzero(~dependent & (new_lins != inc_lins))
+    rechecks, reverted, forced = moved.size, 0, 0
     if moved.size:
         # Guard against reduction-order roundoff in the batched subproblem
         # values: re-evaluate the contenders through the element kernel and
@@ -342,35 +363,49 @@ def _block_pass(tuples, values, block, keyed, beta, block_dims, key,
         trial = tuples[moved]
         trial[:, block] = new_lins[moved, None] // strides % block_dims
         tv = kernels.eval_elements(stacked, offsets, trial)
-        worse = moved[key_values(tv, key) < key_values(values[moved], key)]
-        new_lins[worse] = inc_lins[worse]
+        worse = key_values(tv, key) < key_values(values[moved], key)
+        new_lins[moved[worse]] = inc_lins[moved[worse]]
+        values[moved[~worse]] = tv[~worse]
+        reverted = int(np.count_nonzero(worse))
 
     for j in np.flatnonzero(dependent):
         forbidden = new_lins[:j][beta[:j, j]]
         lin = kernels.masked_argmax(keyed[:, slot[j]], forbidden)
-        if lin != inc_lins[j] and int(inc_lins[j]) not in forbidden:
+        if lin != inc_lins[j]:
             trial = tuples[j].copy()
             trial[block] = lin // strides % block_dims
             tv = kernels.eval_elements(stacked, offsets, trial[None, :])
-            if key_values(tv, key)[0] < key_values(values[j:j + 1], key)[0]:
+            forced_move = int(inc_lins[j]) in forbidden
+            forced += forced_move
+            rechecks += not forced_move
+            if (not forced_move
+                    and key_values(tv, key)[0] < key_values(values[j:j + 1], key)[0]):
+                reverted += 1
                 lin = int(inc_lins[j])
+            else:
+                values[j] = tv[0]
         new_lins[j] = lin
     tuples[:, block] = new_lins[:, None] // strides % block_dims
-    values[:] = kernels.eval_elements(stacked, offsets, tuples)
+    return int(np.count_nonzero(new_lins != inc_lins)), rechecks, reverted, forced
 
 
 def _sweep(A, restarts, key, schedule, stacked, offsets, work):
     """One sweep of every live restart in lockstep; mutates their candidates.
 
     restarts holds one (cands, cache) pair per live restart, cache being the
-    restart's `_ContractionCache`.  At each window the restarts run in
-    order: each contracts only its dirty columns (see the module docstring)
-    and updates its cache with their argmaxes.  The window's expansion
-    depends on neither the candidates nor the restart, so the first restart
-    with a dirty column builds it and every later one contracts against the
-    same one.  work holds the flat expansion, contraction and key buffers
-    that `solve` allocates once; each block uses a prefix of each, so no
-    block allocates an array proportional to its volume.  A restart's
+    restart's `_ContractionCache`.  At each window the live restarts' tuples
+    are stacked once, and their contexts, collision masks and dependent
+    masks come from the stack.  Then the restarts run in order: each
+    contracts only its dirty columns (see the module docstring), updates
+    its cache with their argmaxes and runs its block pass.  The first
+    restart with a dirty column computes the rank weights of every stacked
+    candidate with one `compute_alpha` and builds the window's expansion,
+    which depends on neither the candidates nor the restart; every later
+    restart contracts against the same two.  A restart's own rows of the
+    stack are its tuples as it enters the window, since only its own block
+    pass changes them.  work holds the flat expansion, contraction and key
+    buffers that `solve` allocates once; each block uses a prefix of each,
+    so no block allocates an array proportional to its volume.  A restart's
     contracted columns are used up by its block pass before the next
     restart overwrites them.
     """
@@ -381,11 +416,13 @@ def _sweep(A, restarts, key, schedule, stacked, offsets, work):
         block_dims = [A.dims[q] for q in block]
         vol = math.prod(block_dims)
         rest = [q for q in range(A.order) if q not in block]
-        expand = None
-        for cands, cache in restarts:
-            context = cands.tuples[:, rest]
-            beta = _collision_mask(context)
-            dependent = _dependent(beta)
+        stack = np.stack([cands.tuples for cands, _ in restarts])
+        contexts = stack[:, :, rest]
+        betas = _collision_mask(contexts)
+        dependents = _dependent(betas)
+        alphas = expand = None
+        for i, (cands, cache) in enumerate(restarts):
+            context, dependent = contexts[i], dependents[i]
             # dependent candidates need their whole column for masked_argmax
             dirty = dependent.copy()
             if cache.windows[b] is None:
@@ -398,10 +435,11 @@ def _sweep(A, restarts, key, schedule, stacked, offsets, work):
             n_dirty = int(np.count_nonzero(dirty))
             keyed, slot = None, cols
             if n_dirty:
-                # compute_alpha comes right before the expansion it pairs
-                # with, so a tracer wrapping both can pair them
-                alpha = compute_alpha(A, cands.tuples, block)
                 if expand is None:
+                    # compute_alpha comes right before the expansion it
+                    # pairs with, so a tracer wrapping both can pair them
+                    alphas = compute_alpha(A, stack.reshape(-1, A.order), block)
+                    alphas = alphas.reshape(A.rank, len(restarts), m)
                     expand = kernels.block_expand(
                         stacked, offsets, np.array(block), np.array(block_dims),
                         out=expand_buf[:vol * A.rank].reshape(vol, A.rank),
@@ -412,11 +450,16 @@ def _sweep(A, restarts, key, schedule, stacked, offsets, work):
                     # pad with the lowest-index clean columns
                     dirty[np.flatnonzero(~dirty)[:width - n_dirty]] = True
                     sel = np.flatnonzero(dirty)
-                    alpha = alpha[:, sel]
+                    # Fortran order, the layout that
+                    # test_subset_contraction_matches_full pins; a C-order
+                    # copy gave other bits at (10**4, 20, 50), widths 2-4
+                    alpha = alphas[:, i, sel]
                     slot = np.empty(m, dtype=np.int64)
                     slot[sel] = cols[:width]
                 else:
                     sel = cols
+                    # C order, as compute_alpha returns a lone restart's
+                    alpha = np.ascontiguousarray(alphas[:, i])
                 shape = (vol, width)
                 cells = np.matmul(expand, alpha,
                                   out=cells_buf[:vol * width].reshape(shape))
@@ -426,10 +469,14 @@ def _sweep(A, restarts, key, schedule, stacked, offsets, work):
                 cache.contracted_columns += width
             else:
                 cache.clean_blocks += 1
-            _block_pass(
-                cands.tuples, cands.values, block, keyed, beta, block_dims,
+            moves, rechecks, reverted, forced = _block_pass(
+                cands.tuples, cands.values, block, keyed, betas[i], block_dims,
                 key, stacked, offsets, picks=(lins, slot, dependent),
             )
+            cache.moves += moves
+            cache.rechecks += rechecks
+            cache.reverted += reverted
+            cache.forced_moves += forced
 
 
 # Largest accepted `_magnitude_bound`; the factor of 2 leaves headroom for
@@ -511,8 +558,8 @@ def solve(A, cfg):
             if cfg.k == 1 and best < traces[r][-1]:
                 raise RuntimeError(f"best key value decreased from {traces[r][-1]} to {best}")
             traces[r].append(best)
-            for row, val in zip(cands[r].tuples, cands[r].values):
-                pool[tuple(int(v) for v in row)] = val
+            for row, val in zip(cands[r].tuples.tolist(), cands[r].values):
+                pool[tuple(row)] = val
             restart_converged[r] = np.array_equal(prev, cands[r].tuples)
         live = [r for r in live if not restart_converged[r]]
         if not live:
@@ -544,6 +591,10 @@ def solve(A, cfg):
             "contracted_columns": sum(c.contracted_columns for c in caches),
             "clean_blocks": sum(c.clean_blocks for c in caches),
             "expansions": sum(c.expansions for c in caches),
+            "moves": sum(c.moves for c in caches),
+            "rechecks": sum(c.rechecks for c in caches),
+            "reverted": sum(c.reverted for c in caches),
+            "forced_moves": sum(c.forced_moves for c in caches),
             "restart_sweeps": restart_sweeps,
             "restart_converged": restart_converged,
         },

@@ -108,6 +108,18 @@ def test_oracle_rejects_k_below_one(rng):
             oracle_topk(A, k)
 
 
+@pytest.mark.parametrize("key", [OrderingKey.MAX, OrderingKey.MIN])
+def test_oracle_rejects_real_keys_on_complex_tensors(key):
+    # these keys used to rank by the real part, where solve raises; on this
+    # draw max returned [0.85+0.14j, 0.64+0.17j]
+    A = cp.CpTensor(random_factors(np.random.default_rng(7), (3, 3, 3), 2,
+                                   complex_=True))
+    with pytest.raises(ValueError, match=f"key '{key.value}' orders real values"):
+        oracle_topk(A, 2, key=key)
+    # the complex keys still rank it
+    assert oracle_topk(A, 2, key=OrderingKey.MAX_ABS).values.dtype == np.complex128
+
+
 def _bench_draws(dist):
     # bench --seed 0, trials 0-9
     for trial in range(10):

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import dense_from_factors, random_factors
 from tensor_topk import kernels
+from tensor_topk.generators import RandomSpec, gen_random_cp
 
 
 def _stacked(rng, dims, rank, complex_=False):
@@ -36,6 +37,49 @@ def test_eval_elements_complex(rng):
     got = kernels.eval_elements(stacked, offsets, tuples)
     want = np.array([dense[tuple(t)] for t in tuples])
     np.testing.assert_allclose(got, want, rtol=1e-13)
+
+
+def _row_sets(seed, complex_):
+    """(factors, tuples): bench trials 0-9 (bench --seed 0, um11), with
+    complex factors of the same shapes when complex_, and one rank-4096
+    complex 16^4 tensor, the shape of the qft16 solve.  The tuples are every
+    entry of a tensor up to 2^14 entries, else 2048 drawn ones."""
+    rng = np.random.default_rng(seed)
+    shapes = []
+    for trial in range(10):
+        A = gen_random_cp(RandomSpec(distribution="um11"),
+                          np.random.default_rng(np.random.SeedSequence([0, trial])))
+        shapes.append((A.dims, A.rank, A.factors))
+    if complex_:
+        shapes = [(dims, rank, random_factors(rng, dims, rank, complex_=True))
+                  for dims, rank, _ in shapes]
+        dims = (16, 16, 16, 16)
+        shapes.append((dims, 4096, random_factors(rng, dims, 4096, complex_=True)))
+    for dims, rank, fs in shapes:
+        size = int(np.prod(dims))
+        if size <= 1 << 14:
+            lins = np.arange(size)
+        else:
+            lins = rng.integers(0, size, size=2048)
+        yield fs, np.column_stack(np.unravel_index(lins, dims, order="F"))
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_eval_elements_rows_do_not_depend_on_their_batch(complex_):
+    # The block pass stores the value of a moved candidate from the call
+    # that rechecked it; that is the bits of a fresh evaluation only if a
+    # row's value does not depend on the other rows in the call.
+    rng = np.random.default_rng(404)
+    for fs, tuples in _row_sets(405, complex_):
+        stacked, offsets = kernels.stack_factors(fs)
+        full = kernels.eval_elements(stacked, offsets, tuples)
+        assert full.dtype == stacked.dtype
+        sub = rng.permutation(len(tuples))[:len(tuples) // 3 + 1]
+        got = kernels.eval_elements(stacked, offsets, tuples[sub])
+        assert got.tobytes() == full[sub].tobytes()
+        for j in rng.choice(len(tuples), size=16, replace=False):
+            alone = kernels.eval_elements(stacked, offsets, tuples[j:j + 1])
+            assert alone.tobytes() == full[j:j + 1].tobytes()
 
 
 def test_block_expand_first_mode_fastest(rng):

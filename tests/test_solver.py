@@ -423,6 +423,41 @@ class TestBlockPassReference(unittest.TestCase):
             self._run(rng, True, OrderingKey.MAX_REAL, "maxreal", self._exact_keyed)
 
 
+class TestBlockPassMoves(unittest.TestCase):
+    """A block pass stores a value only where a candidate moves."""
+
+    def test_reverted_and_forced_moves(self):
+        # 3 x 2 tensor, block (0,): the context is the mode-1 coordinate.
+        # Candidate 0 is alone in context 0; candidates 1 and 2 share
+        # context 1, so candidate 2 is dependent.
+        A = cp.CpTensor([np.array([[2.0, 0.1], [3.0, 0.2], [1.0, 0.3]]),
+                         np.array([[1.0, 0.5], [1.0, 0.7]])])
+        stacked, offsets = kernels.stack_factors(A.factors)
+        tuples = np.array([[0, 0], [0, 1], [1, 1]])
+        values = cp.elements_at(A, tuples)
+        # columns: 0 points at cell 2, which the recheck finds worse than its
+        # incumbent; 1 at cell 1, candidate 2's incumbent, which it truly
+        # beats; 2 prefers cell 2 once cell 1 is taken
+        keyed = np.array([[0.0, 0.0, 0.0],
+                          [0.0, 5.0, 1.0],
+                          [5.0, 0.0, 5.0]])
+        self.assertLess(cp.element(A, (2, 0)), values[0])
+        self.assertGreater(cp.element(A, (1, 1)), values[1])
+        beta = solver._collision_mask(tuples[:, [1]])
+        want_t, want_v, _ = _reference_block_pass(A, tuples, values, (0,), keyed, "max")
+        got_t, got_v = tuples.copy(), values.copy()
+        counts = solver._block_pass(got_t, got_v, (0,), keyed, beta, [3],
+                                    OrderingKey.MAX, stacked, offsets,
+                                    _full_picks(keyed, beta))
+        # candidate 0 keeps (0, 0); 1 moves to (1, 1) and forces 2 to (2, 1)
+        self.assertEqual(got_t.tolist(), [[0, 0], [1, 1], [2, 1]])
+        np.testing.assert_array_equal(got_t, want_t)
+        self.assertEqual(got_v.tobytes(), cp.elements_at(A, got_t).tobytes())
+        self.assertEqual(got_v.tobytes(), want_v.tobytes())
+        # (moves, rechecks, reverted, forced_moves)
+        self.assertEqual(counts, (2, 2, 1, 1))
+
+
 def _reference_sweep(A, cands, key, schedule, stacked, offsets, work):
     """The sweep as it was before the contraction cache: every block expands
     and contracts all m columns, then runs the two-phase block pass."""
@@ -608,6 +643,9 @@ class TestDiagnostics(unittest.TestCase):
         # a window builds at most one expansion per lockstep sweep
         self.assertLessEqual(d["expansions"],
                              len(d["schedule"]) * max(d["restart_sweeps"]))
+        # every move passed a recheck or was forced
+        self.assertLessEqual(d["reverted"], d["rechecks"])
+        self.assertEqual(d["moves"], d["rechecks"] - d["reverted"] + d["forced_moves"])
         return res, m, blocks
 
     def test_real_counts(self):
@@ -654,6 +692,26 @@ class TestDiagnostics(unittest.TestCase):
             alone = sum(one.diagnostics["expansions"] for one in singles)
             self.assertEqual(alone, blocks - res.diagnostics["clean_blocks"])
             self.assertLess(res.diagnostics["expansions"], alone)
+
+    def test_move_counts_on_random_solves(self):
+        rng = np.random.default_rng(207)
+        totals = dict.fromkeys(("moves", "rechecks", "reverted", "forced_moves"), 0)
+        for trial in range(12):
+            dims = tuple(int(rng.integers(2, 6)) for _ in range(int(rng.integers(3, 6))))
+            complex_ = trial % 3 == 2
+            A = cp.CpTensor(random_factors(rng, dims, int(rng.integers(1, 5)),
+                                           complex_=complex_))
+            key = (OrderingKey.MAX_ABS if complex_
+                   else (OrderingKey.MAX, OrderingKey.MIN)[trial % 2])
+            res, _, _ = self._check(A, SolverConfig(
+                k=3, extra=int(rng.integers(0, 12)), block_size=int(rng.integers(1, 3)),
+                key=key, restarts=3, seed=trial))
+            for name in totals:
+                totals[name] += res.diagnostics[name]
+        # moves of both kinds happened on these draws; a recheck reverts
+        # only on roundoff, which TestBlockPassMoves provokes by hand
+        self.assertGreater(totals["rechecks"], 0, totals)
+        self.assertGreater(totals["forced_moves"], 0, totals)
 
     def test_monotonicity_check_raises(self):
         # a sweep that lowers the best value breaks the k=1 invariant; the
