@@ -156,6 +156,10 @@ def run_bench(out_path, trials, dists, k, key, seed, oracle_cap=ORACLE_CAP_DEFAU
     if unknown:
         raise ValueError(f"unknown distribution {unknown[0]!r} in --dist; "
                          f"choose from {sorted(DISTRIBUTIONS)}")
+    # a repeated name would run its trials again and double their CSV rows
+    repeated = [name for i, name in enumerate(dists) if name in dists[:i]]
+    if repeated:
+        raise ValueError(f"distribution {repeated[0]!r} repeated in --dist")
     _check_run(trials, seed, oracle_cap)
     rows = [row for dist in dists for t in range(trials)
             for row in bench_trial(seed, t, dist, k, key, oracle_cap, restarts,
@@ -263,6 +267,9 @@ def run_qft_trials(d, trials, seed, k=5, extra=5, block=2, rank_cap=None,
     final CP state; no other trial's state is kept.
     """
     _check_run(trials, seed, oracle_cap)
+    # recompress would reject it only once the first gate passes the cap
+    if rank_cap is not None and rank_cap < 1:
+        raise ValueError(f"the target rank (--rank-cap) must be >= 1, got {rank_cap}")
     records = []
     for trial in range(trials):
         res = simulate_and_measure(d, init_seed=trial_seed(seed, trial, tag=3),

@@ -16,33 +16,35 @@ product and sum the search forms, so every key is finite: a candidate always
 has an allowed cell, and the first sweep pools all k + extra distinct tuples.
 
 Column j of a block's subproblem (``expand @ alpha``) depends only on the
-window and on candidate j's out-of-block coordinates, its context.  Each
-restart therefore keeps, per window and candidate slot, the context seen on
-the window's last visit with that column's argmax.  A block contracts only
-its dirty columns: every column on the window's first visit, columns whose
-context changed, and dependent candidates, whose masked selection needs the
-whole column.  A block with no dirty column skips the expansion and the
-contraction.  A narrower contraction must give the same bits as the full
-one, and the BLAS guarantees that only on its regular blocked path, so
-`_contraction_width` pads the dirty set and falls back to all m columns
-outside a measured rule (see ``SUBSET_MIN_WORK``).
+window and on candidate j's out-of-block coordinates, its context.  So
+`solve` keeps one `_ContractionCache` for all its restarts: per window,
+every candidate slot's context as of the window's last visit and its
+column's argmax, -1 for a column never contracted.  A block contracts only
+its dirty columns: columns never contracted, columns whose context changed,
+and dependent candidates, whose masked selection needs the whole column.  A
+block with no dirty column skips the expansion and the contraction.  A
+narrower contraction must give the same bits as the full one, and the BLAS
+guarantees that only on its regular blocked path, so `_contraction_width`
+pads the dirty set and falls back to all m columns outside a measured rule
+(see ``SUBSET_MIN_WORK``).
 
 A block's expansion depends only on the window and the factors, not on the
 candidates or the restart.  So `solve` runs its restarts in lockstep: it
-draws every restart's candidates first, and each sweep visits a window once
-for all live restarts.  Per window, the live restarts' tuples are stacked
-once, and the contexts, collision masks, dependent masks and rank weights
-(one `compute_alpha` over every live candidate) come from that stack.  The
-first live restart with a dirty column builds the expansion into the one
-shared buffer, and every later restart contracts against it.  Each restart
-then runs its own dirty test, contraction, column argmax and block pass, in
-restart order, on the same bits as it would alone, so the output does not
-depend on the lockstep.  The contraction and key buffers stay one per
-solve: a restart's block pass uses up its columns before the next restart
-overwrites them.  A block pass evaluates an entry only where a candidate
-moves: a rechecked move keeps the recheck's value, and a forced move (the
-incumbent cell taken by an earlier candidate) is evaluated once.  A restart
-leaves the live set at its fixed point or after ``max_sweeps`` sweeps.
+derives each window's constants once (`_Window`), draws every restart's
+candidates, and each sweep visits a window once for all live restarts.  Per
+window, the live restarts' tuples are stacked once, and the contexts,
+collision masks, dependent masks, dirty masks and rank weights (one
+`compute_alpha` over every live candidate) come from that stack.  The first
+live restart with a dirty column builds the expansion into the one shared
+buffer, and every later restart contracts against it.  Each restart then
+runs its own contraction, column argmax and block pass, in restart order,
+on the same bits as it would alone, so the output does not depend on the
+lockstep.  The contraction and key buffers stay one per solve: a restart's
+block pass uses up its columns before the next restart overwrites them.  A
+block pass evaluates an entry only where a candidate moves: a rechecked
+move keeps the recheck's value, and a forced move (the incumbent cell taken
+by an earlier candidate) is evaluated once.  A restart leaves the live set
+at its fixed point or after ``max_sweeps`` sweeps.
 """
 
 from __future__ import annotations
@@ -199,6 +201,21 @@ def auto_block_size(dims, cap):
     )
 
 
+class _Window:
+    """One schedule window's constants, derived once per solve: the block
+    tuple, its modes and their sizes (int64 arrays), the strides of its cells
+    (first block mode fastest), the out-of-block modes and the volume."""
+
+    def __init__(self, dims, block):
+        self.block = block
+        self.modes = np.array(block, dtype=np.int64)
+        self.sizes = np.array([dims[q] for q in block], dtype=np.int64)
+        self.strides = np.cumprod([1] + [dims[q] for q in block[:-1]])
+        self.rest = np.array([q for q in range(len(dims)) if q not in block],
+                             dtype=np.int64)
+        self.vol = math.prod(dims[q] for q in block)
+
+
 def init_candidates(A, cfg, rng):
     """Draw k + extra distinct uniform index tuples.
 
@@ -258,11 +275,12 @@ def _collision_mask(context):
 # blocked dgemm path.  Measured with OpenBLAS 0.3.31 (SkylakeX, one and two
 # threads): width 1 goes to gemv, and every width-1 product differed;
 # products with M*N*K <= 10**6 run the small-matrix kernel, whose columns
-# depend on the width, e.g. (vol, R, m) = (100, 20, 6) and (400, 256, 50),
-# and solve_large's (10**4, 20, 50) differed at widths 2-4.  zgemm differed
-# at every width not a multiple of 4 on every complex shape probed, qft16's
-# (256, 4096) among them.  So a subset contraction needs a real tensor,
-# width >= 2 and vol * R * width above this constant;
+# depend on the width and alpha's layout: the Fortran-order subset _sweep
+# passes differed at (vol, R, m) = (400, 256, 50), widths 2-3, and at
+# solve_large's (10**4, 20, 50), widths 2-4, only a C-order copy differed.
+# zgemm differed at every width not a multiple of 4 on every complex shape
+# probed, qft16's (256, 4096) among them.  So a subset contraction needs a
+# real tensor, width >= 2 and vol * R * width above this constant;
 # tests/test_solver.py::test_subset_contraction_matches_full pins the rule.
 SUBSET_MIN_WORK = 10**6
 
@@ -277,26 +295,28 @@ def _contraction_width(n_dirty, vol, rank, m, is_complex):
     return min(width, m)
 
 
-class _ContractionCache:
-    """One restart's record of every window's last visit.
+_PASS_COUNTS = ("moves", "rechecks", "reverted", "forced_moves")
 
-    ``windows[b]`` is None until window b is first visited, then
-    (context, lins): each candidate slot's out-of-block coordinates and its
-    column's argmax.  The counters add up the contracted columns, padding
-    included, the blocks that skipped expansion and contraction, the window
-    expansions this restart built for every live restart, and its block
-    passes' `_block_pass` counts.  Its size is O(windows x m x order).
+
+class _ContractionCache:
+    """Every restart's record of every window's last visit, and the counts.
+
+    For window b of ``windows`` (the `_Window` list), ``contexts[b]``, of
+    shape (restarts, m, |rest|), holds each candidate slot's out-of-block
+    coordinates as of the visit, and ``lins[b]``, (restarts, m), its
+    column's argmax, -1 for a column never contracted.  ``counts`` adds up
+    over all restarts the contracted columns, padding included, the blocks
+    that skipped expansion and contraction, the window expansions, and the
+    `_block_pass` counts.  Its size is O(windows x restarts x m x order).
     """
 
-    def __init__(self, n_windows):
-        self.windows = [None] * n_windows
-        self.contracted_columns = 0
-        self.clean_blocks = 0
-        self.expansions = 0
-        self.moves = 0
-        self.rechecks = 0
-        self.reverted = 0
-        self.forced_moves = 0
+    def __init__(self, windows, restarts, m):
+        self.windows = windows
+        self.contexts = [np.zeros((restarts, m, w.rest.size), dtype=np.int64)
+                         for w in windows]
+        self.lins = [np.full((restarts, m), -1, dtype=np.int64) for _ in windows]
+        self.counts = dict.fromkeys(
+            ("contracted_columns", "clean_blocks", "expansions") + _PASS_COUNTS, 0)
 
 
 def _dependent(beta):
@@ -309,9 +329,9 @@ def _dependent(beta):
     return beta.argmax(axis=-2) < np.arange(beta.shape[-1])
 
 
-def _block_pass(tuples, values, block, keyed, beta, block_dims, key,
-                stacked, offsets, picks):
-    """Update every candidate's block coordinates against one block.
+def _block_pass(tuples, values, window, keyed, beta, key, stacked, offsets,
+                picks):
+    """Update every candidate's block coordinates against one `_Window`.
 
     keyed is the (vol, m) key-mapped subproblem for the entering candidate
     state: column j scores every cell of the block for candidate j.  The
@@ -349,9 +369,8 @@ def _block_pass(tuples, values, block, keyed, beta, block_dims, key,
     candidates that moved, the moves rechecked, the rechecked moves undone
     and the forced moves, so moves == rechecks - reverted + forced_moves.
     """
-    block = list(block)
-    strides = np.cumprod([1] + list(block_dims[:-1]))
-    inc_lins = (tuples[:, block] * strides).sum(axis=1)
+    modes, sizes, strides = window.modes, window.sizes, window.strides
+    inc_lins = (tuples[:, modes] * strides).sum(axis=1)
     lins, slot, dependent = picks
     new_lins = lins.copy()
     moved = np.flatnonzero(~dependent & (new_lins != inc_lins))
@@ -361,7 +380,7 @@ def _block_pass(tuples, values, block, keyed, beta, block_dims, key,
         # values: re-evaluate the contenders through the element kernel and
         # keep each incumbent unless truly beaten.
         trial = tuples[moved]
-        trial[:, block] = new_lins[moved, None] // strides % block_dims
+        trial[:, modes] = new_lins[moved, None] // strides % sizes
         tv = kernels.eval_elements(stacked, offsets, trial)
         worse = key_values(tv, key) < key_values(values[moved], key)
         new_lins[moved[worse]] = inc_lins[moved[worse]]
@@ -373,7 +392,7 @@ def _block_pass(tuples, values, block, keyed, beta, block_dims, key,
         lin = kernels.masked_argmax(keyed[:, slot[j]], forbidden)
         if lin != inc_lins[j]:
             trial = tuples[j].copy()
-            trial[block] = lin // strides % block_dims
+            trial[modes] = lin // strides % sizes
             tv = kernels.eval_elements(stacked, offsets, trial[None, :])
             forced_move = int(inc_lins[j]) in forbidden
             forced += forced_move
@@ -385,74 +404,65 @@ def _block_pass(tuples, values, block, keyed, beta, block_dims, key,
             else:
                 values[j] = tv[0]
         new_lins[j] = lin
-    tuples[:, block] = new_lins[:, None] // strides % block_dims
+    tuples[:, modes] = new_lins[:, None] // strides % sizes
     return int(np.count_nonzero(new_lins != inc_lins)), rechecks, reverted, forced
 
 
-def _sweep(A, restarts, key, schedule, stacked, offsets, work):
-    """One sweep of every live restart in lockstep; mutates their candidates.
+def _sweep(A, cands, live, key, cache, stacked, offsets, work):
+    """One sweep of the live restarts in lockstep; mutates their candidates.
 
-    restarts holds one (cands, cache) pair per live restart, cache being the
-    restart's `_ContractionCache`.  At each window the live restarts' tuples
-    are stacked once, and their contexts, collision masks and dependent
-    masks come from the stack.  Then the restarts run in order: each
-    contracts only its dirty columns (see the module docstring), updates
-    its cache with their argmaxes and runs its block pass.  The first
-    restart with a dirty column computes the rank weights of every stacked
-    candidate with one `compute_alpha` and builds the window's expansion,
-    which depends on neither the candidates nor the restart; every later
-    restart contracts against the same two.  A restart's own rows of the
-    stack are its tuples as it enters the window, since only its own block
-    pass changes them.  work holds the flat expansion, contraction and key
+    cands holds every restart's candidates, live the indices of the ones
+    still sweeping, in order, and cache the solve's `_ContractionCache`.  At
+    each window the live restarts' tuples are stacked once, and the
+    contexts, collision masks, dependent masks and dirty masks come from
+    the stack: a column is dirty when its candidate is dependent, was never
+    contracted at the window (argmax -1) or has a new context.  Then the
+    live restarts run in order: each contracts its dirty columns, records
+    their argmaxes and runs its block pass.  The first restart with a dirty
+    column computes the rank weights of every stacked candidate with one
+    `compute_alpha` and builds the window's expansion; every later restart
+    contracts against the same two.  A restart's own rows of the stack are
+    its tuples as it enters the window, since only its own block pass
+    changes them.  work holds the flat expansion, contraction and key
     buffers that `solve` allocates once; each block uses a prefix of each,
-    so no block allocates an array proportional to its volume.  A restart's
-    contracted columns are used up by its block pass before the next
+    so no block allocates an array proportional to its volume, and a
+    restart's block pass uses up its contracted columns before the next
     restart overwrites them.
     """
     expand_buf, cells_buf, keyed_buf = work
-    m = restarts[0][0].tuples.shape[0]
+    m = cands[0].tuples.shape[0]
     cols = np.arange(m)
-    for b, block in enumerate(schedule):
-        block_dims = [A.dims[q] for q in block]
-        vol = math.prod(block_dims)
-        rest = [q for q in range(A.order) if q not in block]
-        stack = np.stack([cands.tuples for cands, _ in restarts])
-        contexts = stack[:, :, rest]
+    counts = cache.counts
+    for w, seen, lins in zip(cache.windows, cache.contexts, cache.lins):
+        stack = np.stack([cands[r].tuples for r in live])
+        contexts = stack[:, :, w.rest]
         betas = _collision_mask(contexts)
         dependents = _dependent(betas)
+        # dependent candidates need their whole column for masked_argmax
+        dirties = dependents | (lins[live] < 0) | (contexts != seen[live]).any(axis=2)
+        seen[live] = contexts
         alphas = expand = None
-        for i, (cands, cache) in enumerate(restarts):
-            context, dependent = contexts[i], dependents[i]
-            # dependent candidates need their whole column for masked_argmax
-            dirty = dependent.copy()
-            if cache.windows[b] is None:
-                lins = np.empty(m, dtype=np.int64)
-                dirty[:] = True
-            else:
-                seen, lins = cache.windows[b]
-                dirty |= (context != seen).any(axis=1)
-            cache.windows[b] = (context, lins)
+        for i, r in enumerate(live):
+            dirty = dirties[i]
             n_dirty = int(np.count_nonzero(dirty))
             keyed, slot = None, cols
             if n_dirty:
                 if expand is None:
                     # compute_alpha comes right before the expansion it
                     # pairs with, so a tracer wrapping both can pair them
-                    alphas = compute_alpha(A, stack.reshape(-1, A.order), block)
-                    alphas = alphas.reshape(A.rank, len(restarts), m)
+                    alphas = compute_alpha(A, stack.reshape(-1, A.order), w.block)
+                    alphas = alphas.reshape(A.rank, len(live), m)
                     expand = kernels.block_expand(
-                        stacked, offsets, np.array(block), np.array(block_dims),
-                        out=expand_buf[:vol * A.rank].reshape(vol, A.rank),
+                        stacked, offsets, w.modes, w.sizes,
+                        out=expand_buf[:w.vol * A.rank].reshape(w.vol, A.rank),
                     )
-                    cache.expansions += 1
-                width = _contraction_width(n_dirty, vol, A.rank, m, A.is_complex)
+                    counts["expansions"] += 1
+                width = _contraction_width(n_dirty, w.vol, A.rank, m, A.is_complex)
                 if width < m:
                     # pad with the lowest-index clean columns
                     dirty[np.flatnonzero(~dirty)[:width - n_dirty]] = True
                     sel = np.flatnonzero(dirty)
-                    # Fortran order, the layout that
-                    # test_subset_contraction_matches_full pins; a C-order
-                    # copy gave other bits at (10**4, 20, 50), widths 2-4
+                    # Fortran order, the layout SUBSET_MIN_WORK measured
                     alpha = alphas[:, i, sel]
                     slot = np.empty(m, dtype=np.int64)
                     slot[sel] = cols[:width]
@@ -460,23 +470,19 @@ def _sweep(A, restarts, key, schedule, stacked, offsets, work):
                     sel = cols
                     # C order, as compute_alpha returns a lone restart's
                     alpha = np.ascontiguousarray(alphas[:, i])
-                shape = (vol, width)
+                shape = (w.vol, width)
                 cells = np.matmul(expand, alpha,
-                                  out=cells_buf[:vol * width].reshape(shape))
+                                  out=cells_buf[:w.vol * width].reshape(shape))
                 keyed = key_values(cells, key,
-                                   out=keyed_buf[:vol * width].reshape(shape))
-                lins[sel] = kernels.column_argmax(keyed)
-                cache.contracted_columns += width
+                                   out=keyed_buf[:w.vol * width].reshape(shape))
+                lins[r, sel] = kernels.column_argmax(keyed)
+                counts["contracted_columns"] += width
             else:
-                cache.clean_blocks += 1
-            moves, rechecks, reverted, forced = _block_pass(
-                cands.tuples, cands.values, block, keyed, betas[i], block_dims,
-                key, stacked, offsets, picks=(lins, slot, dependent),
-            )
-            cache.moves += moves
-            cache.rechecks += rechecks
-            cache.reverted += reverted
-            cache.forced_moves += forced
+                counts["clean_blocks"] += 1
+            passed = _block_pass(cands[r].tuples, cands[r].values, w, keyed, betas[i],
+                                 key, stacked, offsets, picks=(lins[r], slot, dependents[i]))
+            for name, n in zip(_PASS_COUNTS, passed):
+                counts[name] += n
 
 
 # Largest accepted `_magnitude_bound`; the factor of 2 leaves headroom for
@@ -517,7 +523,8 @@ def solve(A, cfg):
     _check_key_field(cfg.key, A.is_complex)
     s = _resolve_block_size(A, cfg)
     schedule = block_schedule(A.order, s)
-    max_vol = max(math.prod(A.dims[q] for q in w) for w in schedule)
+    windows = [_Window(A.dims, block) for block in schedule]
+    max_vol = max(w.vol for w in windows)
     if max_vol > SUBPROBLEM_CAP:
         raise CapacityError(
             f"block volume {max_vol} exceeds the subproblem cap of {SUBPROBLEM_CAP}"
@@ -540,7 +547,7 @@ def solve(A, cfg):
     n = cfg.restarts
     cands = [init_candidates(A, cfg, np.random.default_rng(cfg.seed + r))
              for r in range(n)]
-    caches = [_ContractionCache(len(schedule)) for _ in range(n)]
+    cache = _ContractionCache(windows, n, m)
     traces = [[float(np.max(key_values(c.values, cfg.key)))] for c in cands]
     restart_sweeps = [0] * n
     restart_converged = [False] * n
@@ -550,8 +557,7 @@ def solve(A, cfg):
     live = list(range(n))
     for _ in range(cfg.max_sweeps):
         before = [cands[r].tuples.copy() for r in live]
-        _sweep(A, [(cands[r], caches[r]) for r in live], cfg.key, schedule,
-               stacked, offsets, work)
+        _sweep(A, cands, live, cfg.key, cache, stacked, offsets, work)
         for r, prev in zip(live, before):
             restart_sweeps[r] += 1
             best = float(np.max(key_values(cands[r].values, cfg.key)))
@@ -588,13 +594,7 @@ def solve(A, cfg):
             # readers of the diagnostics
             "exhausted": 0,
             "pool_size": len(pool),
-            "contracted_columns": sum(c.contracted_columns for c in caches),
-            "clean_blocks": sum(c.clean_blocks for c in caches),
-            "expansions": sum(c.expansions for c in caches),
-            "moves": sum(c.moves for c in caches),
-            "rechecks": sum(c.rechecks for c in caches),
-            "reverted": sum(c.reverted for c in caches),
-            "forced_moves": sum(c.forced_moves for c in caches),
+            **cache.counts,
             "restart_sweeps": restart_sweeps,
             "restart_converged": restart_converged,
         },

@@ -385,6 +385,7 @@ class TestBadFlagsFailBeforeWork(unittest.TestCase):
     CASES = (
         ("bench", "--dist", "u01,bogus"),
         ("bench", "--dist", "bogus"),
+        ("bench", "--dist", "u01,u01"),
         ("bench", "--k", "0"),
         ("bench", "--restarts", "0"),
         ("bench", "--max-sweeps", "0"),
@@ -396,6 +397,8 @@ class TestBadFlagsFailBeforeWork(unittest.TestCase):
         ("qft", "--k", "0"),
         ("qft", "--extra", "-1"),
         ("qft", "--block", "0"),
+        ("qft", "--rank-cap", "0"),
+        ("qft", "--rank-cap", "-3"),
         ("topk", "--k", "0"),
         ("topk", "--extra", "-1"),
         ("topk", "--block", "0"),

@@ -380,9 +380,8 @@ class TestBlockPassReference(unittest.TestCase):
             want_t, want_v, want_x = _reference_block_pass(
                 A, tuples, values, block, keyed, key_name)
             got_t, got_v = tuples.copy(), values.copy()
-            solver._block_pass(got_t, got_v, block, keyed, beta,
-                               [dims[q] for q in block], key, stacked, offsets,
-                               _full_picks(keyed, beta))
+            solver._block_pass(got_t, got_v, solver._Window(dims, block), keyed,
+                               beta, key, stacked, offsets, _full_picks(keyed, beta))
             msg = f"{pattern} {key_name}"
             np.testing.assert_array_equal(got_t, want_t, err_msg=msg)
             self.assertEqual(got_v.tobytes(), want_v.tobytes(), msg=msg)
@@ -446,8 +445,8 @@ class TestBlockPassMoves(unittest.TestCase):
         beta = solver._collision_mask(tuples[:, [1]])
         want_t, want_v, _ = _reference_block_pass(A, tuples, values, (0,), keyed, "max")
         got_t, got_v = tuples.copy(), values.copy()
-        counts = solver._block_pass(got_t, got_v, (0,), keyed, beta, [3],
-                                    OrderingKey.MAX, stacked, offsets,
+        counts = solver._block_pass(got_t, got_v, solver._Window(A.dims, (0,)), keyed,
+                                    beta, OrderingKey.MAX, stacked, offsets,
                                     _full_picks(keyed, beta))
         # candidate 0 keeps (0, 0); 1 moves to (1, 1) and forces 2 to (2, 1)
         self.assertEqual(got_t.tolist(), [[0, 0], [1, 1], [2, 1]])
@@ -476,7 +475,7 @@ def _reference_sweep(A, cands, key, schedule, stacked, offsets, work):
         cells = np.matmul(expand, alpha, out=cells_buf[:vol * m].reshape(vol, m))
         keyed = solver.key_values(cells, key, out=keyed_buf[:vol * m].reshape(vol, m))
         solver._block_pass(
-            cands.tuples, cands.values, block, keyed, beta, block_dims,
+            cands.tuples, cands.values, solver._Window(A.dims, block), keyed, beta,
             key, stacked, offsets, _full_picks(keyed, beta),
         )
 
@@ -510,13 +509,13 @@ class TestSweepReference(unittest.TestCase):
                 for r in range(cfg.restarts)]
         gots = [solver.CandidateSet(ref.tuples.copy(), ref.values.copy())
                 for ref in refs]
-        caches = [solver._ContractionCache(len(schedule)) for _ in refs]
+        cache = solver._ContractionCache(
+            [solver._Window(A.dims, block) for block in schedule], cfg.restarts, m)
         live = list(range(cfg.restarts))
         blocks = 0
         sweeps = [0] * cfg.restarts
         for sweep in range(cfg.max_sweeps):
-            solver._sweep(A, [(gots[r], caches[r]) for r in live], cfg.key,
-                          schedule, stacked, offsets, work)
+            solver._sweep(A, gots, live, cfg.key, cache, stacked, offsets, work)
             converged = []
             for r in live:
                 before = refs[r].tuples.copy()
@@ -534,9 +533,8 @@ class TestSweepReference(unittest.TestCase):
             live = [r for r in live if r not in converged]
             if not live:
                 break
-        return (sum(c.contracted_columns for c in caches),
-                sum(c.clean_blocks for c in caches), blocks,
-                sum(c.expansions for c in caches), sweeps)
+        return (cache.counts["contracted_columns"], cache.counts["clean_blocks"],
+                blocks, cache.counts["expansions"], sweeps)
 
     def test_real_subset_path(self):
         # window (0, 1) has 25,600 cells: vol * R * w passes SUBSET_MIN_WORK
@@ -592,7 +590,11 @@ def test_subset_contraction_matches_full():
     Shapes are the real (vol, R, m) contractions of the benchmarks and tests:
     solve_large's 100x100 windows, the sweep reference test's 160x160 window,
     the largest bench solver rows (13x13 blocks, R = 10, m = 2 and 6) and the
-    pinned configs.  A BLAS that changes its kernels fails here first.
+    pinned configs.  Each subset is taken as `_sweep` takes it: fancy-indexed
+    from the stacked (R, restarts, m) rank weights, which gives a Fortran-order
+    operand (a C-order copy of it is not bit-safe).  The full product uses
+    the C-order copy of the restart's columns that a full-width contraction
+    gets.  A BLAS that changes its kernels fails here first.
     """
     rng = np.random.default_rng(301)
     shapes = [(10**4, 20, 50), (25600, 20, 50), (169, 10, 6), (169, 10, 2)]
@@ -606,8 +608,8 @@ def test_subset_contraction_matches_full():
     admitted = 0
     for vol, rank, m in shapes:
         E = rng.uniform(-1, 1, size=(vol, rank))
-        alpha = rng.uniform(-1, 1, size=(rank, m))
-        full = E @ alpha
+        alphas = rng.uniform(-1, 1, size=(rank, 2, m))
+        fulls = [E @ np.ascontiguousarray(alphas[:, i]) for i in range(2)]
         buf = np.empty(vol * m)
         widths = {solver._contraction_width(n, vol, rank, m, False)
                   for n in range(1, m + 1)}
@@ -618,10 +620,13 @@ def test_subset_contraction_matches_full():
             admitted += 1
             subsets = [np.arange(w), np.arange(m - w, m)]
             subsets += [np.sort(rng.choice(m, w, replace=False)) for _ in range(2)]
-            for sel in subsets:
-                got = np.matmul(E, alpha[:, sel], out=buf[:vol * w].reshape(vol, w))
-                assert got.tobytes() == np.ascontiguousarray(full[:, sel]).tobytes(), \
-                    (vol, rank, m, sel.tolist())
+            for i in range(2):
+                for sel in subsets:
+                    alpha = alphas[:, i, sel]
+                    assert alpha.flags.f_contiguous, (vol, rank, m, i)
+                    got = np.matmul(E, alpha, out=buf[:vol * w].reshape(vol, w))
+                    want = np.ascontiguousarray(fulls[i][:, sel])
+                    assert got.tobytes() == want.tobytes(), (vol, rank, m, i, sel.tolist())
     assert admitted > 0
     # complex tensors always contract every column (qft16: 256 cells, R 4096)
     for n in range(1, 11):
@@ -664,6 +669,20 @@ class TestDiagnostics(unittest.TestCase):
             k=2, extra=5, block_size=3, key=OrderingKey.MAX_REAL, seed=8))
         self.assertEqual(res.diagnostics["clean_blocks"], 0)
         self.assertEqual(res.diagnostics["contracted_columns"], m * blocks)
+
+    def test_window_without_context_columns(self):
+        # a whole-tensor window: every context has no columns, so with one
+        # candidate a column is dirty only before its first contraction.
+        # Each restart contracts in sweep 1 and is clean, and converged, in
+        # sweep 2; the restarts of sweep 1 share one expansion.
+        rng = np.random.default_rng(5)
+        A = cp.CpTensor([rng.uniform(-1, 1, size=(4, 3)) for _ in range(3)])
+        for restarts, want in ((1, (2, 1, 1, 1)), (3, (6, 3, 3, 1))):
+            res, _, _ = self._check(A, SolverConfig(k=1, extra=0, block_size=3,
+                                                    restarts=restarts))
+            d = res.diagnostics
+            self.assertEqual((res.sweeps_used, d["contracted_columns"],
+                              d["clean_blocks"], d["expansions"]), want)
 
     def test_restart_lists(self):
         A = _pinned_tensor(103, (6, 5, 4, 3), 3, False)
@@ -718,10 +737,10 @@ class TestDiagnostics(unittest.TestCase):
         # check raises rather than asserting, so it also holds under -O
         real_sweep = solver._sweep
 
-        def lowering_sweep(A, restarts, *args):
-            out = real_sweep(A, restarts, *args)
-            for cands, _ in restarts:
-                cands.values[:] -= 1.0
+        def lowering_sweep(A, cands, live, *args):
+            out = real_sweep(A, cands, live, *args)
+            for r in live:
+                cands[r].values[:] -= 1.0
             return out
 
         with mock.patch.object(solver, "_sweep", lowering_sweep):
