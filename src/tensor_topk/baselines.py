@@ -2,10 +2,10 @@
 
 Both scan a dense array from `cp.materialize`, whose rounding is a GEMM's,
 only to rank entries and locate them; every value they report or use is
-read exactly through `cp.elements_at`.  The oracle's default cap,
-``ORACLE_CAP_DEFAULT``, is ``cp.DENSE_CAP_DEFAULT``.  Power iteration
-takes no settings: at most ``MAX_ITERS`` steps, recompression to rank
-``RANK_CAP`` (at most ``recompress.ALS_SWEEPS`` ALS sweeps, to the fit
+read exactly through `cp.elements_at`.  The oracle's cap is a fixed
+``cp.DENSE_CAP_DEFAULT`` = 2^22 entries (``ORACLE_CAP_DEFAULT``).  Power
+iteration takes no settings: at most ``MAX_ITERS`` steps, recompression to
+rank ``RANK_CAP`` (at most ``recompress.ALS_SWEEPS`` ALS sweeps, to the fit
 tolerance ``recompress.ALS_TOL``), the overlap test ``1 - OVERLAP_TOL`` and
 ``recompress.HOPM_ITERS`` rank-one fit sweeps for the peak.  A tensor with
 at most ``NONNEG_CHECK_CAP`` entries is scanned and shifted by just enough
@@ -22,7 +22,7 @@ import numpy as np
 from . import cp
 from .errors import DegenerateInputError, InfeasibleKError
 from .recompress import rank_one_argmax, recompress
-from .solver import OrderingKey, TopKResult, _check_key_field, key_values
+from .solver import OrderingKey, TopKResult, _check_integer, _check_key_field, key_values
 
 ORACLE_CAP_DEFAULT = cp.DENSE_CAP_DEFAULT
 
@@ -39,10 +39,12 @@ def oracle_topk(A, k, key=OrderingKey.MAX, max_elems=ORACLE_CAP_DEFAULT):
     smallest linear index, like the solver.  The dense array only ranks the
     entries: the values, and the objective summed from them, are read
     through `cp.elements_at`, so they are the bits the solver reports.
-    Raises ValueError for k < 1 and, as `solve` does, for the real keys max
-    and min on a complex tensor, before anything is densified, and
-    `materialize`'s CapacityError above ``max_elems`` entries.
+    Raises ValueError for a k that is no integer (a bool is not one) or is
+    below 1 and, as `solve` does, for the real keys max and min on a complex
+    tensor, before anything is densified, and `materialize`'s CapacityError
+    above ``max_elems`` entries.
     """
+    _check_integer("k", k)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     _check_key_field(key, A.is_complex)

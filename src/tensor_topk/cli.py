@@ -17,12 +17,10 @@ import sys
 
 import numpy as np
 
-from .baselines import ORACLE_CAP_DEFAULT
 from .cpt_io import read_cpt, write_cpt
-from .errors import CapacityError, CptFormatError, InfeasibleKError, ShapeMismatchError
+from .errors import CapacityError, CptFormatError, InfeasibleKError
 from .generators import DISTRIBUTIONS
 from .harness import run_bench, run_func, run_qft_trials
-from .qft import square_layout
 from .solver import OrderingKey, SolverConfig, solve
 
 KEY_CHOICES = [k.value for k in OrderingKey]
@@ -46,8 +44,8 @@ def _fmt_scalar(v):
 
 # the flag that sets each SolverConfig field
 _SOLVER_FLAGS = {"k": "--k", "extra": "--extra", "block_size": "--block",
-                 "max_sweeps": "--max-sweeps", "restarts": "--restarts",
-                 "seed": "--seed"}
+                 "key": "--key", "max_sweeps": "--max-sweeps",
+                 "restarts": "--restarts", "seed": "--seed"}
 
 
 def _solver_config(**fields):
@@ -62,9 +60,7 @@ def _solver_config(**fields):
 
 
 def _block_arg(raw):
-    if raw == "auto":
-        return "auto"
-    return int(raw)
+    return raw if raw == "auto" else int(raw)
 
 
 def _add_topk(sub):
@@ -127,7 +123,6 @@ def _add_bench(sub):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=5)
     p.add_argument("--max-sweeps", type=int, default=50)
-    p.add_argument("--oracle-cap", type=int, default=ORACLE_CAP_DEFAULT)
     p.add_argument("--out", required=True, help="CSV output path")
 
 
@@ -140,8 +135,8 @@ def _run_bench(args):
         dists = list(DISTRIBUTIONS)
     else:
         dists = [d.strip() for d in args.dist.split(",") if d.strip()]
-    summaries = run_bench(args.out, trials=args.trials, dists=dists, k=args.k,
-                          key=key, seed=args.seed, oracle_cap=args.oracle_cap,
+    _check_out_path(args.out)
+    summaries = run_bench(args.out, args.trials, dists, args.k, key, args.seed,
                           restarts=args.restarts, max_sweeps=args.max_sweeps)
     for s in summaries:
         print(f"{s['dist']} {s['method']}: accuracy {s['accuracy']:.3f} "
@@ -159,12 +154,10 @@ def _add_func(sub):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pin-optimum", action="store_true",
                    help="snap one grid point per mode onto the global optimum")
-    p.add_argument("--oracle-cap", type=int, default=ORACLE_CAP_DEFAULT)
 
 
 def _run_func(args):
-    records = run_func(args.function, args.d, args.n, args.trials, args.seed,
-                       pin_optimum=args.pin_optimum, oracle_cap=args.oracle_cap)
+    records = run_func(args.function, args.d, args.n, args.trials, args.seed, args.pin_optimum)
     hits = {1: 0, 2: 0}
     counted = 0
     for rec in records:
@@ -193,12 +186,11 @@ def _add_qft(sub):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rank-cap", type=int, default=None,
                    help="recompress the state above this rank (approximate)")
-    p.add_argument("--oracle-cap", type=int, default=ORACLE_CAP_DEFAULT)
     p.add_argument("--dump-state", default=None,
                    help="write the final state of the last trial as complex CPT")
 
 
-def _check_dump_path(path):
+def _check_out_path(path):
     # fail as writing would, before any trial runs, and create nothing
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
@@ -207,20 +199,12 @@ def _check_dump_path(path):
 
 
 def _run_qft(args):
-    # a negative count would reach square_layout's sqrt as NaN
-    if args.d < 1:
-        raise ValueError(f"the qubit count (--d) must be >= 1, got {args.d}")
-    try:
-        square_layout(args.d)
-    except ShapeMismatchError as exc:
-        raise ValueError(f"{exc} (--d)") from None
     # each trial seeds its own solve
     _solver_config(k=args.k, extra=args.extra, block_size=args.block)
     if args.dump_state:
-        _check_dump_path(args.dump_state)
+        _check_out_path(args.dump_state)
     records = run_qft_trials(args.d, args.trials, args.seed, k=args.k,
-                             extra=args.extra, block=args.block,
-                             rank_cap=args.rank_cap, oracle_cap=args.oracle_cap,
+                             extra=args.extra, block=args.block, rank_cap=args.rank_cap,
                              keep_last_state=bool(args.dump_state))
     top1 = topk = checked = 0
     for rec in records:

@@ -124,13 +124,15 @@ def element(A, idx):
 def elements_at(A, tuples):
     """Vectorized `element` over an (m, d) array of index tuples.
 
-    Raises ShapeMismatchError unless tuples is (m, A.order), and IndexError
-    naming the mode, the coordinate and its range when a coordinate lies
-    outside [0, n_p).
+    Raises ShapeMismatchError unless tuples is (m, A.order), IndexError
+    naming the dtype unless it is an integer one, and IndexError naming the
+    mode, the coordinate and its range when one lies outside [0, n_p).
     """
-    tuples = np.ascontiguousarray(tuples, dtype=np.int64)
+    tuples = np.asarray(tuples)
     if tuples.ndim != 2 or tuples.shape[1] != A.order:
         raise ShapeMismatchError(f"expected an (m, {A.order}) index array")
+    if tuples.dtype.kind not in "iu":  # a float or bool index would truncate
+        raise IndexError(f"index tuples must be integers, got dtype {tuples.dtype}")
     dims = np.array(A.dims, dtype=np.int64)
     outside = (tuples < 0) | (tuples >= dims)
     if outside.any():
@@ -139,7 +141,7 @@ def elements_at(A, tuples):
             f"coordinate {tuples[row, p]} out of range [0, {dims[p]}) in mode {p}"
         )
     stacked, offsets = kernels.stack_factors(A.factors)
-    return kernels.eval_elements(stacked, offsets, tuples)
+    return kernels.eval_elements(stacked, offsets, np.ascontiguousarray(tuples, np.int64))
 
 
 def materialize(A, max_elems=DENSE_CAP_DEFAULT):

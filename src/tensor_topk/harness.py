@@ -6,7 +6,8 @@ pure function of the master seed: trial streams are seeded by (seed, trial),
 so adding or removing a method never changes the tensor draws.  Only the
 wall_time column is environmental.
 
-Every driver runs its trials in order, in-process.
+Every driver runs its trials in order, in-process.  A trial of more than a
+fixed ``cp.DENSE_CAP_DEFAULT`` = 2^22 entries gets no dense-oracle check.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import time
 import numpy as np
 
 from . import cp
-from .baselines import ORACLE_CAP_DEFAULT, oracle_topk, power_iteration_max
-from .errors import CapacityError
+from .baselines import oracle_topk, power_iteration_max
+from .errors import CapacityError, InfeasibleKError, ShapeMismatchError
 from .generators import (
     DISTRIBUTIONS,
     RandomSpec,
@@ -29,7 +30,7 @@ from .generators import (
     griewank_grids,
     schwefel_grids,
 )
-from .qft import qft_reference, simulate_and_measure, statevector
+from .qft import qft_reference, simulate_and_measure, square_layout, statevector
 from .solver import SUBPROBLEM_CAP, OrderingKey, SolverConfig, key_values, solve
 
 BENCH_COLUMNS = [
@@ -73,16 +74,12 @@ def _fmt_indices(indices):
     return ";".join(",".join(str(int(v) + 1) for v in row) for row in rows)
 
 
-def _check_run(trials, seed, oracle_cap):
+def _check_run(trials, seed):
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     # SeedSequence would reject it only once the first trial draws
     if seed < 0:
         raise ValueError(f"the master seed (--seed) must be >= 0, got {seed}")
-    # a cap below 1 excludes every trial from the oracle, so every accuracy
-    # would read nan (0/0) and the run would still succeed
-    if oracle_cap < 1:
-        raise ValueError(f"the oracle cap (--oracle-cap) must be >= 1, got {oracle_cap}")
 
 
 def _solver_methods():
@@ -119,8 +116,7 @@ def bench_trial(master_seed, trial, dist, k, key, oracle_cap, restarts,
                    values=_fmt_values(values), indices=_fmt_indices(indices),
                    excluded=str(excluded).lower(), wall_time=f"{wall:.6f}")
         if reference is None:
-            row["oracle_match"] = ""
-            row["hit"] = ""
+            row["oracle_match"] = row["hit"] = ""
         else:
             target = {tuple(int(v) for v in r) for r in reference.indices}
             per_pos = [tuple(int(v) for v in r) in target
@@ -146,8 +142,7 @@ def bench_trial(master_seed, trial, dist, k, key, oracle_cap, restarts,
     return rows
 
 
-def run_bench(out_path, trials, dists, k, key, seed, oracle_cap=ORACLE_CAP_DEFAULT,
-              restarts=5, max_sweeps=50):
+def run_bench(out_path, trials, dists, k, key, seed, restarts=5, max_sweeps=50):
     """Run the benchmark grid and write the schema-1 CSV; returns summaries."""
     if not dists:
         raise ValueError(f"no distribution given (--dist); choose from {sorted(DISTRIBUTIONS)}")
@@ -160,10 +155,10 @@ def run_bench(out_path, trials, dists, k, key, seed, oracle_cap=ORACLE_CAP_DEFAU
     repeated = [name for i, name in enumerate(dists) if name in dists[:i]]
     if repeated:
         raise ValueError(f"distribution {repeated[0]!r} repeated in --dist")
-    _check_run(trials, seed, oracle_cap)
+    _check_run(trials, seed)
     rows = [row for dist in dists for t in range(trials)
-            for row in bench_trial(seed, t, dist, k, key, oracle_cap, restarts,
-                                   max_sweeps)]
+            for row in bench_trial(seed, t, dist, k, key, cp.DENSE_CAP_DEFAULT,
+                                   restarts, max_sweeps)]
     summaries = summarize_bench(rows)
     write_bench_csv(out_path, rows, summaries)
     return summaries
@@ -208,8 +203,7 @@ def write_bench_csv(path, rows, summaries):
             })
 
 
-def run_func(function, d, max_size, trials, seed, pin_optimum=False,
-             oracle_cap=ORACLE_CAP_DEFAULT):
+def run_func(function, d, max_size, trials, seed, pin_optimum=False):
     """Grid-tensor minimization trials; returns one record per trial.
 
     Grid sizes are drawn from [2, max_size]; each trial solves with block
@@ -217,7 +211,7 @@ def run_func(function, d, max_size, trials, seed, pin_optimum=False,
     """
     if function not in ("griewank", "schwefel"):
         raise ValueError(f"unknown function {function!r}")
-    _check_run(trials, seed, oracle_cap)
+    _check_run(trials, seed)
     if max_size < 2:
         raise ValueError(f"the largest grid size (--n) must be >= 2, got {max_size}")
     if d < 1:
@@ -235,7 +229,7 @@ def run_func(function, d, max_size, trials, seed, pin_optimum=False,
         rec = {"trial": trial, "function": function,
                "dims": "x".join(str(n) for n in sizes), "entries": A.size()}
         try:
-            reference = oracle_topk(A, 1, key=OrderingKey.MIN, max_elems=oracle_cap)
+            reference = oracle_topk(A, 1, key=OrderingKey.MIN)
             rec["oracle_min"] = float(reference.values[0])
         except CapacityError:
             reference = None
@@ -260,16 +254,26 @@ def run_func(function, d, max_size, trials, seed, pin_optimum=False,
 
 
 def run_qft_trials(d, trials, seed, k=5, extra=5, block=2, rank_cap=None,
-                   oracle_cap=ORACLE_CAP_DEFAULT, keep_last_state=False):
+                   keep_last_state=False):
     """QFT measurement trials; dense-oracle columns where the size permits.
 
     With ``keep_last_state``, the last record's ``state`` holds that trial's
     final CP state; no other trial's state is kept.
     """
-    _check_run(trials, seed, oracle_cap)
+    _check_run(trials, seed)
+    # a negative count would reach square_layout's sqrt as NaN
+    if d < 1:
+        raise ValueError(f"the qubit count (--d) must be >= 1, got {d}")
+    try:
+        square_layout(d)
+    except ShapeMismatchError as exc:
+        raise ValueError(f"{exc} (--d)") from None
     # recompress would reject it only once the first gate passes the cap
     if rank_cap is not None and rank_cap < 1:
         raise ValueError(f"the target rank (--rank-cap) must be >= 1, got {rank_cap}")
+    # solve would reject it only after the first trial's gates
+    if k > 1 << d:
+        raise InfeasibleKError(f"k={k} exceeds the tensor size of {1 << d} entries (--k)")
     records = []
     for trial in range(trials):
         res = simulate_and_measure(d, init_seed=trial_seed(seed, trial, tag=3),
@@ -282,9 +286,9 @@ def run_qft_trials(d, trials, seed, k=5, extra=5, block=2, rank_cap=None,
         }
         if keep_last_state and trial == trials - 1:
             rec["state"] = res.state
-        if (1 << d) <= oracle_cap and rank_cap is None:
-            psi = qft_reference(statevector(res.initial_state, oracle_cap))
-            dense = statevector(res.state, oracle_cap)
+        if (1 << d) <= cp.DENSE_CAP_DEFAULT and rank_cap is None:
+            psi = qft_reference(statevector(res.initial_state))
+            dense = statevector(res.state)
             rec["max_amp_err"] = float(np.max(np.abs(dense - psi)))
             order = np.lexsort((np.arange(psi.shape[0]), -np.abs(psi)))[:k]
             target = {format(int(n), f"0{d}b") for n in order}

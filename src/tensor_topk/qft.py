@@ -216,9 +216,9 @@ def run_qft(state, layout, rank_cap=None):
     return reverse_qubit_order(state, layout)
 
 
-def statevector(state, max_elems=cp.DENSE_CAP_DEFAULT):
+def statevector(state):
     """Dense statevector (global big-endian basis order) of a CP state."""
-    return cp.materialize(state, max_elems).ravel(order="C")
+    return cp.materialize(state).ravel(order="C")
 
 
 def qft_reference(psi0):

@@ -108,6 +108,12 @@ def _check_key_field(key, is_complex):
         )
 
 
+def _check_integer(name, value):
+    # bool is an int subclass, but True is no count or seed
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 SUBPROBLEM_CAP = 1 << 20  # largest block volume, in cells, `solve` accepts
 
 
@@ -117,8 +123,9 @@ class SolverConfig:
 
     block_size may be an integer s (clamped to the tensor order) or "auto",
     which picks the largest s whose block volumes stay within
-    ``SUBPROBLEM_CAP``.  Restart r uses seed + r.  The counts and the seed
-    must be integers (numpy integers too, bools not), and the seed >= 0.
+    ``SUBPROBLEM_CAP``.  Restart r uses seed + r.  The key must be an
+    `OrderingKey`, the counts and the seed integers (numpy integers too,
+    bools not), and the seed >= 0.
     """
 
     k: int
@@ -135,10 +142,10 @@ class SolverConfig:
             raise ValueError(f"block_size must be an int or 'auto', got {self.block_size!r}")
         ints = ("k", "extra", "max_sweeps", "restarts", "seed") + (() if auto else ("block_size",))
         for name in ints:
-            value = getattr(self, name)
-            # bool is an int subclass, but True is no count or seed
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _check_integer(name, getattr(self, name))
+        # solve would reject it only after every restart is drawn
+        if not isinstance(self.key, OrderingKey):
+            raise ValueError(f"key must be an OrderingKey, got {self.key!r}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.extra < 0:

@@ -108,6 +108,15 @@ def test_oracle_rejects_k_below_one(rng):
             oracle_topk(A, k)
 
 
+def test_oracle_rejects_non_integer_k(rng):
+    # k=True used to return a top-1 answer, and k=1.5 numpy's TypeError
+    A = cp.CpTensor(random_factors(rng, (3, 4), 2))
+    for k in (True, 1.5, "2"):
+        with pytest.raises(ValueError, match=f"k must be an integer, got {k!r}"):
+            oracle_topk(A, k)
+    assert oracle_topk(A, np.int64(2)).indices.tolist() == oracle_topk(A, 2).indices.tolist()
+
+
 @pytest.mark.parametrize("key", [OrderingKey.MAX, OrderingKey.MIN])
 def test_oracle_rejects_real_keys_on_complex_tensors(key):
     # these keys used to rank by the real part, where solve raises; on this

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -17,7 +18,7 @@ import numpy as np
 from conftest import OVERFLOW_FACTORS
 
 import tensor_topk
-from tensor_topk import cp
+from tensor_topk import cli, cp
 from tensor_topk.cli import main
 from tensor_topk.cpt_io import read_cpt, write_cpt
 from tensor_topk.solver import SolverConfig, solve
@@ -251,20 +252,56 @@ class TestBench(unittest.TestCase):
                 self.assertEqual(out, "")
                 self.assertFalse(os.path.exists(out_csv))
 
-    def test_oracle_cap_below_one_exits_4(self):
-        # a cap below 1 excluded every trial and reported "accuracy nan"
+    def test_bad_out_path_exits_1_before_any_trial(self):
+        # a missing directory used to fail only when the CSV was written,
+        # after every trial had run
+        import tempfile
+
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran before --out was checked")
+
+        with tempfile.TemporaryDirectory() as d, \
+                mock.patch("tensor_topk.harness.bench_trial", no_trial):
+            for path, msg in ((f"{d}/missing/bench.csv", "No such file or directory"),
+                              (d, "Is a directory")):
+                with self.subTest(path=path):
+                    code, out, err = run_cli(["bench", "--trials", "2", "--dist", "u01",
+                                              "--out", path])
+                    self.assertEqual(code, 1)
+                    self.assertEqual(out, "")
+                    self.assertTrue(err.startswith("error:"), err)
+                    self.assertIn(msg, err)
+                    self.assertEqual(os.listdir(d), [])
+
+
+class TestSolverFlags(unittest.TestCase):
+
+    def test_every_solver_field_has_a_flag(self):
+        self.assertEqual(set(cli._SOLVER_FLAGS),
+                         {f.name for f in dataclasses.fields(SolverConfig)})
+        with self.assertRaisesRegex(ValueError,
+                                    r"^key must be an OrderingKey, got 'max' \(--key\)$"):
+            cli._solver_config(k=1, key="max")
+
+
+class TestNoOracleCap(unittest.TestCase):
+    """The dense oracle's cap is a constant: no driver takes ``--oracle-cap``."""
+
+    def test_drivers_reject_the_flag(self):
         import tempfile
         with tempfile.TemporaryDirectory() as d:
-            out_csv = f"{d}/bench.csv"
-            for args in (["bench", "--trials", "1", "--dist", "u01", "--out", out_csv],
+            for argv in (["bench", "--trials", "1", "--dist", "u01", "--out", f"{d}/b.csv"],
                          ["func", "griewank", "--d", "3", "--trials", "1"],
-                         ["qft", "--d", "4"]):
-                for cap in ("0", "-1"):
-                    code, out, err = run_cli([*args, "--oracle-cap", cap])
-                    self.assertEqual(code, 4)
-                    self.assertIn("--oracle-cap", err)
-                    self.assertEqual(out, "")
-            self.assertFalse(os.path.exists(out_csv))
+                         ["qft", "--d", "4", "--dump-state", f"{d}/state.cpt"]):
+                with self.subTest(command=argv[0]):
+                    with contextlib.redirect_stdout(io.StringIO()) as out, \
+                            contextlib.redirect_stderr(io.StringIO()) as err, \
+                            self.assertRaises(SystemExit) as ctx:
+                        main([*argv, "--oracle-cap", "5"])
+                    self.assertEqual(ctx.exception.code, 4)
+                    self.assertIn("unrecognized arguments: --oracle-cap 5", err.getvalue())
+                    self.assertEqual(out.getvalue(), "")
+                    self.assertEqual(os.listdir(d), [])
 
 
 class TestFunc(unittest.TestCase):
@@ -371,6 +408,17 @@ class TestQft(unittest.TestCase):
                 self.assertIn("trials must be >= 1", err)
                 self.assertEqual(out, "")
                 self.assertFalse(os.path.exists(path))
+
+    def test_k_above_the_state_size_exits_2_before_any_trial(self):
+        # --k 17 at d=4 used to run the first trial's gates before solve failed
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran before --k was checked")
+
+        with mock.patch("tensor_topk.harness.simulate_and_measure", no_trial):
+            code, out, err = run_cli(["qft", "--d", "4", "--k", "17"])
+        self.assertEqual(code, 2)
+        self.assertEqual(out, "")
+        self.assertIn("k=17 exceeds the tensor size of 16 entries (--k)", err)
 
     def test_rank_cap_zero_exits_4(self):
         code, out, err = run_cli(["qft", "--d", "4", "--rank-cap", "0"])

@@ -75,6 +75,32 @@ def test_elements_at_bounds_checks(rng):
             cp.elements_at(A, tuples)
 
 
+def test_non_integer_indices_are_rejected(rng):
+    # a float or bool index used to be truncated: (1.7, 0) read (1, 0), and
+    # [[True, False]] read (1, 0) too
+    A = cp.CpTensor(random_factors(rng, (3, 4), 2))
+    with pytest.raises(IndexError, match="dtype float64"):
+        cp.element(A, (1.7, 0))
+    with pytest.raises(IndexError, match="dtype bool"):
+        cp.elements_at(A, [[True, False]])
+    with pytest.raises(IndexError, match="dtype float64"):
+        cp.elements_at(A, np.zeros((2, 2)))
+    with pytest.raises(ShapeMismatchError):
+        cp.element(A, (0.5, 0, 0))  # the shape is checked first
+
+
+def test_integer_index_dtypes_read_the_same_bits(rng):
+    A = cp.CpTensor(random_factors(rng, (3, 4, 5), 3))
+    tuples = np.array([[2, 3, 4], [0, 1, 2], [1, 0, 0]], dtype=np.int64)
+    want = cp.elements_at(A, tuples)
+    for same in (tuples.astype(np.int32), tuples.astype(np.uint8),
+                 [tuple(int(v) for v in row) for row in tuples]):
+        assert cp.elements_at(A, same).tobytes() == want.tobytes()
+    assert [cp.element(A, tuple(int(v) for v in row)) for row in tuples] == want.tolist()
+    empty = cp.elements_at(A, np.empty((0, 3), dtype=np.int64))
+    assert empty.shape == (0,)
+
+
 def test_elements_at_batch(rng):
     fs = random_factors(rng, (4, 3, 5), 3)
     A = cp.CpTensor(fs)

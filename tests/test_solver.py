@@ -103,6 +103,14 @@ class TestConfig(unittest.TestCase):
                                                        max_sweeps=3, restarts=2, seed=7))
         self.assertEqual(res.indices.tolist(), ref.indices.tolist())
 
+    def test_key_must_be_an_ordering_key(self):
+        # a key name used to pass, and solve failed only after drawing every restart
+        for bad in ("max", None, 0):
+            with self.subTest(key=bad):
+                with self.assertRaisesRegex(ValueError,
+                                            f"^key must be an OrderingKey, got {bad!r}$"):
+                    SolverConfig(k=1, key=bad)
+
     def test_key_lookup(self):
         self.assertIs(OrderingKey.from_name("maxabs"), OrderingKey.MAX_ABS)
         self.assertIs(OrderingKey.from_name("min"), OrderingKey.MIN)
