@@ -86,7 +86,7 @@ JSON_DIAGNOSTICS = ("block_size", "exhausted", "pool_size", "contracted_columns"
 
 def _run_topk(args):
     cfg = _solver_config(k=args.k, extra=args.extra, block_size=args.block,
-                         key=OrderingKey.from_name(args.key), seed=args.seed,
+                         key=OrderingKey(args.key), seed=args.seed,
                          restarts=args.restarts, max_sweeps=args.max_sweeps)
     A = read_cpt(args.input)
     res = solve(A, cfg)
@@ -127,7 +127,7 @@ def _add_bench(sub):
 
 
 def _run_bench(args):
-    key = OrderingKey.from_name(args.key)
+    key = OrderingKey(args.key)
     # each trial's solver rows set their own block, extra and seed
     _solver_config(k=args.k, key=key, restarts=args.restarts,
                    max_sweeps=args.max_sweeps)
@@ -194,18 +194,18 @@ def _check_out_path(path):
     # fail as writing would, before any trial runs, and create nothing
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    if not os.path.isdir(os.path.dirname(path) or os.curdir):
+    if not path or not os.path.isdir(os.path.dirname(path) or os.curdir):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _run_qft(args):
     # each trial seeds its own solve
     _solver_config(k=args.k, extra=args.extra, block_size=args.block)
-    if args.dump_state:
+    if args.dump_state is not None:
         _check_out_path(args.dump_state)
     records = run_qft_trials(args.d, args.trials, args.seed, k=args.k,
                              extra=args.extra, block=args.block, rank_cap=args.rank_cap,
-                             keep_last_state=bool(args.dump_state))
+                             keep_last_state=args.dump_state is not None)
     top1 = topk = checked = 0
     for rec in records:
         line = (f"trial {rec['trial']} d={rec['d']} rank={rec['rank']} "
@@ -221,7 +221,7 @@ def _run_qft(args):
     if checked:
         print(f"oracle: top-1 match {top1}/{checked}, "
               f"top-{args.k} set match {topk}/{checked}")
-    if args.dump_state:
+    if args.dump_state is not None:
         write_cpt(records[-1]["state"], args.dump_state)
         print(f"wrote {args.dump_state}")
     return 0

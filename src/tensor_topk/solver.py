@@ -16,35 +16,35 @@ product and sum the search forms, so every key is finite: a candidate always
 has an allowed cell, and the first sweep pools all k + extra distinct tuples.
 
 Column j of a block's subproblem (``expand @ alpha``) depends only on the
-window and on candidate j's out-of-block coordinates, its context.  So
-`solve` keeps one `_ContractionCache` for all its restarts: per window,
-every candidate slot's context as of the window's last visit and its
-column's argmax, -1 for a column never contracted.  A block contracts only
-its dirty columns: columns never contracted, columns whose context changed,
-and dependent candidates, whose masked selection needs the whole column.  A
-block with no dirty column skips the expansion and the contraction.  A
-narrower contraction must give the same bits as the full one, and the BLAS
-guarantees that only on its regular blocked path, so `_contraction_width`
-pads the dirty set and falls back to all m columns outside a measured rule
-(see ``SUBSET_MIN_WORK``).
+window and on candidate j's out-of-block coordinates, its context.  So each
+`_Window` keeps a record of its last visit by every restart: each candidate
+slot's context and its column's argmax, -1 for a column never contracted.
+A block contracts only its dirty columns: columns never contracted, columns
+whose context changed, and dependent candidates, whose masked selection
+needs the whole column.  A block with no dirty column skips the
+contraction, and a window visit with none in any live restart skips the
+expansion too.  A narrower contraction must give the same bits as the full
+one, and the BLAS guarantees that only on its regular blocked path, so
+`_contraction_width` pads the dirty set and falls back to all m columns
+outside a measured rule (see ``SUBSET_MIN_WORK``).
 
 A block's expansion depends only on the window and the factors, not on the
-candidates or the restart.  So `solve` runs its restarts in lockstep: it
-derives each window's constants once (`_Window`), draws every restart's
-candidates, and each sweep visits a window once for all live restarts.  Per
-window, the live restarts' tuples are stacked once, and the contexts,
-collision masks, dependent masks, dirty masks and rank weights (one
-`compute_alpha` over every live candidate) come from that stack.  The first
-live restart with a dirty column builds the expansion into the one shared
-buffer, and every later restart contracts against it.  Each restart then
-runs its own contraction, column argmax and block pass, in restart order,
-on the same bits as it would alone, so the output does not depend on the
-lockstep.  The contraction and key buffers stay one per solve: a restart's
-block pass uses up its columns before the next restart overwrites them.  A
-block pass evaluates an entry only where a candidate moves: a rechecked
-move keeps the recheck's value, and a forced move (the incumbent cell taken
-by an earlier candidate) is evaluated once.  A restart leaves the live set
-at its fixed point or after ``max_sweeps`` sweeps.
+candidates or the restart.  So `solve` runs its restarts in lockstep: each
+sweep visits a window once for all live restarts.  The live restarts'
+tuples are stacked once per window, and the contexts, collision masks,
+dependent masks and dirty masks come from that stack.  When any live
+restart has a dirty column, the window's rank weights (one `compute_alpha`
+over every stacked candidate) and its expansion are built once, before the
+restarts run, and both are dropped when the sweep moves to the next window.
+Each restart then runs its own contraction, column argmax and block pass,
+in restart order, on the same bits as it would alone, so the output does
+not depend on the lockstep.  The expansion, contraction and key buffers
+stay one per solve: a restart's block pass uses up its columns before the
+next restart overwrites them.  A block pass evaluates an entry only where a
+candidate moves: a rechecked move keeps the recheck's value, and a forced
+move (the incumbent cell taken by an earlier candidate) is evaluated once.
+A restart leaves the live set at its fixed point or after ``max_sweeps``
+sweeps.
 """
 
 from __future__ import annotations
@@ -67,13 +67,6 @@ class OrderingKey(enum.Enum):
     MAX_ABS = "maxabs"
     MAX_REAL = "maxreal"
     MAX_IMAG = "maximag"
-
-    @classmethod
-    def from_name(cls, name):
-        for member in cls:
-            if member.value == name.lower():
-                return member
-        raise ValueError(f"unknown ordering key {name!r}")
 
 
 def key_values(values, key, out=None):
@@ -209,11 +202,17 @@ def auto_block_size(dims, cap):
 
 
 class _Window:
-    """One schedule window's constants, derived once per solve: the block
-    tuple, its modes and their sizes (int64 arrays), the strides of its cells
-    (first block mode fastest), the out-of-block modes and the volume."""
+    """One schedule window of a solve: its constants and its visit record.
 
-    def __init__(self, dims, block):
+    The constants are the block tuple, its modes and their sizes (int64
+    arrays), the strides of its cells (first block mode fastest), the
+    out-of-block modes and the volume.  The record has one row per restart
+    of the m candidate slots: ``seen``, (restarts, m, |rest|), each slot's
+    context as of the restart's last visit, and ``lins``, (restarts, m), its
+    column's argmax, -1 for a column never contracted.
+    """
+
+    def __init__(self, dims, block, restarts, m):
         self.block = block
         self.modes = np.array(block, dtype=np.int64)
         self.sizes = np.array([dims[q] for q in block], dtype=np.int64)
@@ -221,6 +220,8 @@ class _Window:
         self.rest = np.array([q for q in range(len(dims)) if q not in block],
                              dtype=np.int64)
         self.vol = math.prod(dims[q] for q in block)
+        self.seen = np.zeros((restarts, m, self.rest.size), dtype=np.int64)
+        self.lins = np.full((restarts, m), -1, dtype=np.int64)
 
 
 def init_candidates(A, cfg, rng):
@@ -305,27 +306,6 @@ def _contraction_width(n_dirty, vol, rank, m, is_complex):
 _PASS_COUNTS = ("moves", "rechecks", "reverted", "forced_moves")
 
 
-class _ContractionCache:
-    """Every restart's record of every window's last visit, and the counts.
-
-    For window b of ``windows`` (the `_Window` list), ``contexts[b]``, of
-    shape (restarts, m, |rest|), holds each candidate slot's out-of-block
-    coordinates as of the visit, and ``lins[b]``, (restarts, m), its
-    column's argmax, -1 for a column never contracted.  ``counts`` adds up
-    over all restarts the contracted columns, padding included, the blocks
-    that skipped expansion and contraction, the window expansions, and the
-    `_block_pass` counts.  Its size is O(windows x restarts x m x order).
-    """
-
-    def __init__(self, windows, restarts, m):
-        self.windows = windows
-        self.contexts = [np.zeros((restarts, m, w.rest.size), dtype=np.int64)
-                         for w in windows]
-        self.lins = [np.full((restarts, m), -1, dtype=np.int64) for _ in windows]
-        self.counts = dict.fromkeys(
-            ("contracted_columns", "clean_blocks", "expansions") + _PASS_COUNTS, 0)
-
-
 def _dependent(beta):
     """Candidates with an earlier candidate in their context; for a stack of
     `_collision_mask` masks, one row per mask.
@@ -364,8 +344,9 @@ def _block_pass(tuples, values, window, keyed, beta, key, stacked, offsets,
 
     picks is (lins, slot, dependent): every column's argmax, for candidate
     j the column of keyed that holds it, and the `_dependent` mask of beta.
-    Only dependent candidates read keyed, so it may hold just a subset of
-    the columns, or be None when no candidate is dependent.
+    Only dependent candidates read keyed and slot, so keyed may hold just a
+    subset of the columns, and both may be None when no candidate is
+    dependent.
 
     Only a candidate that moves gets a new value: a move that survives its
     recheck keeps the recheck's value, and a forced move, a dependent
@@ -415,79 +396,75 @@ def _block_pass(tuples, values, window, keyed, beta, key, stacked, offsets,
     return int(np.count_nonzero(new_lins != inc_lins)), rechecks, reverted, forced
 
 
-def _sweep(A, cands, live, key, cache, stacked, offsets, work):
+def _sweep(A, cands, live, key, windows, counts, stacked, offsets, work):
     """One sweep of the live restarts in lockstep; mutates their candidates.
 
     cands holds every restart's candidates, live the indices of the ones
-    still sweeping, in order, and cache the solve's `_ContractionCache`.  At
-    each window the live restarts' tuples are stacked once, and the
-    contexts, collision masks, dependent masks and dirty masks come from
-    the stack: a column is dirty when its candidate is dependent, was never
-    contracted at the window (argmax -1) or has a new context.  Then the
-    live restarts run in order: each contracts its dirty columns, records
-    their argmaxes and runs its block pass.  The first restart with a dirty
-    column computes the rank weights of every stacked candidate with one
-    `compute_alpha` and builds the window's expansion; every later restart
-    contracts against the same two.  A restart's own rows of the stack are
-    its tuples as it enters the window, since only its own block pass
-    changes them.  work holds the flat expansion, contraction and key
-    buffers that `solve` allocates once; each block uses a prefix of each,
-    so no block allocates an array proportional to its volume, and a
-    restart's block pass uses up its contracted columns before the next
-    restart overwrites them.
+    still sweeping, in order, windows the solve's `_Window` list, and counts
+    the solve's counts, to which the sweep adds.  At each window the live
+    restarts' tuples are stacked once, and the contexts, collision masks,
+    dependent masks and dirty masks come from the stack: a column is dirty
+    when its candidate is dependent, was never contracted at the window
+    (argmax -1) or has a new context.  A restart's own rows of the stack
+    are its tuples as it enters the window, since only its own block pass
+    changes them.  When any live restart has a dirty column, one
+    `compute_alpha` over the stack and the window's expansion are built
+    before the restarts run.  Then each live restart, in order, pads its
+    dirty set to `_contraction_width`, contracts those columns, records
+    their argmaxes in the window's record and runs its block pass.  work
+    holds the flat expansion, contraction and key buffers that `solve`
+    allocates once; each block uses a prefix of each, so no block allocates
+    an array proportional to its volume.
     """
     expand_buf, cells_buf, keyed_buf = work
     m = cands[0].tuples.shape[0]
-    cols = np.arange(m)
-    counts = cache.counts
-    for w, seen, lins in zip(cache.windows, cache.contexts, cache.lins):
+    for w in windows:
+        # drop the last window's rank weights before this one builds its own
+        alphas = expand = None
         stack = np.stack([cands[r].tuples for r in live])
         contexts = stack[:, :, w.rest]
         betas = _collision_mask(contexts)
         dependents = _dependent(betas)
         # dependent candidates need their whole column for masked_argmax
-        dirties = dependents | (lins[live] < 0) | (contexts != seen[live]).any(axis=2)
-        seen[live] = contexts
-        alphas = expand = None
+        dirties = (dependents | (w.lins[live] < 0)
+                   | (contexts != w.seen[live]).any(axis=2))
+        w.seen[live] = contexts
+        if dirties.any():
+            # compute_alpha comes right before the expansion it pairs with,
+            # so a tracer wrapping both can pair them
+            alphas = compute_alpha(A, stack.reshape(-1, A.order), w.block)
+            alphas = alphas.reshape(A.rank, len(live), m)
+            expand = kernels.block_expand(
+                stacked, offsets, w.modes, w.sizes,
+                out=expand_buf[:w.vol * A.rank].reshape(w.vol, A.rank),
+            )
+            counts["expansions"] += 1
         for i, r in enumerate(live):
             dirty = dirties[i]
             n_dirty = int(np.count_nonzero(dirty))
-            keyed, slot = None, cols
+            keyed = slot = None
             if n_dirty:
-                if expand is None:
-                    # compute_alpha comes right before the expansion it
-                    # pairs with, so a tracer wrapping both can pair them
-                    alphas = compute_alpha(A, stack.reshape(-1, A.order), w.block)
-                    alphas = alphas.reshape(A.rank, len(live), m)
-                    expand = kernels.block_expand(
-                        stacked, offsets, w.modes, w.sizes,
-                        out=expand_buf[:w.vol * A.rank].reshape(w.vol, A.rank),
-                    )
-                    counts["expansions"] += 1
                 width = _contraction_width(n_dirty, w.vol, A.rank, m, A.is_complex)
-                if width < m:
-                    # pad with the lowest-index clean columns
-                    dirty[np.flatnonzero(~dirty)[:width - n_dirty]] = True
-                    sel = np.flatnonzero(dirty)
-                    # Fortran order, the layout SUBSET_MIN_WORK measured
-                    alpha = alphas[:, i, sel]
-                    slot = np.empty(m, dtype=np.int64)
-                    slot[sel] = cols[:width]
-                else:
-                    sel = cols
-                    # C order, as compute_alpha returns a lone restart's
-                    alpha = np.ascontiguousarray(alphas[:, i])
+                # pad with the lowest-index clean columns
+                dirty[(~dirty).nonzero()[0][:width - n_dirty]] = True
+                sel = dirty.nonzero()[0]
+                slot = dirty.cumsum() - 1
+                # a subset in Fortran order, the layout SUBSET_MIN_WORK
+                # measured; all m columns in C order, as compute_alpha
+                # returns a lone restart's
+                alpha = (alphas[:, i, sel] if width < m
+                         else np.ascontiguousarray(alphas[:, i]))
                 shape = (w.vol, width)
                 cells = np.matmul(expand, alpha,
                                   out=cells_buf[:w.vol * width].reshape(shape))
                 keyed = key_values(cells, key,
                                    out=keyed_buf[:w.vol * width].reshape(shape))
-                lins[r, sel] = kernels.column_argmax(keyed)
+                w.lins[r, sel] = kernels.column_argmax(keyed)
                 counts["contracted_columns"] += width
             else:
                 counts["clean_blocks"] += 1
             passed = _block_pass(cands[r].tuples, cands[r].values, w, keyed, betas[i],
-                                 key, stacked, offsets, picks=(lins[r], slot, dependents[i]))
+                                 key, stacked, offsets, picks=(w.lins[r], slot, dependents[i]))
             for name, n in zip(_PASS_COUNTS, passed):
                 counts[name] += n
 
@@ -530,7 +507,11 @@ def solve(A, cfg):
     _check_key_field(cfg.key, A.is_complex)
     s = _resolve_block_size(A, cfg)
     schedule = block_schedule(A.order, s)
-    windows = [_Window(A.dims, block) for block in schedule]
+    # sized for the k + extra candidates (fewer on tiny tensors) that
+    # init_candidates draws
+    m = min(cfg.k + cfg.extra, A.size())
+    n = cfg.restarts
+    windows = [_Window(A.dims, block, n, m) for block in schedule]
     max_vol = max(w.vol for w in windows)
     if max_vol > SUBPROBLEM_CAP:
         raise CapacityError(
@@ -544,17 +525,14 @@ def solve(A, cfg):
             " the factors hold NaN or infinite entries, or entries large enough"
             " that products of them could overflow float64"
         )
-    # sized for the k + extra candidates (fewer on tiny tensors) that
-    # init_candidates draws; a real tensor maps its keys in place in the
-    # contraction buffer
-    m = min(cfg.k + cfg.extra, A.size())
+    # a real tensor maps its keys in place in the contraction buffer
     cells_buf = np.empty(max_vol * m, dtype=A.dtype)
     keyed_buf = np.empty(max_vol * m) if A.is_complex else cells_buf
     work = (np.empty(max_vol * A.rank, dtype=A.dtype), cells_buf, keyed_buf)
-    n = cfg.restarts
     cands = [init_candidates(A, cfg, np.random.default_rng(cfg.seed + r))
              for r in range(n)]
-    cache = _ContractionCache(windows, n, m)
+    counts = dict.fromkeys(
+        ("contracted_columns", "clean_blocks", "expansions") + _PASS_COUNTS, 0)
     traces = [[float(np.max(key_values(c.values, cfg.key)))] for c in cands]
     restart_sweeps = [0] * n
     restart_converged = [False] * n
@@ -564,7 +542,7 @@ def solve(A, cfg):
     live = list(range(n))
     for _ in range(cfg.max_sweeps):
         before = [cands[r].tuples.copy() for r in live]
-        _sweep(A, cands, live, cfg.key, cache, stacked, offsets, work)
+        _sweep(A, cands, live, cfg.key, windows, counts, stacked, offsets, work)
         for r, prev in zip(live, before):
             restart_sweeps[r] += 1
             best = float(np.max(key_values(cands[r].values, cfg.key)))
@@ -584,11 +562,8 @@ def solve(A, cfg):
     # later modes are more significant in the comparison)
     sort_keys = tuple(ptuples[:, q] for q in range(A.order)) + (-keyed,)
     order = np.lexsort(sort_keys)[:cfg.k]
-    chosen_vals = pvalues[order]
-    if not A.is_complex:
-        chosen_vals = chosen_vals.real
     return TopKResult(
-        values=chosen_vals,
+        values=pvalues[order],
         indices=ptuples[order],
         objective=float(keyed[order].sum()),
         sweeps_used=sum(restart_sweeps),
@@ -601,7 +576,7 @@ def solve(A, cfg):
             # readers of the diagnostics
             "exhausted": 0,
             "pool_size": len(pool),
-            **cache.counts,
+            **counts,
             "restart_sweeps": restart_sweeps,
             "restart_converged": restart_converged,
         },

@@ -253,8 +253,8 @@ class TestBench(unittest.TestCase):
                 self.assertFalse(os.path.exists(out_csv))
 
     def test_bad_out_path_exits_1_before_any_trial(self):
-        # a missing directory used to fail only when the CSV was written,
-        # after every trial had run
+        # a missing directory or an empty path used to fail only when the
+        # CSV was written, after every trial had run
         import tempfile
 
         def no_trial(*args, **kwargs):
@@ -263,7 +263,8 @@ class TestBench(unittest.TestCase):
         with tempfile.TemporaryDirectory() as d, \
                 mock.patch("tensor_topk.harness.bench_trial", no_trial):
             for path, msg in ((f"{d}/missing/bench.csv", "No such file or directory"),
-                              (d, "Is a directory")):
+                              (d, "Is a directory"),
+                              ("", "No such file or directory")):
                 with self.subTest(path=path):
                     code, out, err = run_cli(["bench", "--trials", "2", "--dist", "u01",
                                               "--out", path])
@@ -381,6 +382,19 @@ class TestQft(unittest.TestCase):
         self.assertTrue(err.startswith("error:"), err)
         self.assertIn("Is a directory", err)
         self.assertNotIn("Traceback", err)
+
+    def test_qft_empty_dump_state_exits_1_before_any_trial(self):
+        # an empty path used to run every trial, write nothing and exit 0
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran before --dump-state was checked")
+
+        with mock.patch("tensor_topk.harness.simulate_and_measure", no_trial):
+            code, out, err = run_cli(["qft", "--d", "4", "--trials", "1",
+                                      "--dump-state", ""])
+        self.assertEqual(code, 1)
+        self.assertEqual(out, "")
+        self.assertTrue(err.startswith("error:"), err)
+        self.assertIn("No such file or directory", err)
 
     def test_qft_dump_state_replaces_an_earlier_dump(self):
         import tempfile

@@ -5,7 +5,9 @@ internal pieces (schedule, alpha/beta, subproblem cells, collision handling)
 get direct hand-computed cases.
 """
 
+import collections
 import math
+import tracemalloc
 import unittest
 from dataclasses import replace
 from unittest import mock
@@ -112,10 +114,10 @@ class TestConfig(unittest.TestCase):
                     SolverConfig(k=1, key=bad)
 
     def test_key_lookup(self):
-        self.assertIs(OrderingKey.from_name("maxabs"), OrderingKey.MAX_ABS)
-        self.assertIs(OrderingKey.from_name("min"), OrderingKey.MIN)
+        self.assertIs(OrderingKey("maxabs"), OrderingKey.MAX_ABS)
+        self.assertIs(OrderingKey("min"), OrderingKey.MIN)
         with self.assertRaises(ValueError):
-            OrderingKey.from_name("median")
+            OrderingKey("median")
 
     def test_complex_needs_complex_key(self):
         fs = random_factors(np.random.default_rng(0), (3, 3), 2, complex_=True)
@@ -388,7 +390,7 @@ class TestBlockPassReference(unittest.TestCase):
             want_t, want_v, want_x = _reference_block_pass(
                 A, tuples, values, block, keyed, key_name)
             got_t, got_v = tuples.copy(), values.copy()
-            solver._block_pass(got_t, got_v, solver._Window(dims, block), keyed,
+            solver._block_pass(got_t, got_v, solver._Window(dims, block, 1, 12), keyed,
                                beta, key, stacked, offsets, _full_picks(keyed, beta))
             msg = f"{pattern} {key_name}"
             np.testing.assert_array_equal(got_t, want_t, err_msg=msg)
@@ -453,7 +455,7 @@ class TestBlockPassMoves(unittest.TestCase):
         beta = solver._collision_mask(tuples[:, [1]])
         want_t, want_v, _ = _reference_block_pass(A, tuples, values, (0,), keyed, "max")
         got_t, got_v = tuples.copy(), values.copy()
-        counts = solver._block_pass(got_t, got_v, solver._Window(A.dims, (0,)), keyed,
+        counts = solver._block_pass(got_t, got_v, solver._Window(A.dims, (0,), 1, 3), keyed,
                                     beta, OrderingKey.MAX, stacked, offsets,
                                     _full_picks(keyed, beta))
         # candidate 0 keeps (0, 0); 1 moves to (1, 1) and forces 2 to (2, 1)
@@ -466,8 +468,8 @@ class TestBlockPassMoves(unittest.TestCase):
 
 
 def _reference_sweep(A, cands, key, schedule, stacked, offsets, work):
-    """The sweep as it was before the contraction cache: every block expands
-    and contracts all m columns, then runs the two-phase block pass."""
+    """The sweep as it was before windows kept a visit record: every block
+    expands and contracts all m columns, then runs the two-phase block pass."""
     expand_buf, cells_buf, keyed_buf = work
     m = cands.tuples.shape[0]
     for block in schedule:
@@ -483,7 +485,7 @@ def _reference_sweep(A, cands, key, schedule, stacked, offsets, work):
         cells = np.matmul(expand, alpha, out=cells_buf[:vol * m].reshape(vol, m))
         keyed = solver.key_values(cells, key, out=keyed_buf[:vol * m].reshape(vol, m))
         solver._block_pass(
-            cands.tuples, cands.values, solver._Window(A.dims, block), keyed, beta,
+            cands.tuples, cands.values, solver._Window(A.dims, block, 1, m), keyed, beta,
             key, stacked, offsets, _full_picks(keyed, beta),
         )
 
@@ -517,13 +519,13 @@ class TestSweepReference(unittest.TestCase):
                 for r in range(cfg.restarts)]
         gots = [solver.CandidateSet(ref.tuples.copy(), ref.values.copy())
                 for ref in refs]
-        cache = solver._ContractionCache(
-            [solver._Window(A.dims, block) for block in schedule], cfg.restarts, m)
+        windows = [solver._Window(A.dims, block, cfg.restarts, m) for block in schedule]
+        counts = collections.Counter()
         live = list(range(cfg.restarts))
         blocks = 0
         sweeps = [0] * cfg.restarts
         for sweep in range(cfg.max_sweeps):
-            solver._sweep(A, gots, live, cfg.key, cache, stacked, offsets, work)
+            solver._sweep(A, gots, live, cfg.key, windows, counts, stacked, offsets, work)
             converged = []
             for r in live:
                 before = refs[r].tuples.copy()
@@ -541,8 +543,8 @@ class TestSweepReference(unittest.TestCase):
             live = [r for r in live if r not in converged]
             if not live:
                 break
-        return (cache.counts["contracted_columns"], cache.counts["clean_blocks"],
-                blocks, cache.counts["expansions"], sweeps)
+        return (counts["contracted_columns"], counts["clean_blocks"], blocks,
+                counts["expansions"], sweeps)
 
     def test_real_subset_path(self):
         # window (0, 1) has 25,600 cells: vol * R * w passes SUBSET_MIN_WORK
@@ -639,6 +641,32 @@ def test_subset_contraction_matches_full():
     # complex tensors always contract every column (qft16: 256 cells, R 4096)
     for n in range(1, 11):
         assert solver._contraction_width(n, 256, 4096, 10, True) == 10
+
+
+def test_rank_weights_live_one_window_at_a_time():
+    """A window's rank weights, R x restarts x m complex values, are dropped
+    before the next window builds its own.
+
+    The peak holds the solve's expansion buffer and stacked factors plus,
+    while compute_alpha runs, its result and its temporaries: about 2.5
+    times one window's weights here.  Keeping the last window's weights
+    alive adds one more and breaks the bound.
+    """
+    dims, rank = (16, 16, 16, 16), 1024
+    A = cp.CpTensor(random_factors(np.random.default_rng(7), dims, rank, complex_=True))
+    cfg = SolverConfig(k=5, extra=5, key=OrderingKey.MAX_ABS, restarts=5, seed=3)
+    tracemalloc.start()
+    try:
+        res = solver.solve(A, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.diagnostics["expansions"] > 1
+    item = np.dtype(complex).itemsize
+    expand = 16 * 16 * rank * item
+    factors = sum(dims) * rank * item
+    weights = rank * cfg.restarts * (cfg.k + cfg.extra) * item
+    assert peak < expand + factors + 3 * weights
 
 
 class TestDiagnostics(unittest.TestCase):
