@@ -191,11 +191,14 @@ def _add_qft(sub):
 
 
 def _check_out_path(path):
-    # fail as writing would, before any trial runs, and create nothing
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    if not path or not os.path.isdir(os.path.dirname(path) or os.curdir):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    # fail as writing would, before any trial runs, and create nothing; the
+    # parent's stat fails as open would (an empty path has no parent)
+    try:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        os.stat(path and os.path.join(os.path.dirname(path), os.curdir))
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _run_qft(args):

@@ -21,12 +21,20 @@ def stack_factors(factors):
 
 
 def eval_elements(stacked, offsets, tuples):
-    """Evaluate tensor entries at the given index tuples (rows, 0-based)."""
+    """Evaluate tensor entries at the given index tuples (rows, 0-based).
+
+    A row's bits do not depend on the other rows in the call: numpy rounds a
+    one-element in-place complex product (a lone rank-1 row) apart from its
+    vector loop, so a lone row is evaluated as two copies of itself.
+    """
     tuples = np.ascontiguousarray(tuples, dtype=np.int64)
+    n = tuples.shape[0]
+    if n == 1:
+        tuples = np.repeat(tuples, 2, axis=0)
     prod = np.ones((tuples.shape[0], stacked.shape[1]), dtype=stacked.dtype)
     for p in range(offsets.shape[0] - 1):
         prod *= stacked[offsets[p] + tuples[:, p], :]
-    return prod.sum(axis=1)
+    return prod.sum(axis=1)[:n]
 
 
 def block_expand(stacked, offsets, modes, dims, *, out=None):
@@ -86,9 +94,6 @@ def masked_argmax(keyed, forbidden):
     Ties resolve to the smallest index.  Values are assumed finite, and at
     least one index must be left outside ``forbidden``.
     """
-    keyed = np.ascontiguousarray(keyed, dtype=np.float64)
-    forbidden = np.ascontiguousarray(forbidden, dtype=np.int64)
-    if forbidden.shape[0]:
-        keyed = keyed.copy()
-        keyed[forbidden] = -np.inf
+    keyed = np.array(keyed, dtype=np.float64)
+    keyed[np.asarray(forbidden, dtype=np.int64)] = -np.inf
     return int(np.argmax(keyed))

@@ -30,21 +30,22 @@ outside a measured rule (see ``SUBSET_MIN_WORK``).
 
 A block's expansion depends only on the window and the factors, not on the
 candidates or the restart.  So `solve` runs its restarts in lockstep: each
-sweep visits a window once for all live restarts.  The live restarts'
-tuples are stacked once per window, and the contexts, collision masks,
-dependent masks and dirty masks come from that stack.  When any live
-restart has a dirty column, the window's rank weights (one `compute_alpha`
-over every stacked candidate) and its expansion are built once, before the
-restarts run, and both are dropped when the sweep moves to the next window.
-Each restart then runs its own contraction, column argmax and block pass,
-in restart order, on the same bits as it would alone, so the output does
-not depend on the lockstep.  The expansion, contraction and key buffers
-stay one per solve: a restart's block pass uses up its columns before the
-next restart overwrites them.  A block pass evaluates an entry only where a
-candidate moves: a rechecked move keeps the recheck's value, and a forced
-move (the incumbent cell taken by an earlier candidate) is evaluated once.
-A restart leaves the live set at its fixed point or after ``max_sweeps``
-sweeps.
+sweep visits a window once for all live restarts.  The restarts' state is
+two arrays with one row per restart, the tuples (restarts, m, order) and
+their values (restarts, m).  At each window the live rows of the tuples are
+gathered once, and the contexts, collision masks, dependent masks and dirty
+masks come from that copy.  When any live restart has a dirty column, the
+window's rank weights (one `compute_alpha` over every live candidate) and
+its expansion are built once, before the restarts run, and both are dropped
+when the sweep moves to the next window.  Each restart then runs its own
+contraction, column argmax and block pass on its own rows, in order, on the
+same bits as it would alone, so the output does not depend on the
+lockstep.  The expansion, contraction and key buffers stay one per solve: a
+restart's block pass uses up its columns before the next restart overwrites
+them.  A block pass evaluates an entry only where a candidate moves: a
+rechecked move keeps the recheck's value, and a forced move (the incumbent
+cell taken by an earlier candidate) is evaluated once.  A restart leaves
+the live set at its fixed point or after ``max_sweeps`` sweeps.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cp, kernels
+from . import kernels
 from .errors import CapacityError, InfeasibleKError
 
 
@@ -153,14 +154,6 @@ class SolverConfig:
 
 
 @dataclass
-class CandidateSet:
-    """Candidate tuples (rows, 0-based) and their exact entry values."""
-
-    tuples: np.ndarray
-    values: np.ndarray
-
-
-@dataclass
 class TopKResult:
     """Solver output: the k best entries found, best first by the key."""
 
@@ -224,35 +217,25 @@ class _Window:
         self.lins = np.full((restarts, m), -1, dtype=np.int64)
 
 
-def init_candidates(A, cfg, rng):
-    """Draw k + extra distinct uniform index tuples.
+def init_candidates(dims, m, rng):
+    """Draw m distinct uniform index tuples of a tensor of shape dims.
 
-    extra is silently reduced when the tensor holds fewer entries; k itself
-    infeasible raises InfeasibleKError.
+    Returns an (m, len(dims)) int64 array; m must not exceed the tensor's
+    size, which `solve` ensures.
     """
-    total = A.size()
-    if total < cfg.k:
-        raise InfeasibleKError(f"k={cfg.k} exceeds the tensor size of {total} entries")
-    m = min(cfg.k + cfg.extra, total)
-    dims = A.dims
+    total = math.prod(dims)
     if total <= max(1024, 4 * m):
         lins = rng.permutation(total)[:m]
         strides = np.cumprod([1] + list(dims[:-1]))
-        tuples = lins[:, None] // strides % dims
-    else:
-        seen = set()
-        rows = []
-        while len(rows) < m:
-            draw = np.column_stack([rng.integers(0, n, size=2 * m) for n in dims])
-            for row in draw:
-                key = tuple(int(v) for v in row)
-                if key not in seen:
-                    seen.add(key)
-                    rows.append(key)
-                    if len(rows) == m:
-                        break
-        tuples = np.array(rows, dtype=np.int64)
-    return CandidateSet(tuples, cp.elements_at(A, tuples))
+        return lins[:, None] // strides % dims
+    rows = {}  # the distinct draws, in the order first drawn
+    while len(rows) < m:
+        draw = np.column_stack([rng.integers(0, n, size=2 * m) for n in dims])
+        for row in draw.tolist():
+            rows[tuple(row)] = None
+            if len(rows) == m:
+                break
+    return np.array(list(rows), dtype=np.int64)
 
 
 def compute_alpha(A, tuples, block):
@@ -396,32 +379,33 @@ def _block_pass(tuples, values, window, keyed, beta, key, stacked, offsets,
     return int(np.count_nonzero(new_lins != inc_lins)), rechecks, reverted, forced
 
 
-def _sweep(A, cands, live, key, windows, counts, stacked, offsets, work):
+def _sweep(A, tuples, values, live, key, windows, counts, stacked, offsets, work):
     """One sweep of the live restarts in lockstep; mutates their candidates.
 
-    cands holds every restart's candidates, live the indices of the ones
-    still sweeping, in order, windows the solve's `_Window` list, and counts
-    the solve's counts, to which the sweep adds.  At each window the live
-    restarts' tuples are stacked once, and the contexts, collision masks,
-    dependent masks and dirty masks come from the stack: a column is dirty
-    when its candidate is dependent, was never contracted at the window
-    (argmax -1) or has a new context.  A restart's own rows of the stack
-    are its tuples as it enters the window, since only its own block pass
-    changes them.  When any live restart has a dirty column, one
-    `compute_alpha` over the stack and the window's expansion are built
-    before the restarts run.  Then each live restart, in order, pads its
-    dirty set to `_contraction_width`, contracts those columns, records
-    their argmaxes in the window's record and runs its block pass.  work
-    holds the flat expansion, contraction and key buffers that `solve`
-    allocates once; each block uses a prefix of each, so no block allocates
-    an array proportional to its volume.
+    tuples (restarts, m, order) and values (restarts, m) hold one row per
+    restart, live the indices of the restarts still sweeping, in order,
+    windows the solve's `_Window` list, and counts the solve's counts, to
+    which the sweep adds.  At each window the live tuples are gathered once,
+    ``tuples[live]``, and the contexts, collision masks, dependent masks and
+    dirty masks come from that copy: a column is dirty when its candidate is
+    dependent, was never contracted at the window (argmax -1) or has a new
+    context.  A restart's rows of the copy are its tuples as it enters the
+    window, since only its own block pass changes them.  When any live
+    restart has a dirty column, one `compute_alpha` over the copy and the
+    window's expansion are built before the restarts run.  Then each live
+    restart r, in order, pads its dirty set to `_contraction_width`,
+    contracts those columns, records their argmaxes in the window's record
+    and runs its block pass on the row views ``tuples[r]`` and
+    ``values[r]``.  work holds the flat expansion, contraction and key
+    buffers that `solve` allocates once; each block uses a prefix of each,
+    so no block allocates an array proportional to its volume.
     """
     expand_buf, cells_buf, keyed_buf = work
-    m = cands[0].tuples.shape[0]
+    m = tuples.shape[1]
     for w in windows:
         # drop the last window's rank weights before this one builds its own
         alphas = expand = None
-        stack = np.stack([cands[r].tuples for r in live])
+        stack = tuples[live]
         contexts = stack[:, :, w.rest]
         betas = _collision_mask(contexts)
         dependents = _dependent(betas)
@@ -463,8 +447,8 @@ def _sweep(A, cands, live, key, windows, counts, stacked, offsets, work):
                 counts["contracted_columns"] += width
             else:
                 counts["clean_blocks"] += 1
-            passed = _block_pass(cands[r].tuples, cands[r].values, w, keyed, betas[i],
-                                 key, stacked, offsets, picks=(w.lins[r], slot, dependents[i]))
+            passed = _block_pass(tuples[r], values[r], w, keyed, betas[i], key,
+                                 stacked, offsets, picks=(w.lins[r], slot, dependents[i]))
             for name, n in zip(_PASS_COUNTS, passed):
                 counts[name] += n
 
@@ -502,14 +486,15 @@ def solve(A, cfg):
     set is deduplicated, ordered by the key (ties to the smallest linear
     index), and truncated to k, so entries abandoned mid-run still count.
     Deterministic for a fixed (A, cfg).  Raises ValueError when the factors'
-    `_magnitude_bound` exceeds ``MAGNITUDE_LIMIT`` (see the module docstring).
+    `_magnitude_bound` exceeds ``MAGNITUDE_LIMIT`` (see the module docstring),
+    then InfeasibleKError when k exceeds the tensor's size.
     """
     _check_key_field(cfg.key, A.is_complex)
     s = _resolve_block_size(A, cfg)
     schedule = block_schedule(A.order, s)
-    # sized for the k + extra candidates (fewer on tiny tensors) that
-    # init_candidates draws
-    m = min(cfg.k + cfg.extra, A.size())
+    total = A.size()
+    # k + extra candidates, fewer on tiny tensors
+    m = min(cfg.k + cfg.extra, total)
     n = cfg.restarts
     windows = [_Window(A.dims, block, n, m) for block in schedule]
     max_vol = max(w.vol for w in windows)
@@ -525,35 +510,40 @@ def solve(A, cfg):
             " the factors hold NaN or infinite entries, or entries large enough"
             " that products of them could overflow float64"
         )
+    if total < cfg.k:
+        raise InfeasibleKError(f"k={cfg.k} exceeds the tensor size of {total} entries")
     # a real tensor maps its keys in place in the contraction buffer
     cells_buf = np.empty(max_vol * m, dtype=A.dtype)
     keyed_buf = np.empty(max_vol * m) if A.is_complex else cells_buf
     work = (np.empty(max_vol * A.rank, dtype=A.dtype), cells_buf, keyed_buf)
-    cands = [init_candidates(A, cfg, np.random.default_rng(cfg.seed + r))
-             for r in range(n)]
+    tuples = np.stack([init_candidates(A.dims, m, np.random.default_rng(cfg.seed + r))
+                       for r in range(n)])
+    values = kernels.eval_elements(stacked, offsets, tuples.reshape(n * m, -1)).reshape(n, m)
     counts = dict.fromkeys(
         ("contracted_columns", "clean_blocks", "expansions") + _PASS_COUNTS, 0)
-    traces = [[float(np.max(key_values(c.values, cfg.key)))] for c in cands]
-    restart_sweeps = [0] * n
-    restart_converged = [False] * n
+    traces = [[b] for b in key_values(values, cfg.key).max(axis=1).tolist()]
+    restart_sweeps = np.zeros(n, dtype=np.int64)
+    restart_converged = np.zeros(n, dtype=bool)
     pool = {}
     # every restart starts at sweep 0, so the live ones share a sweep count
     # and one that reaches max_sweeps leaves with the loop
-    live = list(range(n))
+    live = np.arange(n)
     for _ in range(cfg.max_sweeps):
-        before = [cands[r].tuples.copy() for r in live]
-        _sweep(A, cands, live, cfg.key, windows, counts, stacked, offsets, work)
-        for r, prev in zip(live, before):
-            restart_sweeps[r] += 1
-            best = float(np.max(key_values(cands[r].values, cfg.key)))
-            if cfg.k == 1 and best < traces[r][-1]:
+        before = tuples[live]
+        _sweep(A, tuples, values, live, cfg.key, windows, counts, stacked, offsets, work)
+        restart_sweeps[live] += 1
+        bests = key_values(values[live], cfg.key).max(axis=1)
+        for r, best in zip(live.tolist(), bests.tolist()):
+            if best < traces[r][-1]:
                 raise RuntimeError(f"best key value decreased from {traces[r][-1]} to {best}")
             traces[r].append(best)
-            for row, val in zip(cands[r].tuples.tolist(), cands[r].values):
-                pool[tuple(row)] = val
-            restart_converged[r] = np.array_equal(prev, cands[r].tuples)
-        live = [r for r in live if not restart_converged[r]]
-        if not live:
+        after = tuples[live]
+        pool.update(zip(map(tuple, after.reshape(-1, A.order).tolist()),
+                        values[live].ravel().tolist()))
+        moved = (after != before).any(axis=(1, 2))
+        restart_converged[live] = ~moved
+        live = live[moved]
+        if not live.size:
             break
     ptuples = np.array(list(pool.keys()), dtype=np.int64)
     pvalues = np.array(list(pool.values()))
@@ -566,8 +556,8 @@ def solve(A, cfg):
         values=pvalues[order],
         indices=ptuples[order],
         objective=float(keyed[order].sum()),
-        sweeps_used=sum(restart_sweeps),
-        converged=any(restart_converged),
+        sweeps_used=int(restart_sweeps.sum()),
+        converged=bool(restart_converged.any()),
         diagnostics={
             "block_size": s,
             "schedule": schedule,
@@ -577,7 +567,7 @@ def solve(A, cfg):
             "exhausted": 0,
             "pool_size": len(pool),
             **counts,
-            "restart_sweeps": restart_sweeps,
-            "restart_converged": restart_converged,
+            "restart_sweeps": restart_sweeps.tolist(),
+            "restart_converged": restart_converged.tolist(),
         },
     )

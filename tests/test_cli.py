@@ -262,9 +262,14 @@ class TestBench(unittest.TestCase):
 
         with tempfile.TemporaryDirectory() as d, \
                 mock.patch("tensor_topk.harness.bench_trial", no_trial):
+            # a path under a regular file fails as opening it would
+            afile = os.path.join(d, "afile")
+            open(afile, "w").close()
             for path, msg in ((f"{d}/missing/bench.csv", "No such file or directory"),
                               (d, "Is a directory"),
-                              ("", "No such file or directory")):
+                              ("", "No such file or directory"),
+                              (f"{afile}/bench.csv", "Not a directory"),
+                              (f"{afile}/sub/bench.csv", "Not a directory")):
                 with self.subTest(path=path):
                     code, out, err = run_cli(["bench", "--trials", "2", "--dist", "u01",
                                               "--out", path])
@@ -272,7 +277,7 @@ class TestBench(unittest.TestCase):
                     self.assertEqual(out, "")
                     self.assertTrue(err.startswith("error:"), err)
                     self.assertIn(msg, err)
-                    self.assertEqual(os.listdir(d), [])
+                    self.assertEqual(os.listdir(d), ["afile"])
 
 
 class TestSolverFlags(unittest.TestCase):

@@ -42,8 +42,10 @@ def test_eval_elements_complex(rng):
 def _row_sets(seed, complex_):
     """(factors, tuples): bench trials 0-9 (bench --seed 0, um11), with
     complex factors of the same shapes when complex_, and one rank-4096
-    complex 16^4 tensor, the shape of the qft16 solve.  The tuples are every
-    entry of a tensor up to 2^14 entries, else 2048 drawn ones."""
+    complex 16^4 tensor, the shape of the qft16 solve; then a rank-1
+    6x5x7x4 tensor, real or complex, where a lone row's product is one
+    element.  The tuples are every entry of a tensor up to 2^14 entries,
+    else 2048 drawn ones."""
     rng = np.random.default_rng(seed)
     shapes = []
     for trial in range(10):
@@ -55,6 +57,8 @@ def _row_sets(seed, complex_):
                   for dims, rank, _ in shapes]
         dims = (16, 16, 16, 16)
         shapes.append((dims, 4096, random_factors(rng, dims, 4096, complex_=True)))
+    dims = (6, 5, 7, 4)
+    shapes.append((dims, 1, random_factors(rng, dims, 1, complex_=complex_)))
     for dims, rank, fs in shapes:
         size = int(np.prod(dims))
         if size <= 1 << 14:

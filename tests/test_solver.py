@@ -134,24 +134,35 @@ class TestCandidates(unittest.TestCase):
 
     def test_distinct_and_sized(self):
         cfg = SolverConfig(k=5, extra=5)
-        cands = solver.init_candidates(self.A, cfg, self.rng)
-        self.assertEqual(cands.tuples.shape, (10, 3))
-        seen = {tuple(t) for t in cands.tuples.tolist()}
+        tuples = solver.init_candidates(self.A.dims, cfg.k + cfg.extra, self.rng)
+        self.assertEqual(tuples.shape, (10, 3))
+        seen = {tuple(t) for t in tuples.tolist()}
         self.assertEqual(len(seen), 10)
-        for t, v in zip(cands.tuples, cands.values):
+        # solve reads every restart's initial values in one call
+        values = kernels.eval_elements(*kernels.stack_factors(self.A.factors), tuples)
+        for t, v in zip(tuples, values):
             self.assertEqual(v, cp.element(self.A, tuple(t)))
 
     def test_extra_clamped_to_tensor_size(self):
         tiny = cp.CpTensor(random_factors(self.rng, (2, 2), 2))
-        cands = solver.init_candidates(tiny, SolverConfig(k=2, extra=50), self.rng)
-        self.assertEqual(cands.tuples.shape[0], 4)
+        with mock.patch.object(solver, "init_candidates",
+                               wraps=solver.init_candidates) as draw:
+            res = solver.solve(tiny, SolverConfig(k=2, extra=50))
+        self.assertEqual({c.args[1] for c in draw.call_args_list}, {4})
+        self.assertEqual(res.diagnostics["pool_size"], 4)
 
     def test_infeasible_k(self):
         tiny = cp.CpTensor(random_factors(self.rng, (2, 2), 1))
-        with self.assertRaises(InfeasibleKError):
-            solver.init_candidates(tiny, SolverConfig(k=5), self.rng)
-        with self.assertRaises(InfeasibleKError):
+        with self.assertRaisesRegex(InfeasibleKError,
+                                    r"^k=5 exceeds the tensor size of 4 entries$"):
             solver.solve(tiny, SolverConfig(k=5))
+        # the capacity and magnitude checks come first
+        with self.assertRaises(CapacityError):
+            solver.solve(cp.CpTensor(random_factors(self.rng, (1025, 1025), 1)),
+                         SolverConfig(k=2 ** 21, block_size=2, restarts=1))
+        nan = cp.CpTensor([np.array([[np.nan], [1.0]]), np.ones((2, 1))])
+        with self.assertRaisesRegex(ValueError, "magnitude bound nan"):
+            solver.solve(nan, SolverConfig(k=5))
 
 
 class TestAlphaBeta(unittest.TestCase):
@@ -467,17 +478,17 @@ class TestBlockPassMoves(unittest.TestCase):
         self.assertEqual(counts, (2, 2, 1, 1))
 
 
-def _reference_sweep(A, cands, key, schedule, stacked, offsets, work):
+def _reference_sweep(A, tuples, values, key, schedule, stacked, offsets, work):
     """The sweep as it was before windows kept a visit record: every block
     expands and contracts all m columns, then runs the two-phase block pass."""
     expand_buf, cells_buf, keyed_buf = work
-    m = cands.tuples.shape[0]
+    m = tuples.shape[0]
     for block in schedule:
         block_dims = [A.dims[q] for q in block]
         vol = math.prod(block_dims)
-        alpha = solver.compute_alpha(A, cands.tuples, block)
+        alpha = solver.compute_alpha(A, tuples, block)
         beta = solver._collision_mask(
-            cands.tuples[:, [q for q in range(A.order) if q not in block]])
+            tuples[:, [q for q in range(A.order) if q not in block]])
         expand = kernels.block_expand(
             stacked, offsets, np.array(block), np.array(block_dims),
             out=expand_buf[:vol * A.rank].reshape(vol, A.rank),
@@ -485,7 +496,7 @@ def _reference_sweep(A, cands, key, schedule, stacked, offsets, work):
         cells = np.matmul(expand, alpha, out=cells_buf[:vol * m].reshape(vol, m))
         keyed = solver.key_values(cells, key, out=keyed_buf[:vol * m].reshape(vol, m))
         solver._block_pass(
-            cands.tuples, cands.values, solver._Window(A.dims, block, 1, m), keyed, beta,
+            tuples, values, solver._Window(A.dims, block, 1, m), keyed, beta,
             key, stacked, offsets, _full_picks(keyed, beta),
         )
 
@@ -515,30 +526,29 @@ class TestSweepReference(unittest.TestCase):
         m = min(cfg.k + cfg.extra, A.size())
         work_ref = _work_buffers(A, schedule, m)
         work = _work_buffers(A, schedule, m)
-        refs = [solver.init_candidates(A, cfg, np.random.default_rng(cfg.seed + r))
-                for r in range(cfg.restarts)]
-        gots = [solver.CandidateSet(ref.tuples.copy(), ref.values.copy())
-                for ref in refs]
+        ref_t = np.stack([solver.init_candidates(A.dims, m, np.random.default_rng(cfg.seed + r))
+                          for r in range(cfg.restarts)])
+        ref_v = np.stack([cp.elements_at(A, t) for t in ref_t])
+        got_t, got_v = ref_t.copy(), ref_v.copy()
         windows = [solver._Window(A.dims, block, cfg.restarts, m) for block in schedule]
         counts = collections.Counter()
         live = list(range(cfg.restarts))
         blocks = 0
         sweeps = [0] * cfg.restarts
         for sweep in range(cfg.max_sweeps):
-            solver._sweep(A, gots, live, cfg.key, windows, counts, stacked, offsets, work)
+            solver._sweep(A, got_t, got_v, live, cfg.key, windows, counts, stacked, offsets,
+                          work)
             converged = []
             for r in live:
-                before = refs[r].tuples.copy()
-                _reference_sweep(A, refs[r], cfg.key, schedule, stacked, offsets,
+                before = ref_t[r].copy()
+                _reference_sweep(A, ref_t[r], ref_v[r], cfg.key, schedule, stacked, offsets,
                                  work_ref)
                 msg = f"restart {r} sweep {sweep}"
-                np.testing.assert_array_equal(gots[r].tuples, refs[r].tuples,
-                                              err_msg=msg)
-                self.assertEqual(gots[r].values.tobytes(), refs[r].values.tobytes(),
-                                 msg=msg)
+                np.testing.assert_array_equal(got_t[r], ref_t[r], err_msg=msg)
+                self.assertEqual(got_v[r].tobytes(), ref_v[r].tobytes(), msg=msg)
                 blocks += len(schedule)
                 sweeps[r] += 1
-                if np.array_equal(before, refs[r].tuples):
+                if np.array_equal(before, ref_t[r]):
                     converged.append(r)
             live = [r for r in live if r not in converged]
             if not live:
@@ -769,19 +779,20 @@ class TestDiagnostics(unittest.TestCase):
         self.assertGreater(totals["forced_moves"], 0, totals)
 
     def test_monotonicity_check_raises(self):
-        # a sweep that lowers the best value breaks the k=1 invariant; the
-        # check raises rather than asserting, so it also holds under -O
+        # a sweep that lowers the best value breaks the invariant, for every
+        # k; the check raises rather than asserting, so it also holds under -O
         real_sweep = solver._sweep
 
-        def lowering_sweep(A, cands, live, *args):
-            out = real_sweep(A, cands, live, *args)
-            for r in live:
-                cands[r].values[:] -= 1.0
+        def lowering_sweep(A, tuples, values, live, *args):
+            out = real_sweep(A, tuples, values, live, *args)
+            values[live] -= 1.0
             return out
 
         with mock.patch.object(solver, "_sweep", lowering_sweep):
-            with self.assertRaisesRegex(RuntimeError, "best key value decreased"):
-                solver.solve(_tiny_rank1(), SolverConfig(k=1, extra=1, block_size=1))
+            for k in (1, 3):
+                with self.subTest(k=k), \
+                        self.assertRaisesRegex(RuntimeError, "best key value decreased"):
+                    solver.solve(_tiny_rank1(), SolverConfig(k=k, extra=1, block_size=1))
 
 
 def _tiny_rank1():
@@ -910,6 +921,18 @@ class TestSolveAgainstDense(unittest.TestCase):
             np.testing.assert_allclose(res.values, want.values, rtol=0, atol=1e-14)
             self.assertEqual(res.values.tobytes(),
                              cp.elements_at(A, res.indices).tobytes())
+
+    def test_rank1_complex_values_are_exact_elements(self):
+        # a lone row of a rank-1 complex tensor is a one-element product,
+        # which numpy rounds apart from its vector loop
+        rng = np.random.default_rng(83)
+        for trial in range(5):
+            dims = tuple(int(n) for n in rng.integers(3, 7, size=3))
+            A = cp.CpTensor(random_factors(rng, dims, 1, complex_=True))
+            res = solver.solve(A, SolverConfig(k=5, extra=10, key=OrderingKey.MAX_ABS,
+                                               seed=trial))
+            self.assertEqual(res.values.tobytes(),
+                             cp.elements_at(A, res.indices).tobytes(), msg=f"{dims}")
 
     def test_sweep_archive_retains_displaced_entries(self):
         # pooled output must be at least as good as the final state alone,
