@@ -147,13 +147,12 @@ def elements_at(A, tuples):
 def materialize(A, max_elems=DENSE_CAP_DEFAULT):
     """Dense ndarray of A, shape A.dims, as a Fortran-order view.
 
-    Raises CapacityError when the dense size exceeds ``max_elems``.  The
-    modes are split into a leading and a trailing half where the two
-    halves' cell counts sum least (an empty half is one cell of ones).
-    `kernels.block_expand` expands each half, and the dense tensor is one
-    GEMM, ``trail @ lead.T``, whose C-order rows run over the leading cells
-    fastest.  The rank columns go through in chunks of ``max(1, size //
-    (n_lead + n_trail))``, each chunk's product added to the result, so the
+    Raises CapacityError when the dense size exceeds ``max_elems``.
+    `kernels.expand_halves` splits the modes into a leading and a trailing
+    half and expands each, and the dense tensor is one GEMM, ``trail @
+    lead.T``, whose C-order rows run over the leading cells fastest.  The
+    rank columns go through in chunks of ``max(1, size // (n_lead +
+    n_trail))``, each chunk's product added to the result, so the
     two halves hold no more scalars than the result unless one rank column
     alone does.  The rounding is the GEMM's: entries can differ from
     `elements_at`'s in the last bits, so callers that report values read
@@ -163,19 +162,12 @@ def materialize(A, max_elems=DENSE_CAP_DEFAULT):
     if total > max_elems:
         raise CapacityError(f"dense size {total} exceeds the cap of {max_elems} entries")
     stacked, offsets = kernels.stack_factors(A.factors)
-    dims = np.array(A.dims, dtype=np.int64)
-    lead_cells = [math.prod(A.dims[:s]) for s in range(A.order + 1)]
-    split = min(range(A.order + 1),
-                key=lambda s: lead_cells[s] + total // lead_cells[s])
-    n_lead = lead_cells[split]
+    n_lead = math.prod(A.dims[:kernels.half_split(A.dims)])
     chunk = max(1, total // (n_lead + total // n_lead))
-    halves = (np.arange(split), np.arange(split, A.order))
     dense = None
     for c0 in range(0, A.rank, chunk):
         cols = np.ascontiguousarray(stacked[:, c0:c0 + chunk])
-        lead, trail = (kernels.block_expand(cols, offsets, modes, dims[modes])
-                       if modes.size else np.ones((1, cols.shape[1]), dtype=cols.dtype)
-                       for modes in halves)
+        lead, trail = kernels.expand_halves(cols, offsets, range(A.order), A.dims)
         part = trail @ lead.T
         if dense is None:
             dense = part

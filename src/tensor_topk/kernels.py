@@ -1,5 +1,5 @@
-"""Hot numeric kernels: batched element evaluation, block expansion, argmax
-along columns and masked argmax."""
+"""Hot numeric kernels: batched element evaluation, block expansion split
+into two halves, and masked argmax."""
 
 import math
 
@@ -37,55 +37,46 @@ def eval_elements(stacked, offsets, tuples):
     return prod.sum(axis=1)[:n]
 
 
-def block_expand(stacked, offsets, modes, dims, *, out=None):
+def block_expand(stacked, offsets, modes, dims):
     """Per-rank products over a mode subset, one row per block cell.
 
     Row lin of the result is prod_t stacked_factor[modes[t]][i_t, :] where
     (i_0, i_1, ...) are the digits of lin with the first listed mode fastest.
-    ``out``, if given, must be a C-contiguous (prod(dims), rank) array; the
-    result is written there and ``out`` itself is returned.
     """
     modes = np.ascontiguousarray(modes, dtype=np.int64)
     dims = np.ascontiguousarray(dims, dtype=np.int64)
-    rank = stacked.shape[1]
-    shape = (int(np.prod(dims)), rank)
-    if out is None:
-        out = np.empty(shape, dtype=stacked.dtype)
-    elif out.shape != shape or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous {shape} array")
-    last = len(modes) - 1
     acc = stacked[offsets[modes[0]]:offsets[modes[0]] + dims[0]]
-    if last == 0:
-        np.copyto(out, acc)
-    for t in range(1, last + 1):
+    for t in range(1, len(modes)):
         f = stacked[offsets[modes[t]]:offsets[modes[t]] + dims[t]]
-        # C-order reshape of (n_t, vol_prev, R) makes the earlier modes fastest;
-        # the last step writes straight into out
-        dst = out.reshape(dims[t], -1, rank) if t == last else None
-        acc = np.multiply(f[:, None, :], acc[None, :, :], out=dst).reshape(-1, rank)
-    return out
+        # C-order reshape of (n_t, vol_prev, R) makes the earlier modes fastest
+        acc = (f[:, None, :] * acc[None, :, :]).reshape(-1, stacked.shape[1])
+    return acc if len(modes) > 1 else acc.copy()
 
 
-def column_argmax(keyed):
-    """``keyed.argmax(axis=0)`` of a C-contiguous (n, m) array with no NaN:
-    ties to the smallest row.
+def half_split(dims):
+    """How many leading modes of a mode list form the leading half of a
+    half-split product: the split whose two halves' cell counts sum least,
+    the first on a tie (an empty half is one cell)."""
+    dims = [int(n) for n in dims]
+    total = math.prod(dims)
+    lead_cells = [math.prod(dims[:s]) for s in range(len(dims) + 1)]
+    return min(range(len(dims) + 1), key=lambda s: lead_cells[s] + total // lead_cells[s])
 
-    Argmax along axis 0 first copies the whole array transposed.  Here the
-    rows are cut into g slabs of n // g, g the largest divisor of n up to
-    sqrt(n); the slabs are max-reduced over long contiguous runs, and only
-    the cells that hold a column's maximum are searched for the first one.
+
+def expand_halves(stacked, offsets, modes, dims):
+    """`block_expand` of the leading and trailing halves of a mode list, split
+    at `half_split`; an empty half is one row of ones.
+
+    The product of the whole list summed over the rank is then one GEMM,
+    ``trail @ lead.T``, whose C-order cells run over the leading half fastest,
+    the same order as `block_expand`'s rows.
     """
-    n, m = keyed.shape
-    divisors = np.arange(1, math.isqrt(n) + 1)
-    groups = int(divisors[n % divisors == 0][-1])
-    per = n // groups
-    part = keyed.reshape(groups, per * m).max(axis=0).reshape(per, m)
-    best = part.max(axis=0)
-    ps, js = np.nonzero(part == best)
-    gs = (keyed.reshape(groups, per, m)[:, ps, js] == best[js]).argmax(axis=0)
-    rows = np.full(m, n, dtype=np.int64)
-    np.minimum.at(rows, js, gs * per + ps)
-    return rows
+    modes = np.asarray(modes, dtype=np.int64)
+    dims = np.asarray(dims, dtype=np.int64)
+    s = half_split(dims)
+    return tuple(block_expand(stacked, offsets, ms, ds) if ms.size
+                 else np.ones((1, stacked.shape[1]), dtype=stacked.dtype)
+                 for ms, ds in ((modes[:s], dims[:s]), (modes[s:], dims[s:])))
 
 
 def masked_argmax(keyed, forbidden):

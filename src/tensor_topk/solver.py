@@ -15,20 +15,26 @@ cells.
 product and sum the search forms, so every key is finite: a candidate always
 has an allowed cell, and the first sweep pools all k + extra distinct tuples.
 
-Column j of a block's subproblem (``expand @ alpha``) depends only on the
-window and on candidate j's out-of-block coordinates, its context.  So each
-`_Window` keeps a record of its last visit by every restart: each candidate
-slot's context and its column's argmax, -1 for a column never contracted.
-A block contracts only its dirty columns: columns never contracted, columns
-whose context changed, and dependent candidates, whose masked selection
-needs the whole column.  A block with no dirty column skips the
-contraction, and a window visit with none in any live restart skips the
-expansion too.  A narrower contraction must give the same bits as the full
-one, and the BLAS guarantees that only on its regular blocked path, so
-`_contraction_width` pads the dirty set and falls back to all m columns
-outside a measured rule (see ``SUBSET_MIN_WORK``).
+With a candidate's out-of-block coordinates fixed, its subproblem is the
+CP tensor sum_r alpha[r] * (x)_{q in block} U_q[:, r] on the window's modes.
+`kernels.expand_halves` splits the window's modes as `cp.materialize` splits
+a tensor's, into a leading and a trailing half, and expands each, so a
+candidate's subproblem is one small GEMM of the two halves, one of them
+scaled by its rank weights (see `_subproblems`).  The candidates of a
+restart go through one stacked matmul, one BLAS call per candidate on
+slices of one shape, so a candidate's keys do not depend on which other
+candidates share the call.
 
-A block's expansion depends only on the window and the factors, not on the
+A candidate's subproblem depends only on the window and on its
+out-of-block coordinates, its context.  So each `_Window` keeps a record
+of its last visit by every restart: each candidate slot's context and its
+subproblem's argmax, -1 for one never contracted.  A block contracts only
+its dirty columns: candidates never contracted, candidates whose context
+changed, and dependent candidates, whose masked selection needs the whole
+subproblem.  A block with no dirty column skips the contraction, and a
+window visit with none in any live restart skips building the halves too.
+
+The halves depend only on the window and the factors, not on the
 candidates or the restart.  So `solve` runs its restarts in lockstep: each
 sweep visits a window once for all live restarts.  The restarts' state is
 two arrays with one row per restart, the tuples (restarts, m, order) and
@@ -36,16 +42,17 @@ their values (restarts, m).  At each window the live rows of the tuples are
 gathered once, and the contexts, collision masks, dependent masks and dirty
 masks come from that copy.  When any live restart has a dirty column, the
 window's rank weights (one `compute_alpha` over every live candidate) and
-its expansion are built once, before the restarts run, and both are dropped
-when the sweep moves to the next window.  Each restart then runs its own
-contraction, column argmax and block pass on its own rows, in order, on the
-same bits as it would alone, so the output does not depend on the
-lockstep.  The expansion, contraction and key buffers stay one per solve: a
-restart's block pass uses up its columns before the next restart overwrites
-them.  A block pass evaluates an entry only where a candidate moves: a
-rechecked move keeps the recheck's value, and a forced move (the incumbent
-cell taken by an earlier candidate) is evaluated once.  A restart leaves
-the live set at its fixed point or after ``max_sweeps`` sweeps.
+its halves are built once, before the restarts run, and both are dropped
+when the sweep moves to the next window.  Each restart then forms the
+subproblems of its own dirty columns, takes their argmaxes and runs its
+block pass on its own rows, in order, on the same bits as it would alone,
+so the output does not depend on the lockstep.  The cell and key buffers
+stay one per solve: a restart's block pass uses up its subproblems before
+the next restart overwrites them.  A block pass evaluates an entry only
+where a candidate moves: a rechecked move keeps the recheck's value, and a
+forced move (the incumbent cell taken by an earlier candidate) is evaluated
+once.  A restart leaves the live set at its fixed point or after
+``max_sweeps`` sweeps.
 """
 
 from __future__ import annotations
@@ -261,31 +268,6 @@ def _collision_mask(context):
     return np.all(context[..., :, None, :] == context[..., None, :, :], axis=-1)
 
 
-# A column subset of the real contraction, E @ alpha[:, sel], is bit-equal to
-# (E @ alpha)[:, sel] only when both products take the BLAS's regular
-# blocked dgemm path.  Measured with OpenBLAS 0.3.31 (SkylakeX, one and two
-# threads): width 1 goes to gemv, and every width-1 product differed;
-# products with M*N*K <= 10**6 run the small-matrix kernel, whose columns
-# depend on the width and alpha's layout: the Fortran-order subset _sweep
-# passes differed at (vol, R, m) = (400, 256, 50), widths 2-3, and at
-# solve_large's (10**4, 20, 50), widths 2-4, only a C-order copy differed.
-# zgemm differed at every width not a multiple of 4 on every complex shape
-# probed, qft16's (256, 4096) among them.  So a subset contraction needs a
-# real tensor, width >= 2 and vol * R * width above this constant;
-# tests/test_solver.py::test_subset_contraction_matches_full pins the rule.
-SUBSET_MIN_WORK = 10**6
-
-
-def _contraction_width(n_dirty, vol, rank, m, is_complex):
-    """Columns a block contracts: its n_dirty dirty ones padded up to the
-    narrowest width the subset rule admits, or all m where it admits none
-    narrower than m."""
-    if is_complex:
-        return m
-    width = max(n_dirty, 2, SUBSET_MIN_WORK // (vol * rank) + 1)
-    return min(width, m)
-
-
 _PASS_COUNTS = ("moves", "rechecks", "reverted", "forced_moves")
 
 
@@ -379,6 +361,40 @@ def _block_pass(tuples, values, window, keyed, beta, key, stacked, offsets,
     return int(np.count_nonzero(new_lins != inc_lins)), rechecks, reverted, forced
 
 
+def _subproblems(lead_t, trail, alpha, out):
+    """The dense subproblems of the candidates whose rank weights are alpha's
+    columns, (R, w): row c of the (w, vol) result holds every cell of
+    candidate c's subproblem, sum_r alpha[r, c] * lead[:, r] (x) trail[:, r],
+    the leading half's cells fastest.  lead_t is the leading half transposed,
+    a C-contiguous (R, vol_lead) array, and trail the trailing half.
+
+    The half with fewer cells, the trailing one on a tie, is scaled by each
+    candidate's weights, and one stacked matmul forms all w subproblems into
+    a prefix of the flat buffer out.  numpy makes one BLAS call per stacked
+    slice, and every slice has the same shape, so a candidate's cells do not
+    depend on which or how many columns share the call.
+    """
+    n = alpha.shape[1]
+    shape = (n, trail.shape[0], lead_t.shape[1])
+    cells = out[:math.prod(shape)].reshape(shape)
+    scale_lead = lead_t.shape[1] < trail.shape[0]
+    if scale_lead:
+        half, weights = lead_t, alpha.T[:, :, None]
+    else:
+        half, weights = trail, alpha.T[:, None, :]
+    if half.size == 1 == n:
+        # a one-cell half of rank 1 is scaled in one loop over the
+        # candidates, and numpy rounds a lone complex product apart from
+        # that loop: a lone candidate is scaled as two copies of itself
+        weights = np.repeat(weights, 2, axis=0)
+    scaled = (half * weights)[:n]
+    if scale_lead:
+        np.matmul(trail, scaled, out=cells)
+    else:
+        np.matmul(scaled, lead_t, out=cells)
+    return cells.reshape(n, -1)
+
+
 def _sweep(A, tuples, values, live, key, windows, counts, stacked, offsets, work):
     """One sweep of the live restarts in lockstep; mutates their candidates.
 
@@ -392,59 +408,51 @@ def _sweep(A, tuples, values, live, key, windows, counts, stacked, offsets, work
     context.  A restart's rows of the copy are its tuples as it enters the
     window, since only its own block pass changes them.  When any live
     restart has a dirty column, one `compute_alpha` over the copy and the
-    window's expansion are built before the restarts run.  Then each live
-    restart r, in order, pads its dirty set to `_contraction_width`,
-    contracts those columns, records their argmaxes in the window's record
-    and runs its block pass on the row views ``tuples[r]`` and
-    ``values[r]``.  work holds the flat expansion, contraction and key
-    buffers that `solve` allocates once; each block uses a prefix of each,
-    so no block allocates an array proportional to its volume.
+    window's two halves (`kernels.expand_halves`) are built before the
+    restarts run.  Then each live restart r, in order, forms the
+    subproblems of exactly its dirty columns (`_subproblems`), maps their
+    keys, records their row argmaxes in the window's record and runs its
+    block pass on the row views ``tuples[r]`` and ``values[r]``.  work holds
+    the flat cell and key buffers that `solve` allocates once, m times the
+    largest window's volume each; a restart uses a prefix of each, so no
+    block allocates an array proportional to its volume.
     """
-    expand_buf, cells_buf, keyed_buf = work
+    cells_buf, keyed_buf = work
     m = tuples.shape[1]
     for w in windows:
-        # drop the last window's rank weights before this one builds its own
-        alphas = expand = None
+        # drop the last window's rank weights and halves before this one
+        # builds its own
+        alphas = lead = lead_t = trail = None
         stack = tuples[live]
         contexts = stack[:, :, w.rest]
         betas = _collision_mask(contexts)
         dependents = _dependent(betas)
+        n_dependent = int(np.count_nonzero(dependents))
+        counts["dependent_picks"] += n_dependent
+        counts["free_picks"] += dependents.size - n_dependent
         # dependent candidates need their whole column for masked_argmax
         dirties = (dependents | (w.lins[live] < 0)
                    | (contexts != w.seen[live]).any(axis=2))
         w.seen[live] = contexts
         if dirties.any():
-            # compute_alpha comes right before the expansion it pairs with,
+            # compute_alpha comes right before the expansions it pairs with,
             # so a tracer wrapping both can pair them
             alphas = compute_alpha(A, stack.reshape(-1, A.order), w.block)
             alphas = alphas.reshape(A.rank, len(live), m)
-            expand = kernels.block_expand(
-                stacked, offsets, w.modes, w.sizes,
-                out=expand_buf[:w.vol * A.rank].reshape(w.vol, A.rank),
-            )
+            lead, trail = kernels.expand_halves(stacked, offsets, w.modes, w.sizes)
+            lead_t = np.ascontiguousarray(lead.T)
             counts["expansions"] += 1
         for i, r in enumerate(live):
             dirty = dirties[i]
-            n_dirty = int(np.count_nonzero(dirty))
+            sel = dirty.nonzero()[0]
             keyed = slot = None
-            if n_dirty:
-                width = _contraction_width(n_dirty, w.vol, A.rank, m, A.is_complex)
-                # pad with the lowest-index clean columns
-                dirty[(~dirty).nonzero()[0][:width - n_dirty]] = True
-                sel = dirty.nonzero()[0]
-                slot = dirty.cumsum() - 1
-                # a subset in Fortran order, the layout SUBSET_MIN_WORK
-                # measured; all m columns in C order, as compute_alpha
-                # returns a lone restart's
-                alpha = (alphas[:, i, sel] if width < m
-                         else np.ascontiguousarray(alphas[:, i]))
-                shape = (w.vol, width)
-                cells = np.matmul(expand, alpha,
-                                  out=cells_buf[:w.vol * width].reshape(shape))
+            if sel.size:
+                cells = _subproblems(lead_t, trail, alphas[:, i, sel], cells_buf)
                 keyed = key_values(cells, key,
-                                   out=keyed_buf[:w.vol * width].reshape(shape))
-                w.lins[r, sel] = kernels.column_argmax(keyed)
-                counts["contracted_columns"] += width
+                                   out=keyed_buf[:cells.size].reshape(cells.shape))
+                w.lins[r, sel] = keyed.argmax(axis=1)
+                keyed, slot = keyed.T, dirty.cumsum() - 1
+                counts["contracted_columns"] += sel.size
             else:
                 counts["clean_blocks"] += 1
             passed = _block_pass(tuples[r], values[r], w, keyed, betas[i], key,
@@ -463,8 +471,8 @@ def _magnitude_bound(stacked, offsets):
 
     B bounds the magnitude of every product of factor entries over any
     subset of the modes, taken in any order, and of every sum of such
-    products over the rank: the entries, alpha, the block expansions and
-    their contraction.  NaN or infinite factors give a NaN or infinite B.
+    products over the rank: the entries, alpha, the window halves, their
+    scaled copies and the subproblems formed from them.  NaN or infinite factors give a NaN or infinite B.
     """
     with np.errstate(over="ignore"):
         peaks = np.maximum.reduceat(np.abs(stacked), offsets[:-1], axis=0)
@@ -512,15 +520,15 @@ def solve(A, cfg):
         )
     if total < cfg.k:
         raise InfeasibleKError(f"k={cfg.k} exceeds the tensor size of {total} entries")
-    # a real tensor maps its keys in place in the contraction buffer
+    # a real tensor maps its keys in place in the cell buffer
     cells_buf = np.empty(max_vol * m, dtype=A.dtype)
-    keyed_buf = np.empty(max_vol * m) if A.is_complex else cells_buf
-    work = (np.empty(max_vol * A.rank, dtype=A.dtype), cells_buf, keyed_buf)
+    work = (cells_buf, np.empty(max_vol * m) if A.is_complex else cells_buf)
     tuples = np.stack([init_candidates(A.dims, m, np.random.default_rng(cfg.seed + r))
                        for r in range(n)])
     values = kernels.eval_elements(stacked, offsets, tuples.reshape(n * m, -1)).reshape(n, m)
     counts = dict.fromkeys(
-        ("contracted_columns", "clean_blocks", "expansions") + _PASS_COUNTS, 0)
+        ("contracted_columns", "clean_blocks", "expansions", "free_picks",
+         "dependent_picks") + _PASS_COUNTS, 0)
     traces = [[b] for b in key_values(values, cfg.key).max(axis=1).tolist()]
     restart_sweeps = np.zeros(n, dtype=np.int64)
     restart_converged = np.zeros(n, dtype=bool)

@@ -84,6 +84,7 @@ class TestTopk(unittest.TestCase):
         want = {name: res.diagnostics[name]
                 for name in ("block_size", "exhausted", "pool_size",
                              "contracted_columns", "clean_blocks", "expansions",
+                             "free_picks", "dependent_picks",
                              "moves", "rechecks", "reverted", "forced_moves",
                              "restart_sweeps", "restart_converged")}
         doc = json.loads(out)

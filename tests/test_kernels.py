@@ -1,5 +1,7 @@
 """Kernel-level checks against dense references."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -103,46 +105,33 @@ def test_block_expand_single_mode(rng):
     np.testing.assert_array_equal(out, fs[1])
 
 
-def test_block_expand_into_out_is_bit_equal(rng):
+def test_half_split_sums_the_fewest_cells():
+    # (dims, split): ties go to the fewest leading modes, and an empty half
+    # counts one cell
+    for dims, want in (((7,), 0), ((100, 100), 1), ((16, 16, 16, 16), 2),
+                       ((2, 300), 1), ((300, 2), 1), ((3, 4, 3), 1), ((1, 1), 0),
+                       ((2, 2, 2, 2, 2, 64), 5)):
+        assert kernels.half_split(dims) == want, dims
+        cells = [math.prod(dims[:s]) + math.prod(dims[s:]) for s in range(len(dims) + 1)]
+        assert cells[want] == min(cells), dims
+
+
+def test_expand_halves_product_is_the_expansion_summed(rng):
     for complex_ in (False, True):
         fs, stacked, offsets = _stacked(rng, (3, 4, 5, 2), 3, complex_=complex_)
-        for modes in ([1], [3, 0], [2, 0, 1]):
+        for modes in ([1], [3, 0], [2, 0, 1], [0, 1, 2, 3]):
             dims = [fs[q].shape[0] for q in modes]
-            want = kernels.block_expand(stacked, offsets, modes, dims)
-            # a larger flat buffer, used through a prefix view as the solver does
-            buf = np.full(200 * 3, np.nan, dtype=stacked.dtype)
-            out = buf[:want.size].reshape(want.shape)
-            got = kernels.block_expand(stacked, offsets, modes, dims, out=out)
-            assert got is out
-            assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
-
-
-def test_block_expand_rejects_bad_out(rng):
-    fs, stacked, offsets = _stacked(rng, (3, 4), 2)
-    with pytest.raises(ValueError):
-        kernels.block_expand(stacked, offsets, [0, 1], [3, 4], out=np.empty((11, 2)))
-    with pytest.raises(ValueError):
-        kernels.block_expand(stacked, offsets, [0, 1], [3, 4],
-                             out=np.empty((2, 12)).T)
-
-
-def test_column_argmax_matches_argmax(rng):
-    # rounding makes ties common; 97 and 20011 are prime row counts
-    for n in (1, 7, 12, 36, 97, 3 * 4999, 20011):
-        for m in (1, 5):
-            keyed = np.round(rng.uniform(-3, 3, size=(n, m)), 0)
-            np.testing.assert_array_equal(kernels.column_argmax(keyed),
-                                          keyed.argmax(axis=0))
-    for n in (24, 1000):
-        keyed = np.round(rng.uniform(-3, 3, size=(n, 7)), 0)
-        keyed[:, 0] = -np.inf
-        keyed[:, 2] = np.minimum(keyed[:, 2], 0.0)
-        keyed[[3, 9], 2] = [-0.0, 0.0]
-        keyed[:, 3] = 1.0
-        keyed[-1, 4] = 10.0
-        np.testing.assert_array_equal(kernels.column_argmax(keyed),
-                                      keyed.argmax(axis=0))
+            lead, trail = kernels.expand_halves(stacked, offsets, modes, dims)
+            s = kernels.half_split(dims)
+            assert lead.shape == (math.prod(dims[:s]), 3)
+            assert trail.shape == (math.prod(dims[s:]), 3)
+            if s == 0:
+                np.testing.assert_array_equal(lead, np.ones((1, 3)))
+            else:
+                np.testing.assert_array_equal(
+                    lead, kernels.block_expand(stacked, offsets, modes[:s], dims[:s]))
+            want = kernels.block_expand(stacked, offsets, modes, dims).sum(axis=1)
+            np.testing.assert_allclose((trail @ lead.T).ravel(), want, rtol=1e-12)
 
 
 def test_masked_argmax_plain():

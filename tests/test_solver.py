@@ -359,7 +359,7 @@ def _reference_block_pass(A, tuples, values, block, keyed, key_name):
 def _full_picks(keyed, beta):
     # every column of keyed contracted: the argmaxes, identity slots and the
     # dependent mask
-    return (kernels.column_argmax(keyed), np.arange(keyed.shape[1]),
+    return (keyed.argmax(axis=0), np.arange(keyed.shape[1]),
             solver._dependent(beta))
 
 
@@ -478,35 +478,43 @@ class TestBlockPassMoves(unittest.TestCase):
         self.assertEqual(counts, (2, 2, 1, 1))
 
 
-def _reference_sweep(A, tuples, values, key, schedule, stacked, offsets, work):
+def _reference_sweep(A, tuples, values, key, schedule, stacked, offsets, work, seen):
     """The sweep as it was before windows kept a visit record: every block
-    expands and contracts all m columns, then runs the two-phase block pass."""
-    expand_buf, cells_buf, keyed_buf = work
-    m = tuples.shape[0]
+    builds its halves and forms all m subproblems, then runs the two-phase
+    block pass.
+
+    Also returns how many of those columns the cached sweep contracts: a
+    column is dirty when an earlier candidate shares its context, or when
+    its context differs from the one ``seen`` (block -> contexts, updated
+    here) holds from the restart's last visit, or there is none yet.
+    """
+    cells_buf, keyed_buf = work
+    dirty = 0
     for block in schedule:
-        block_dims = [A.dims[q] for q in block]
-        vol = math.prod(block_dims)
+        context = tuples[:, [q for q in range(A.order) if q not in block]]
+        last = seen.get(block)
+        for j, ctx in enumerate(context):
+            shared = any(np.array_equal(ctx, c) for c in context[:j])
+            dirty += shared or last is None or not np.array_equal(ctx, last[j])
+        seen[block] = context.copy()
         alpha = solver.compute_alpha(A, tuples, block)
-        beta = solver._collision_mask(
-            tuples[:, [q for q in range(A.order) if q not in block]])
-        expand = kernels.block_expand(
-            stacked, offsets, np.array(block), np.array(block_dims),
-            out=expand_buf[:vol * A.rank].reshape(vol, A.rank),
-        )
-        cells = np.matmul(expand, alpha, out=cells_buf[:vol * m].reshape(vol, m))
-        keyed = solver.key_values(cells, key, out=keyed_buf[:vol * m].reshape(vol, m))
+        beta = solver._collision_mask(context)
+        lead, trail = kernels.expand_halves(stacked, offsets, block,
+                                            [A.dims[q] for q in block])
+        cells = solver._subproblems(np.ascontiguousarray(lead.T), trail, alpha, cells_buf)
+        keyed = solver.key_values(cells, key, out=keyed_buf[:cells.size].reshape(cells.shape)).T
         solver._block_pass(
-            tuples, values, solver._Window(A.dims, block, 1, m), keyed, beta,
+            tuples, values, solver._Window(A.dims, block, 1, len(tuples)), keyed, beta,
             key, stacked, offsets, _full_picks(keyed, beta),
         )
+    return dirty
 
 
 def _work_buffers(A, schedule, m):
     # the same flat buffers solve allocates, one set per caller
     max_vol = max(math.prod(A.dims[q] for q in w) for w in schedule)
     cells = np.empty(max_vol * m, dtype=A.dtype)
-    keyed = np.empty(max_vol * m) if A.is_complex else cells
-    return np.empty(max_vol * A.rank, dtype=A.dtype), cells, keyed
+    return cells, np.empty(max_vol * m) if A.is_complex else cells
 
 
 class TestSweepReference(unittest.TestCase):
@@ -519,7 +527,8 @@ class TestSweepReference(unittest.TestCase):
 
     def _compare(self, A, cfg):
         """Returns the contracted columns, clean blocks, blocks and
-        expansions summed over restarts, and each restart's sweep count."""
+        expansions summed over restarts, and each restart's sweep count.
+        Each restart contracts exactly its dirty columns."""
         s = solver._resolve_block_size(A, cfg)
         schedule = solver.block_schedule(A.order, s)
         stacked, offsets = kernels.stack_factors(A.factors)
@@ -533,16 +542,17 @@ class TestSweepReference(unittest.TestCase):
         windows = [solver._Window(A.dims, block, cfg.restarts, m) for block in schedule]
         counts = collections.Counter()
         live = list(range(cfg.restarts))
-        blocks = 0
+        blocks = dirty = 0
         sweeps = [0] * cfg.restarts
+        seen = [{} for _ in range(cfg.restarts)]
         for sweep in range(cfg.max_sweeps):
             solver._sweep(A, got_t, got_v, live, cfg.key, windows, counts, stacked, offsets,
                           work)
             converged = []
             for r in live:
                 before = ref_t[r].copy()
-                _reference_sweep(A, ref_t[r], ref_v[r], cfg.key, schedule, stacked, offsets,
-                                 work_ref)
+                dirty += _reference_sweep(A, ref_t[r], ref_v[r], cfg.key, schedule, stacked,
+                                          offsets, work_ref, seen[r])
                 msg = f"restart {r} sweep {sweep}"
                 np.testing.assert_array_equal(got_t[r], ref_t[r], err_msg=msg)
                 self.assertEqual(got_v[r].tobytes(), ref_v[r].tobytes(), msg=msg)
@@ -553,26 +563,28 @@ class TestSweepReference(unittest.TestCase):
             live = [r for r in live if r not in converged]
             if not live:
                 break
+        self.assertEqual(counts["contracted_columns"], dirty)
         return (counts["contracted_columns"], counts["clean_blocks"], blocks,
                 counts["expansions"], sweeps)
 
     def test_real_subset_path(self):
-        # window (0, 1) has 25,600 cells: vol * R * w passes SUBSET_MIN_WORK
-        # from w = 2, so narrow contractions run there
+        # window (0, 1) has 25,600 cells; blocks contract fewer than all 50
+        # columns there
         A = cp.CpTensor(random_factors(np.random.default_rng(201), (160, 160, 4, 4), 20))
         cfg = SolverConfig(k=10, extra=40, block_size=2, restarts=2, seed=11)
         contracted, clean, blocks, _, _ = self._compare(A, cfg)
         self.assertLess(contracted, 50 * (blocks - clean))
 
     def test_real_clean_blocks_only(self):
-        # too small for a narrow contraction: a block contracts all 8 columns
-        # or, when none is dirty, none
+        # however small the window, a block contracts just its dirty
+        # columns, at least one of the 8, or, when none is dirty, none
         A = cp.CpTensor(random_factors(np.random.default_rng(202), (6, 5, 7, 6, 5, 6), 3))
         for s in (1, 2):
             cfg = SolverConfig(k=3, extra=5, block_size=s, restarts=3, seed=12)
             contracted, clean, blocks, _, _ = self._compare(A, cfg)
             self.assertGreater(clean, 0)
-            self.assertEqual(contracted, 8 * (blocks - clean))
+            self.assertLessEqual(blocks - clean, contracted)
+            self.assertLess(contracted, 8 * (blocks - clean))
 
     def test_restarts_leave_at_different_sweeps(self):
         # the live set shrinks mid-run, and the live restarts still share
@@ -591,7 +603,9 @@ class TestSweepReference(unittest.TestCase):
             cfg = SolverConfig(k=3, extra=6, block_size=s, key=OrderingKey.MAX_ABS,
                                restarts=2, seed=13)
             contracted, clean, blocks, _, _ = self._compare(A, cfg)
-            self.assertEqual(contracted, 9 * (blocks - clean))
+            # complex tensors contract their dirty columns alone too
+            self.assertLessEqual(blocks - clean, contracted)
+            self.assertLess(contracted, 9 * (blocks - clean))
 
     def test_min_key_and_block_sizes(self):
         rng = np.random.default_rng(204)
@@ -604,67 +618,99 @@ class TestSweepReference(unittest.TestCase):
                     self._compare(A, cfg)
 
 
-def test_subset_contraction_matches_full():
-    """Every width the subset rule admits gives the full product's bits.
+# (tensor dims, window, rank, complex): solve_large's 100x100 windows at R
+# 20, qft16's 16x16 windows at R 4096, the largest bench solver rows (13x13
+# blocks, R 10), a (2, 300) window and its mirror, one- and three-mode
+# windows, all-mode windows, and rank-1 windows, one with a size-1 mode
+SUBPROBLEM_CASES = (
+    ((100, 100, 100), (0, 1), 20, False),
+    ((16, 16, 16), (1, 2), 4096, True),
+    ((13, 13, 13), (2, 0), 10, False),
+    ((13, 13, 13), (0, 1), 10, True),
+    ((2, 300, 3), (0, 1), 7, False),
+    ((300, 2, 3), (0, 1), 7, True),
+    ((5, 6, 4, 3), (2,), 4, False),
+    ((5, 6, 4, 3), (1,), 4, True),
+    ((5, 6, 4, 3), (1, 2, 3), 5, False),
+    ((5, 6, 4, 3), (3, 0, 1), 5, True),
+    ((4, 3, 5), (0, 1, 2), 3, False),
+    ((4, 3, 5), (0, 1, 2), 3, True),
+    ((6, 1, 5), (1,), 1, True),
+    ((6, 1, 5), (0, 1), 1, True),
+    ((6, 5, 4), (0, 1), 1, True),
+    ((6, 5, 4), (2,), 1, False),
+)
 
-    Shapes are the real (vol, R, m) contractions of the benchmarks and tests:
-    solve_large's 100x100 windows, the sweep reference test's 160x160 window,
-    the largest bench solver rows (13x13 blocks, R = 10, m = 2 and 6) and the
-    pinned configs.  Each subset is taken as `_sweep` takes it: fancy-indexed
-    from the stacked (R, restarts, m) rank weights, which gives a Fortran-order
-    operand (a C-order copy of it is not bit-safe).  The full product uses
-    the C-order copy of the restart's columns that a full-width contraction
-    gets.  A BLAS that changes its kernels fails here first.
+
+def test_subproblem_keys_do_not_depend_on_their_batch():
+    """A candidate's keys are bit-equal whether its subproblem is formed
+    alone, among any subset of its restart's columns, or in one call with
+    other restarts' columns in any order.
+
+    Each subset is taken as `_sweep` takes it, fancy-indexed from the
+    stacked (R, restarts, m) rank weights.  The scaled half holds at most
+    m x min(vol_lead, vol_trail) x R scalars.  A BLAS or numpy that changes
+    how stacked products are split fails here first.
     """
     rng = np.random.default_rng(301)
-    shapes = [(10**4, 20, 50), (25600, 20, 50), (169, 10, 6), (169, 10, 2)]
-    for tseed, dims, rank, complex_, kw in PINNED_CONFIGS.values():
-        if not complex_:
-            s = solver._resolve_block_size(_pinned_tensor(tseed, dims, rank, False),
-                                           SolverConfig(**kw))
-            vol = max(math.prod(dims[q] for q in w)
-                      for w in solver.block_schedule(len(dims), s))
-            shapes.append((vol, rank, min(kw["k"] + kw["extra"], math.prod(dims))))
-    admitted = 0
-    for vol, rank, m in shapes:
-        E = rng.uniform(-1, 1, size=(vol, rank))
-        alphas = rng.uniform(-1, 1, size=(rank, 2, m))
-        fulls = [E @ np.ascontiguousarray(alphas[:, i]) for i in range(2)]
-        buf = np.empty(vol * m)
-        widths = {solver._contraction_width(n, vol, rank, m, False)
-                  for n in range(1, m + 1)}
-        if vol * rank * m <= solver.SUBSET_MIN_WORK:
-            assert widths == {m}, (vol, rank, m)
-        for w in sorted(widths - {m}):
-            assert 2 <= w < m and vol * rank * w > solver.SUBSET_MIN_WORK
-            admitted += 1
-            subsets = [np.arange(w), np.arange(m - w, m)]
-            subsets += [np.sort(rng.choice(m, w, replace=False)) for _ in range(2)]
-            for i in range(2):
-                for sel in subsets:
-                    alpha = alphas[:, i, sel]
-                    assert alpha.flags.f_contiguous, (vol, rank, m, i)
-                    got = np.matmul(E, alpha, out=buf[:vol * w].reshape(vol, w))
-                    want = np.ascontiguousarray(fulls[i][:, sel])
-                    assert got.tobytes() == want.tobytes(), (vol, rank, m, i, sel.tolist())
-    assert admitted > 0
-    # complex tensors always contract every column (qft16: 256 cells, R 4096)
-    for n in range(1, 11):
-        assert solver._contraction_width(n, 256, 4096, 10, True) == 10
+    restarts, m = 2, 10
+    for dims, block, rank, complex_ in SUBPROBLEM_CASES:
+        A = cp.CpTensor(random_factors(rng, dims, rank, complex_=complex_))
+        stacked, offsets = kernels.stack_factors(A.factors)
+        lead, trail = kernels.expand_halves(stacked, offsets, block,
+                                            [dims[q] for q in block])
+        lead_t = np.ascontiguousarray(lead.T)
+        vol = lead.shape[0] * trail.shape[0]
+        assert vol == math.prod(dims[q] for q in block)
+        tuples = np.column_stack([rng.integers(0, n, size=restarts * m) for n in dims])
+        alphas = solver.compute_alpha(A, tuples, block).reshape(rank, restarts, m)
+        key = OrderingKey.MAX_ABS if complex_ else OrderingKey.MAX
+        buf = np.empty(restarts * m * vol, dtype=A.dtype)
+
+        def keys(alpha):
+            # a copy: a real tensor's keys would be a view of buf
+            return np.array(solver.key_values(solver._subproblems(lead_t, trail, alpha, buf),
+                                              key))
+
+        case = (dims, block, rank, complex_)
+        full = [keys(alphas[:, i, np.arange(m)]) for i in range(restarts)]
+        exact = kernels.block_expand(stacked, offsets, block, [dims[q] for q in block])
+        np.testing.assert_allclose(full[0], solver.key_values(exact @ alphas[:, 0], key).T,
+                                   rtol=1e-10, atol=1e-12)
+        for i in range(restarts):
+            subsets = [np.array([j]) for j in range(m)]
+            subsets += [np.arange(3), np.arange(m - 4, m)]
+            subsets += [np.sort(rng.choice(m, w, replace=False)) for w in (2, 5, 9)]
+            for sel in subsets:
+                got = keys(alphas[:, i, sel])
+                assert got.tobytes() == full[i][sel].tobytes(), (case, i, sel.tolist())
+        # every restart's columns in one call, in a random order
+        order = rng.permutation(restarts * m)
+        got = keys(alphas.reshape(rank, -1)[:, order])
+        want = np.concatenate(full)[order]
+        assert got.tobytes() == want.tobytes(), case
+
+        # the stacked operand of the one matmul is the scaled half
+        with mock.patch.object(np, "matmul", wraps=np.matmul) as matmul:
+            solver._subproblems(lead_t, trail, alphas[:, 0, np.arange(m)], buf)
+        (scaled,) = [a for a in matmul.call_args.args if a.ndim == 3]
+        assert scaled.size <= m * min(lead.shape[0], trail.shape[0]) * rank, case
 
 
 def test_rank_weights_live_one_window_at_a_time():
     """A window's rank weights, R x restarts x m complex values, are dropped
     before the next window builds its own.
 
-    The peak holds the solve's expansion buffer and stacked factors plus,
-    while compute_alpha runs, its result and its temporaries: about 2.5
-    times one window's weights here.  Keeping the last window's weights
-    alive adds one more and breaks the bound.
+    The peak holds the stacked factors plus, while compute_alpha runs, its
+    result and its temporaries: about 2.2 times one window's weights here.
+    Keeping the last window's weights alive adds one more and breaks the
+    bound.  One-mode windows keep the scaled halves, m x R values per
+    restart, and the halves themselves below that peak.
     """
     dims, rank = (16, 16, 16, 16), 1024
     A = cp.CpTensor(random_factors(np.random.default_rng(7), dims, rank, complex_=True))
-    cfg = SolverConfig(k=5, extra=5, key=OrderingKey.MAX_ABS, restarts=5, seed=3)
+    cfg = SolverConfig(k=5, extra=5, block_size=1, key=OrderingKey.MAX_ABS, restarts=5,
+                       seed=3)
     tracemalloc.start()
     try:
         res = solver.solve(A, cfg)
@@ -673,10 +719,35 @@ def test_rank_weights_live_one_window_at_a_time():
         tracemalloc.stop()
     assert res.diagnostics["expansions"] > 1
     item = np.dtype(complex).itemsize
-    expand = 16 * 16 * rank * item
     factors = sum(dims) * rank * item
     weights = rank * cfg.restarts * (cfg.k + cfg.extra) * item
-    assert peak < expand + factors + 3 * weights
+    assert peak < factors + 3 * weights
+
+
+def test_solve_holds_no_expansion_sized_array():
+    """No array of one window's volume times the rank is built.
+
+    The solve holds its (m x vol) cell buffer and, while a restart forms its
+    subproblems, one scaled half of at most m x min(vol_lead, vol_trail) x R
+    values; the rest (factors, rank weights, halves, candidates) is well
+    under half of one (vol x R) expansion, which would break the bound.
+    """
+    dims, rank = (100,) * 4, 20
+    A = cp.CpTensor(random_factors(np.random.default_rng(8), dims, rank))
+    cfg = SolverConfig(k=10, extra=40, block_size=2, restarts=3, seed=4)
+    tracemalloc.start()
+    try:
+        res = solver.solve(A, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.diagnostics["expansions"] > 1
+    item = np.dtype(float).itemsize
+    m, vol = cfg.k + cfg.extra, 100 * 100
+    cells = m * vol * item
+    scaled = m * 100 * rank * item
+    expansion = vol * rank * item
+    assert peak < cells + scaled + expansion // 2
 
 
 class TestDiagnostics(unittest.TestCase):
@@ -691,6 +762,10 @@ class TestDiagnostics(unittest.TestCase):
         self.assertEqual(any(d["restart_converged"]), res.converged)
         self.assertLessEqual(d["contracted_columns"], m * blocks)
         self.assertLessEqual(d["clean_blocks"], blocks)
+        # every block pass picks each of the m candidates once, free or
+        # dependent, and a dependent candidate's column is always contracted
+        self.assertEqual(d["free_picks"] + d["dependent_picks"], m * blocks)
+        self.assertLessEqual(d["dependent_picks"], d["contracted_columns"])
         # a window builds at most one expansion per lockstep sweep
         self.assertLessEqual(d["expansions"],
                              len(d["schedule"]) * max(d["restart_sweeps"]))
@@ -705,16 +780,24 @@ class TestDiagnostics(unittest.TestCase):
                                                      seed=12))
         d = res.diagnostics
         self.assertGreater(d["clean_blocks"], 0)
-        self.assertEqual(d["contracted_columns"], m * (blocks - d["clean_blocks"]))
+        # a block that is not clean contracts its dirty columns, at least
+        # one and here fewer than all m in some blocks
+        self.assertLessEqual(blocks - d["clean_blocks"], d["contracted_columns"])
+        self.assertLess(d["contracted_columns"], m * (blocks - d["clean_blocks"]))
 
     def test_complex_without_clean_blocks_contracts_every_column(self):
         # a whole-tensor window puts every candidate but the first in one
-        # context, so each block has dependent columns and none is clean
+        # context, so each block has dependent columns and none is clean.
+        # The m - 1 dependent columns are contracted at every visit, the
+        # first candidate's only at its restart's first visit: its context
+        # is empty and never changes.
         A = _pinned_tensor(108, (3, 4, 3), 3, True)
-        res, m, blocks = self._check(A, SolverConfig(
-            k=2, extra=5, block_size=3, key=OrderingKey.MAX_REAL, seed=8))
-        self.assertEqual(res.diagnostics["clean_blocks"], 0)
-        self.assertEqual(res.diagnostics["contracted_columns"], m * blocks)
+        cfg = SolverConfig(k=2, extra=5, block_size=3, key=OrderingKey.MAX_REAL, seed=8)
+        res, m, blocks = self._check(A, cfg)
+        d = res.diagnostics
+        self.assertEqual(d["clean_blocks"], 0)
+        self.assertEqual(d["dependent_picks"], (m - 1) * blocks)
+        self.assertEqual(d["contracted_columns"], (m - 1) * blocks + cfg.restarts)
 
     def test_window_without_context_columns(self):
         # a whole-tensor window: every context has no columns, so with one
@@ -724,11 +807,19 @@ class TestDiagnostics(unittest.TestCase):
         rng = np.random.default_rng(5)
         A = cp.CpTensor([rng.uniform(-1, 1, size=(4, 3)) for _ in range(3)])
         for restarts, want in ((1, (2, 1, 1, 1)), (3, (6, 3, 3, 1))):
-            res, _, _ = self._check(A, SolverConfig(k=1, extra=0, block_size=3,
-                                                    restarts=restarts))
+            res, _, blocks = self._check(A, SolverConfig(k=1, extra=0, block_size=3,
+                                                         restarts=restarts))
             d = res.diagnostics
             self.assertEqual((res.sweeps_used, d["contracted_columns"],
                               d["clean_blocks"], d["expansions"]), want)
+            self.assertEqual((d["free_picks"], d["dependent_picks"]), (blocks, 0))
+        # every candidate shares the empty context, so each block pass picks
+        # one free candidate and m - 1 dependent ones
+        for extra in (1, 4):
+            res, m, blocks = self._check(A, SolverConfig(k=2, extra=extra, block_size=3))
+            d = res.diagnostics
+            self.assertEqual((d["free_picks"], d["dependent_picks"]),
+                             (blocks, (m - 1) * blocks))
 
     def test_restart_lists(self):
         A = _pinned_tensor(103, (6, 5, 4, 3), 3, False)
