@@ -28,31 +28,43 @@ candidates share the call.
 A candidate's subproblem depends only on the window and on its
 out-of-block coordinates, its context.  So each `_Window` keeps a record
 of its last visit by every restart: each candidate slot's context and its
-subproblem's argmax, -1 for one never contracted.  A block contracts only
-its dirty columns: candidates never contracted, candidates whose context
+subproblem's argmax, -1 for one never contracted.  A block serves only its
+dirty columns: candidates never contracted, candidates whose context
 changed, and dependent candidates, whose masked selection needs the whole
 subproblem.  A block with no dirty column skips the contraction, and a
 window visit with none in any live restart skips building the halves too.
+Dirty columns that share a context share its subproblem: a dependent
+candidate shares its context with an earlier candidate by definition, and
+restarts at the same window often hold the same contexts, so a visit forms
+each distinct context's subproblem at most once per restart and takes its
+argmax at most once.
 
-The halves depend only on the window and the factors, not on the
-candidates or the restart.  So `solve` runs its restarts in lockstep: each
-sweep visits a window once for all live restarts.  The restarts' state is
-two arrays with one row per restart, the tuples (restarts, m, order) and
-their values (restarts, m).  At each window the live rows of the tuples are
-gathered once, and the contexts, collision masks, dependent masks and dirty
-masks come from that copy.  When any live restart has a dirty column, the
-window's rank weights (one `compute_alpha` over every live candidate) and
-its halves are built once, before the restarts run, and both are dropped
-when the sweep moves to the next window.  Each restart then forms the
-subproblems of its own dirty columns, takes their argmaxes and runs its
-block pass on its own rows, in order, on the same bits as it would alone,
-so the output does not depend on the lockstep.  The cell and key buffers
-stay one per solve: a restart's block pass uses up its subproblems before
-the next restart overwrites them.  A block pass evaluates an entry only
-where a candidate moves: a rechecked move keeps the recheck's value, and a
-forced move (the incumbent cell taken by an earlier candidate) is evaluated
-once.  A restart leaves the live set at its fixed point or after
-``max_sweeps`` sweeps.
+The halves depend only on the window and the factors, not on the candidates
+or the restart.  So `solve` runs its restarts in lockstep: each sweep
+visits a window once for all live restarts.  The restarts' state is two
+arrays with one row per restart, the tuples (restarts, m, order) and their
+values (restarts, m).  At each window the live rows of the tuples are
+gathered once, and the contexts, their numbering (one number per distinct
+context, `_context_ids`), the collision masks (equal numbers), dependent
+masks and dirty masks come from that copy.  When any live restart has a
+dirty column, the window's rank weights (one `compute_alpha` over every
+live candidate) and its halves are built once, before the restarts run, and
+are dropped when the sweep moves to the next window.  Each restart then, in
+order, forms the subproblems of its dependents' contexts and of those of
+its dirty free columns whose argmax no earlier restart took at this visit,
+each from the rank weights of the first candidate that holds the context
+(one `compute_alpha` call gives every holder of a context the same bits).
+A free column reads its argmax from the visit's one per context, and the
+restart runs its block pass on its own rows.  A subproblem's cells depend
+only on the window and the context, whatever columns share the call, so
+every restart sees the same bits as it would alone, and the output does not
+depend on the lockstep.  The cell and key buffers stay one per solve: a
+restart's block pass uses up its subproblems before the next restart
+overwrites them, so no whole subproblem is kept from one restart to the
+next.  A block pass evaluates an entry only where a candidate moves: a
+rechecked move keeps the recheck's value, and a forced move (the incumbent
+cell taken by an earlier candidate) is evaluated once.  A restart leaves
+the live set at its fixed point or after ``max_sweeps`` sweeps.
 """
 
 from __future__ import annotations
@@ -264,11 +276,30 @@ def _collision_mask(context):
     """beta[i, j]: candidates i and j agree on every out-of-block coordinate,
     from each candidate's ``context`` (one row per candidate, possibly no
     columns, so all True for an all-mode block).  A stack of contexts,
-    (n, m, c), gives a stack of masks, (n, m, m)."""
+    (n, m, c), gives a stack of masks, (n, m, m).  `_sweep` gets the same
+    masks by comparing `_context_ids` numbers."""
     return np.all(context[..., :, None, :] == context[..., None, :, :], axis=-1)
 
 
 _PASS_COUNTS = ("moves", "rechecks", "reverted", "forced_moves")
+
+
+def _context_ids(contexts):
+    """Group the rows of ``contexts``, (n, c), into distinct contexts.
+
+    Returns (ids, firsts): ids[j] numbers row j's context, and firsts[d] is
+    the first row that holds context d.  The sort is stable, so equal rows
+    keep their order; the row number, the least significant key, keeps the
+    key list non-empty when c is 0 and every row holds the one empty context.
+    """
+    n = contexts.shape[0]
+    order = np.lexsort((np.arange(n),) + tuple(contexts.T))
+    ordered = contexts[order]
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    ids = np.empty(n, dtype=np.int64)
+    ids[order] = starts.cumsum() - 1
+    return ids, order[starts]
 
 
 def _dependent(beta):
@@ -402,20 +433,31 @@ def _sweep(A, tuples, values, live, key, windows, counts, stacked, offsets, work
     restart, live the indices of the restarts still sweeping, in order,
     windows the solve's `_Window` list, and counts the solve's counts, to
     which the sweep adds.  At each window the live tuples are gathered once,
-    ``tuples[live]``, and the contexts, collision masks, dependent masks and
-    dirty masks come from that copy: a column is dirty when its candidate is
-    dependent, was never contracted at the window (argmax -1) or has a new
-    context.  A restart's rows of the copy are its tuples as it enters the
-    window, since only its own block pass changes them.  When any live
-    restart has a dirty column, one `compute_alpha` over the copy and the
-    window's two halves (`kernels.expand_halves`) are built before the
-    restarts run.  Then each live restart r, in order, forms the
-    subproblems of exactly its dirty columns (`_subproblems`), maps their
-    keys, records their row argmaxes in the window's record and runs its
-    block pass on the row views ``tuples[r]`` and ``values[r]``.  work holds
-    the flat cell and key buffers that `solve` allocates once, m times the
-    largest window's volume each; a restart uses a prefix of each, so no
-    block allocates an array proportional to its volume.
+    ``tuples[live]``, and everything else comes from that copy: its
+    contexts, their numbers (`_context_ids`), the collision masks (equal
+    numbers), the dependent masks and the dirty masks.  A column is dirty
+    when its candidate is dependent, was never contracted at the window
+    (argmax -1) or has a new context.  A restart's rows of the copy are its
+    tuples as it enters the window, since only its own block pass changes
+    them.  When any live restart has a dirty column, one `compute_alpha`
+    over the copy and the window's two halves (`kernels.expand_halves`) are
+    built before the restarts run, with one argmax per context, -1 until a
+    restart forms it.
+
+    Then each live restart r, in order, forms (`_subproblems`) the distinct
+    contexts of its dependent columns and of its dirty free columns whose
+    argmax is still -1, each from its first holder's column of alpha; maps
+    their keys and stores their row argmaxes per context; copies each dirty
+    column's context argmax into the window's record; and runs its block
+    pass on the row views ``tuples[r]`` and ``values[r]``, where a
+    dependent reads its context's column through ``slot``.
+    ``contracted_columns`` counts the subproblems formed and
+    ``shared_columns`` the other dirty columns, served by a subproblem
+    formed at the same visit: for a dependent, in its own restart; for a
+    free column, in an earlier one.  work holds the flat cell and key
+    buffers that `solve` allocates once, m times the largest window's
+    volume each; a restart uses a prefix of each, so no block allocates an
+    array proportional to its volume.
     """
     cells_buf, keyed_buf = work
     m = tuples.shape[1]
@@ -425,7 +467,10 @@ def _sweep(A, tuples, values, live, key, windows, counts, stacked, offsets, work
         alphas = lead = lead_t = trail = None
         stack = tuples[live]
         contexts = stack[:, :, w.rest]
-        betas = _collision_mask(contexts)
+        ids, firsts = _context_ids(contexts.reshape(len(live) * m, -1))
+        ids = ids.reshape(len(live), m)
+        # two candidates collide exactly when their contexts share a number
+        betas = ids[:, :, None] == ids[:, None, :]
         dependents = _dependent(betas)
         n_dependent = int(np.count_nonzero(dependents))
         counts["dependent_picks"] += n_dependent
@@ -438,21 +483,31 @@ def _sweep(A, tuples, values, live, key, windows, counts, stacked, offsets, work
             # compute_alpha comes right before the expansions it pairs with,
             # so a tracer wrapping both can pair them
             alphas = compute_alpha(A, stack.reshape(-1, A.order), w.block)
-            alphas = alphas.reshape(A.rank, len(live), m)
             lead, trail = kernels.expand_halves(stacked, offsets, w.modes, w.sizes)
             lead_t = np.ascontiguousarray(lead.T)
             counts["expansions"] += 1
+            # each distinct context's row argmax, -1 until a restart forms it
+            argmaxes = np.full(firsts.size, -1, dtype=np.int64)
         for i, r in enumerate(live):
             dirty = dirties[i]
-            sel = dirty.nonzero()[0]
             keyed = slot = None
-            if sel.size:
-                cells = _subproblems(lead_t, trail, alphas[:, i, sel], cells_buf)
-                keyed = key_values(cells, key,
-                                   out=keyed_buf[:cells.size].reshape(cells.shape))
-                w.lins[r, sel] = keyed.argmax(axis=1)
-                keyed, slot = keyed.T, dirty.cumsum() - 1
+            if dirty.any():
+                # a dependent needs its context's whole subproblem; a free
+                # column needs only its argmax, which an earlier restart may
+                # have taken
+                need = ids[i, dirty]
+                formed = np.zeros(firsts.size, dtype=bool)
+                formed[need[dependents[i, dirty] | (argmaxes[need] < 0)]] = True
+                sel = formed.nonzero()[0]
+                if sel.size:
+                    cells = _subproblems(lead_t, trail, alphas[:, firsts[sel]], cells_buf)
+                    keyed = key_values(cells, key,
+                                       out=keyed_buf[:cells.size].reshape(cells.shape))
+                    argmaxes[sel] = keyed.argmax(axis=1)
+                    keyed, slot = keyed.T, (formed.cumsum() - 1)[ids[i]]
+                w.lins[r, dirty] = argmaxes[need]
                 counts["contracted_columns"] += sel.size
+                counts["shared_columns"] += need.size - sel.size
             else:
                 counts["clean_blocks"] += 1
             passed = _block_pass(tuples[r], values[r], w, keyed, betas[i], key,
@@ -527,8 +582,8 @@ def solve(A, cfg):
                        for r in range(n)])
     values = kernels.eval_elements(stacked, offsets, tuples.reshape(n * m, -1)).reshape(n, m)
     counts = dict.fromkeys(
-        ("contracted_columns", "clean_blocks", "expansions", "free_picks",
-         "dependent_picks") + _PASS_COUNTS, 0)
+        ("contracted_columns", "shared_columns", "clean_blocks", "expansions",
+         "free_picks", "dependent_picks") + _PASS_COUNTS, 0)
     traces = [[b] for b in key_values(values, cfg.key).max(axis=1).tolist()]
     restart_sweeps = np.zeros(n, dtype=np.int64)
     restart_converged = np.zeros(n, dtype=bool)

@@ -83,8 +83,8 @@ class TestTopk(unittest.TestCase):
                     SolverConfig(k=2, extra=1, block_size=1, seed=3, restarts=2))
         want = {name: res.diagnostics[name]
                 for name in ("block_size", "exhausted", "pool_size",
-                             "contracted_columns", "clean_blocks", "expansions",
-                             "free_picks", "dependent_picks",
+                             "contracted_columns", "shared_columns", "clean_blocks",
+                             "expansions", "free_picks", "dependent_picks",
                              "moves", "rechecks", "reverted", "forced_moves",
                              "restart_sweeps", "restart_converged")}
         doc = json.loads(out)

@@ -21,7 +21,7 @@ from conftest import (
     keyed_dense,
     random_factors,
 )
-from tensor_topk import cp, kernels, solver
+from tensor_topk import cp, kernels, qft, solver
 from tensor_topk.baselines import oracle_topk
 from tensor_topk.errors import CapacityError, InfeasibleKError
 from tensor_topk.solver import OrderingKey, SolverConfig
@@ -202,6 +202,22 @@ class TestAlphaBeta(unittest.TestCase):
         self.assertTrue(beta[0, 1])
         self.assertFalse(beta[0, 2])
         self.assertFalse(beta[1, 2])
+
+    def test_context_ids_number_the_collision_classes(self):
+        # _sweep compares context numbers in place of _collision_mask, and
+        # takes each context's rank weights from its first holder
+        rng = np.random.default_rng(4)
+        for c in (0, 1, 3):
+            contexts = rng.integers(0, 2, size=(3, 8, c))
+            flat = contexts.reshape(24, c)
+            ids, firsts = solver._context_ids(flat)
+            np.testing.assert_array_equal(ids[firsts], np.arange(firsts.size))
+            for j in range(24):
+                first = next(i for i in range(24) if np.array_equal(flat[i], flat[j]))
+                self.assertEqual(firsts[ids[j]], first)
+            stacked = ids.reshape(3, 8)
+            np.testing.assert_array_equal(stacked[:, :, None] == stacked[:, None, :],
+                                          solver._collision_mask(contexts))
 
     def test_all_mode_block(self):
         fs = random_factors(np.random.default_rng(2), (3, 4), 5)
@@ -483,19 +499,29 @@ def _reference_sweep(A, tuples, values, key, schedule, stacked, offsets, work, s
     builds its halves and forms all m subproblems, then runs the two-phase
     block pass.
 
-    Also returns how many of those columns the cached sweep contracts: a
-    column is dirty when an earlier candidate shares its context, or when
+    Also returns how many of those columns are dirty, and for each block
+    the contexts of its dependent columns and those of its free dirty
+    columns, as two sets of tuples.  A column is dependent when an earlier
+    candidate shares its context, and dirty when it is dependent, or when
     its context differs from the one ``seen`` (block -> contexts, updated
     here) holds from the restart's last visit, or there is none yet.
     """
     cells_buf, keyed_buf = work
     dirty = 0
+    needs = []
     for block in schedule:
         context = tuples[:, [q for q in range(A.order) if q not in block]]
         last = seen.get(block)
+        dependent, free = set(), set()
         for j, ctx in enumerate(context):
-            shared = any(np.array_equal(ctx, c) for c in context[:j])
-            dirty += shared or last is None or not np.array_equal(ctx, last[j])
+            if any(np.array_equal(ctx, c) for c in context[:j]):
+                dependent.add(tuple(ctx.tolist()))
+            elif last is None or not np.array_equal(ctx, last[j]):
+                free.add(tuple(ctx.tolist()))
+            else:
+                continue
+            dirty += 1
+        needs.append((dependent, free))
         seen[block] = context.copy()
         alpha = solver.compute_alpha(A, tuples, block)
         beta = solver._collision_mask(context)
@@ -507,7 +533,7 @@ def _reference_sweep(A, tuples, values, key, schedule, stacked, offsets, work, s
             tuples, values, solver._Window(A.dims, block, 1, len(tuples)), keyed, beta,
             key, stacked, offsets, _full_picks(keyed, beta),
         )
-    return dirty
+    return dirty, needs
 
 
 def _work_buffers(A, schedule, m):
@@ -526,9 +552,13 @@ class TestSweepReference(unittest.TestCase):
     """
 
     def _compare(self, A, cfg):
-        """Returns the contracted columns, clean blocks, blocks and
-        expansions summed over restarts, and each restart's sweep count.
-        Each restart contracts exactly its dirty columns."""
+        """Returns the contracted and shared columns, clean blocks, blocks
+        and expansions summed over restarts, and each restart's sweep count.
+
+        Each dirty column is either formed or shared, never both.  At each
+        window, the live restarts in order form the contexts of their
+        dependents, and those of their free dirty columns that no earlier
+        restart formed at that visit."""
         s = solver._resolve_block_size(A, cfg)
         schedule = solver.block_schedule(A.order, s)
         stacked, offsets = kernels.stack_factors(A.factors)
@@ -542,17 +572,20 @@ class TestSweepReference(unittest.TestCase):
         windows = [solver._Window(A.dims, block, cfg.restarts, m) for block in schedule]
         counts = collections.Counter()
         live = list(range(cfg.restarts))
-        blocks = dirty = 0
+        blocks = dirty = formed = 0
         sweeps = [0] * cfg.restarts
         seen = [{} for _ in range(cfg.restarts)]
         for sweep in range(cfg.max_sweeps):
             solver._sweep(A, got_t, got_v, live, cfg.key, windows, counts, stacked, offsets,
                           work)
             converged = []
+            needs = []
             for r in live:
                 before = ref_t[r].copy()
-                dirty += _reference_sweep(A, ref_t[r], ref_v[r], cfg.key, schedule, stacked,
-                                          offsets, work_ref, seen[r])
+                n_dirty, r_needs = _reference_sweep(A, ref_t[r], ref_v[r], cfg.key, schedule,
+                                                    stacked, offsets, work_ref, seen[r])
+                dirty += n_dirty
+                needs.append(r_needs)
                 msg = f"restart {r} sweep {sweep}"
                 np.testing.assert_array_equal(got_t[r], ref_t[r], err_msg=msg)
                 self.assertEqual(got_v[r].tobytes(), ref_v[r].tobytes(), msg=msg)
@@ -560,38 +593,46 @@ class TestSweepReference(unittest.TestCase):
                 sweeps[r] += 1
                 if np.array_equal(before, ref_t[r]):
                     converged.append(r)
+            for b in range(len(schedule)):
+                taken = set()
+                for r_needs in needs:
+                    dependent, free = r_needs[b]
+                    new = dependent | (free - taken)
+                    formed += len(new)
+                    taken |= new
             live = [r for r in live if r not in converged]
             if not live:
                 break
-        self.assertEqual(counts["contracted_columns"], dirty)
-        return (counts["contracted_columns"], counts["clean_blocks"], blocks,
-                counts["expansions"], sweeps)
+        self.assertEqual(counts["contracted_columns"], formed)
+        self.assertEqual(counts["contracted_columns"] + counts["shared_columns"], dirty)
+        return (counts["contracted_columns"], counts["shared_columns"],
+                counts["clean_blocks"], blocks, counts["expansions"], sweeps)
 
     def test_real_subset_path(self):
         # window (0, 1) has 25,600 cells; blocks contract fewer than all 50
         # columns there
         A = cp.CpTensor(random_factors(np.random.default_rng(201), (160, 160, 4, 4), 20))
         cfg = SolverConfig(k=10, extra=40, block_size=2, restarts=2, seed=11)
-        contracted, clean, blocks, _, _ = self._compare(A, cfg)
-        self.assertLess(contracted, 50 * (blocks - clean))
+        contracted, shared, clean, blocks, _, _ = self._compare(A, cfg)
+        self.assertLess(contracted + shared, 50 * (blocks - clean))
 
     def test_real_clean_blocks_only(self):
-        # however small the window, a block contracts just its dirty
-        # columns, at least one of the 8, or, when none is dirty, none
+        # however small the window, a block serves just its dirty columns,
+        # at least one of the 8, or, when none is dirty, none
         A = cp.CpTensor(random_factors(np.random.default_rng(202), (6, 5, 7, 6, 5, 6), 3))
         for s in (1, 2):
             cfg = SolverConfig(k=3, extra=5, block_size=s, restarts=3, seed=12)
-            contracted, clean, blocks, _, _ = self._compare(A, cfg)
+            contracted, shared, clean, blocks, _, _ = self._compare(A, cfg)
             self.assertGreater(clean, 0)
-            self.assertLessEqual(blocks - clean, contracted)
-            self.assertLess(contracted, 8 * (blocks - clean))
+            self.assertLessEqual(blocks - clean, contracted + shared)
+            self.assertLess(contracted + shared, 8 * (blocks - clean))
 
     def test_restarts_leave_at_different_sweeps(self):
         # the live set shrinks mid-run, and the live restarts still share
         # each window's expansion
         A = cp.CpTensor(random_factors(np.random.default_rng(205), (6, 5, 7, 6, 5, 6), 3))
         cfg = SolverConfig(k=3, extra=5, block_size=2, restarts=4, seed=15)
-        _, clean, blocks, expansions, sweeps = self._compare(A, cfg)
+        _, _, clean, blocks, expansions, sweeps = self._compare(A, cfg)
         self.assertGreater(len(set(sweeps)), 1)
         self.assertLess(expansions, blocks - clean)
         self.assertLessEqual(expansions, len(A.dims) * max(sweeps))
@@ -602,10 +643,10 @@ class TestSweepReference(unittest.TestCase):
         for s in (1, 2, 4):
             cfg = SolverConfig(k=3, extra=6, block_size=s, key=OrderingKey.MAX_ABS,
                                restarts=2, seed=13)
-            contracted, clean, blocks, _, _ = self._compare(A, cfg)
-            # complex tensors contract their dirty columns alone too
-            self.assertLessEqual(blocks - clean, contracted)
-            self.assertLess(contracted, 9 * (blocks - clean))
+            contracted, shared, clean, blocks, _, _ = self._compare(A, cfg)
+            # complex tensors serve their dirty columns alone too
+            self.assertLessEqual(blocks - clean, contracted + shared)
+            self.assertLess(contracted + shared, 9 * (blocks - clean))
 
     def test_min_key_and_block_sizes(self):
         rng = np.random.default_rng(204)
@@ -760,12 +801,14 @@ class TestDiagnostics(unittest.TestCase):
         self.assertEqual(len(d["restart_sweeps"]), cfg.restarts)
         self.assertEqual(sum(d["restart_sweeps"]), res.sweeps_used)
         self.assertEqual(any(d["restart_converged"]), res.converged)
-        self.assertLessEqual(d["contracted_columns"], m * blocks)
+        self.assertLessEqual(d["contracted_columns"] + d["shared_columns"], m * blocks)
         self.assertLessEqual(d["clean_blocks"], blocks)
         # every block pass picks each of the m candidates once, free or
-        # dependent, and a dependent candidate's column is always contracted
+        # dependent, and a dependent candidate's column is always dirty:
+        # formed, or shared with an earlier candidate in its context
         self.assertEqual(d["free_picks"] + d["dependent_picks"], m * blocks)
-        self.assertLessEqual(d["dependent_picks"], d["contracted_columns"])
+        self.assertLessEqual(d["dependent_picks"],
+                             d["contracted_columns"] + d["shared_columns"])
         # a window builds at most one expansion per lockstep sweep
         self.assertLessEqual(d["expansions"],
                              len(d["schedule"]) * max(d["restart_sweeps"]))
@@ -788,29 +831,34 @@ class TestDiagnostics(unittest.TestCase):
     def test_complex_without_clean_blocks_contracts_every_column(self):
         # a whole-tensor window puts every candidate but the first in one
         # context, so each block has dependent columns and none is clean.
-        # The m - 1 dependent columns are contracted at every visit, the
-        # first candidate's only at its restart's first visit: its context
-        # is empty and never changes.
+        # The m - 1 dependent columns are dirty at every visit, the first
+        # candidate's only at its restart's first visit: its context is
+        # empty and never changes.  Every block pass forms the one empty
+        # context's subproblem once, and its other dirty columns share it.
         A = _pinned_tensor(108, (3, 4, 3), 3, True)
         cfg = SolverConfig(k=2, extra=5, block_size=3, key=OrderingKey.MAX_REAL, seed=8)
         res, m, blocks = self._check(A, cfg)
         d = res.diagnostics
         self.assertEqual(d["clean_blocks"], 0)
         self.assertEqual(d["dependent_picks"], (m - 1) * blocks)
-        self.assertEqual(d["contracted_columns"], (m - 1) * blocks + cfg.restarts)
+        self.assertEqual(d["contracted_columns"], blocks)
+        self.assertEqual(d["contracted_columns"] + d["shared_columns"],
+                         (m - 1) * blocks + cfg.restarts)
 
     def test_window_without_context_columns(self):
         # a whole-tensor window: every context has no columns, so with one
         # candidate a column is dirty only before its first contraction.
-        # Each restart contracts in sweep 1 and is clean, and converged, in
-        # sweep 2; the restarts of sweep 1 share one expansion.
+        # Each restart's column is dirty in sweep 1 and clean, and converged,
+        # in sweep 2; the restarts of sweep 1 share one expansion, and the
+        # first restart forms the empty context's subproblem, whose argmax
+        # the others share.
         rng = np.random.default_rng(5)
         A = cp.CpTensor([rng.uniform(-1, 1, size=(4, 3)) for _ in range(3)])
-        for restarts, want in ((1, (2, 1, 1, 1)), (3, (6, 3, 3, 1))):
+        for restarts, want in ((1, (2, 1, 0, 1, 1)), (3, (6, 1, 2, 3, 1))):
             res, _, blocks = self._check(A, SolverConfig(k=1, extra=0, block_size=3,
                                                          restarts=restarts))
             d = res.diagnostics
-            self.assertEqual((res.sweeps_used, d["contracted_columns"],
+            self.assertEqual((res.sweeps_used, d["contracted_columns"], d["shared_columns"],
                               d["clean_blocks"], d["expansions"]), want)
             self.assertEqual((d["free_picks"], d["dependent_picks"]), (blocks, 0))
         # every candidate shares the empty context, so each block pass picks
@@ -1096,6 +1144,23 @@ class TestPinnedOutputs(unittest.TestCase):
                 exact = cp.elements_at(A, res.indices)
                 self.assertEqual(res.values.dtype, exact.dtype)
                 np.testing.assert_array_equal(res.values, exact)
+
+    def test_qft16_state_reproduces_pinned_output(self):
+        # the benchmark's qft16 solve on its seed-31 op-0 state: 16 x 16
+        # windows, so only 256 contexts per window, which the restarts'
+        # dirty columns share heavily
+        layout = qft.square_layout(16)
+        A = qft.run_qft(qft.random_product_state(layout, np.random.default_rng([31, 0])),
+                        layout)
+        res = solver.solve(A, SolverConfig(k=5, extra=5, block_size=2,
+                                           key=OrderingKey.MAX_ABS))
+        self.assertEqual(res.indices.tolist(), [[0, 0, 0, 0], [11, 0, 0, 0], [14, 0, 0, 0],
+                                                [8, 0, 0, 0], [15, 12, 0, 0]])
+        self.assertEqual(res.sweeps_used, 21)
+        self.assertEqual(res.diagnostics["restart_sweeps"], [4, 4, 5, 4, 4])
+        exact = cp.elements_at(A, res.indices)
+        self.assertEqual(res.values.dtype, exact.dtype)
+        np.testing.assert_array_equal(res.values, exact)
 
 
 if __name__ == "__main__":
