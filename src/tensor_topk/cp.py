@@ -236,11 +236,6 @@ def scale(A, c):
     return _wrap(out)
 
 
-def negate(A):
-    """Exact elementwise sign flip."""
-    return scale(A, -1.0)
-
-
 def add(A, B):
     """Elementwise sum; ranks add by column concatenation."""
     if A.dims != B.dims:

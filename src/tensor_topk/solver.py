@@ -26,45 +26,36 @@ slices of one shape, so a candidate's keys do not depend on which other
 candidates share the call.
 
 A candidate's subproblem depends only on the window and on its
-out-of-block coordinates, its context.  So each `_Window` keeps a record
-of its last visit by every restart: each candidate slot's context and its
-subproblem's argmax, -1 for one never contracted.  A block serves only its
-dirty columns: candidates never contracted, candidates whose context
-changed, and dependent candidates, whose masked selection needs the whole
-subproblem.  A block with no dirty column skips the contraction, and a
-window visit with none in any live restart skips building the halves too.
-Dirty columns that share a context share its subproblem: a dependent
-candidate shares its context with an earlier candidate by definition, and
-restarts at the same window often hold the same contexts, so a visit forms
-each distinct context's subproblem at most once per restart and takes its
-argmax at most once.
+out-of-block coordinates, its context, and so does its argmax.  So each
+`_Window` records the distinct contexts of its last visit and their
+argmaxes.  A visit forms only the subproblems of contexts that a dependent
+candidate needs whole (its masked selection reads every cell) and of
+contexts with no argmax yet; a block pass that forms none skips the
+contraction, and a visit where no live restart forms one skips building
+the halves too.
 
 The halves depend only on the window and the factors, not on the candidates
 or the restart.  So `solve` runs its restarts in lockstep: each sweep
 visits a window once for all live restarts.  The restarts' state is two
 arrays with one row per restart, the tuples (restarts, m, order) and their
 values (restarts, m).  At each window the live rows of the tuples are
-gathered once, and the contexts, their numbering (one number per distinct
-context, `_context_ids`), the collision masks (equal numbers), dependent
-masks and dirty masks come from that copy.  When any live restart has a
-dirty column, the window's rank weights (one `compute_alpha` over every
-live candidate) and its halves are built once, before the restarts run, and
-are dropped when the sweep moves to the next window.  Each restart then, in
-order, forms the subproblems of its dependents' contexts and of those of
-its dirty free columns whose argmax no earlier restart took at this visit,
-each from the rank weights of the first candidate that holds the context
-(one `compute_alpha` call gives every holder of a context the same bits).
-A free column reads its argmax from the visit's one per context, and the
-restart runs its block pass on its own rows.  A subproblem's cells depend
-only on the window and the context, whatever columns share the call, so
-every restart sees the same bits as it would alone, and the output does not
-depend on the lockstep.  The cell and key buffers stay one per solve: a
-restart's block pass uses up its subproblems before the next restart
-overwrites them, so no whole subproblem is kept from one restart to the
-next.  A block pass evaluates an entry only where a candidate moves: a
-rechecked move keeps the recheck's value, and a forced move (the incumbent
-cell taken by an earlier candidate) is evaluated once.  A restart leaves
-the live set at its fixed point or after ``max_sweeps`` sweeps.
+gathered once; their contexts are numbered together with the window's
+record (`_context_ids`), and the collision masks (equal numbers) and the
+dependent masks come from those numbers.  The window's rank weights (one
+`compute_alpha` over every live candidate) and its halves are built once,
+before the restarts run, and dropped when the sweep moves to the next
+window.  Each restart then, in order, forms the contexts it needs, each
+from the rank weights of the first candidate that holds it, and runs its
+block pass on its own rows.  A subproblem's cells depend only on the window
+and the context, whatever candidates share the `compute_alpha` and matmul
+calls, so every restart sees the same bits as it would alone, and the
+output does not depend on the lockstep or the record.  The cell and key
+buffers stay one per solve: a restart's block pass uses up its subproblems
+before the next restart overwrites them.  A block pass evaluates an entry
+only where a candidate moves: a rechecked move keeps the recheck's value,
+and a forced move (the incumbent cell taken by an earlier candidate) is
+evaluated once.  A restart leaves the live set at its fixed point or after
+``max_sweeps`` sweeps.
 """
 
 from __future__ import annotations
@@ -214,17 +205,16 @@ def auto_block_size(dims, cap):
 
 
 class _Window:
-    """One schedule window of a solve: its constants and its visit record.
+    """One schedule window of a solve: its constants and its argmax record.
 
     The constants are the block tuple, its modes and their sizes (int64
     arrays), the strides of its cells (first block mode fastest), the
-    out-of-block modes and the volume.  The record has one row per restart
-    of the m candidate slots: ``seen``, (restarts, m, |rest|), each slot's
-    context as of the restart's last visit, and ``lins``, (restarts, m), its
-    column's argmax, -1 for a column never contracted.
+    out-of-block modes and the volume.  The record holds the distinct
+    contexts of the window's last visit, ``contexts`` (n, |rest|), and each
+    one's subproblem argmax, ``argmaxes`` (n,).
     """
 
-    def __init__(self, dims, block, restarts, m):
+    def __init__(self, dims, block):
         self.block = block
         self.modes = np.array(block, dtype=np.int64)
         self.sizes = np.array([dims[q] for q in block], dtype=np.int64)
@@ -232,8 +222,8 @@ class _Window:
         self.rest = np.array([q for q in range(len(dims)) if q not in block],
                              dtype=np.int64)
         self.vol = math.prod(dims[q] for q in block)
-        self.seen = np.zeros((restarts, m, self.rest.size), dtype=np.int64)
-        self.lins = np.full((restarts, m), -1, dtype=np.int64)
+        self.contexts = np.empty((0, self.rest.size), dtype=np.int64)
+        self.argmaxes = np.empty(0, dtype=np.int64)
 
 
 def init_candidates(dims, m, rng):
@@ -263,13 +253,19 @@ def compute_alpha(A, tuples, block):
     alpha[r, j] is the product of factor entries at candidate j's coordinates
     over the modes outside the block (indicator vectors collapse inner
     products to single factor entries); with an all-mode block the product
-    is empty and alpha is all ones.
+    is empty and alpha is all ones.  A column's bits do not depend on the
+    other candidates in the call: numpy rounds a one-element in-place complex
+    product (a lone rank-1 candidate) apart from its vector loop, so a lone
+    candidate is weighed as two copies of itself.
     """
+    n = tuples.shape[0]
+    if n == 1:
+        tuples = np.repeat(tuples, 2, axis=0)
     alpha = np.ones((A.rank, tuples.shape[0]), dtype=A.dtype)
     for q in range(A.order):
         if q not in block:
             alpha *= A.factors[q][tuples[:, q], :].T
-    return alpha
+    return alpha[:, :n]
 
 
 def _collision_mask(context):
@@ -433,31 +429,28 @@ def _sweep(A, tuples, values, live, key, windows, counts, stacked, offsets, work
     restart, live the indices of the restarts still sweeping, in order,
     windows the solve's `_Window` list, and counts the solve's counts, to
     which the sweep adds.  At each window the live tuples are gathered once,
-    ``tuples[live]``, and everything else comes from that copy: its
-    contexts, their numbers (`_context_ids`), the collision masks (equal
-    numbers), the dependent masks and the dirty masks.  A column is dirty
-    when its candidate is dependent, was never contracted at the window
-    (argmax -1) or has a new context.  A restart's rows of the copy are its
-    tuples as it enters the window, since only its own block pass changes
-    them.  When any live restart has a dirty column, one `compute_alpha`
-    over the copy and the window's two halves (`kernels.expand_halves`) are
-    built before the restarts run, with one argmax per context, -1 until a
-    restart forms it.
+    ``tuples[live]``, and one `_context_ids` call numbers their contexts
+    together with the window's record; the collision and dependent masks
+    come from those numbers, and each context's argmax starts from the
+    record, -1 for one not seen before.  A restart's rows of the copy are
+    its tuples as it enters the window, since only its own block pass
+    changes them.  When a live restart has a dependent candidate or a
+    context without an argmax, one `compute_alpha` over the copy and the
+    window's two halves (`kernels.expand_halves`) are built before the
+    restarts run.
 
-    Then each live restart r, in order, forms (`_subproblems`) the distinct
-    contexts of its dependent columns and of its dirty free columns whose
-    argmax is still -1, each from its first holder's column of alpha; maps
-    their keys and stores their row argmaxes per context; copies each dirty
-    column's context argmax into the window's record; and runs its block
-    pass on the row views ``tuples[r]`` and ``values[r]``, where a
-    dependent reads its context's column through ``slot``.
+    Then each live restart r, in order, forms (`_subproblems`) the contexts
+    of its dependents and those of its free candidates that still have no
+    argmax, each from its first holder's column of alpha, stores their row
+    argmaxes, and runs its block pass on the row views ``tuples[r]`` and
+    ``values[r]``, where a dependent reads its context's subproblem through
+    ``slot``.  A block pass changes only the window's modes, so the visit's
+    contexts and their argmaxes become the window's record.
     ``contracted_columns`` counts the subproblems formed and
-    ``shared_columns`` the other dirty columns, served by a subproblem
-    formed at the same visit: for a dependent, in its own restart; for a
-    free column, in an earlier one.  work holds the flat cell and key
-    buffers that `solve` allocates once, m times the largest window's
-    volume each; a restart uses a prefix of each, so no block allocates an
-    array proportional to its volume.
+    ``clean_blocks`` the block passes that formed none.  work holds the flat
+    cell and key buffers that `solve` allocates once, m times the largest
+    window's volume each; a restart uses a prefix of each, so no block
+    allocates an array proportional to its volume.
     """
     cells_buf, keyed_buf = work
     m = tuples.shape[1]
@@ -466,54 +459,51 @@ def _sweep(A, tuples, values, live, key, windows, counts, stacked, offsets, work
         # builds its own
         alphas = lead = lead_t = trail = None
         stack = tuples[live]
-        contexts = stack[:, :, w.rest]
-        ids, firsts = _context_ids(contexts.reshape(len(live) * m, -1))
-        ids = ids.reshape(len(live), m)
+        rows = len(live) * m
+        contexts = stack[:, :, w.rest].reshape(rows, -1)
+        # the live rows first: a context's first holder is a live candidate
+        # whenever one holds it
+        ids, firsts = _context_ids(np.concatenate((contexts, w.contexts)))
+        argmaxes = np.full(firsts.size, -1, dtype=np.int64)
+        argmaxes[ids[rows:]] = w.argmaxes
+        ids = ids[:rows].reshape(len(live), m)
         # two candidates collide exactly when their contexts share a number
         betas = ids[:, :, None] == ids[:, None, :]
         dependents = _dependent(betas)
         n_dependent = int(np.count_nonzero(dependents))
         counts["dependent_picks"] += n_dependent
         counts["free_picks"] += dependents.size - n_dependent
-        # dependent candidates need their whole column for masked_argmax
-        dirties = (dependents | (w.lins[live] < 0)
-                   | (contexts != w.seen[live]).any(axis=2))
-        w.seen[live] = contexts
-        if dirties.any():
+        if n_dependent or (argmaxes[ids] < 0).any():
             # compute_alpha comes right before the expansions it pairs with,
             # so a tracer wrapping both can pair them
             alphas = compute_alpha(A, stack.reshape(-1, A.order), w.block)
             lead, trail = kernels.expand_halves(stacked, offsets, w.modes, w.sizes)
             lead_t = np.ascontiguousarray(lead.T)
             counts["expansions"] += 1
-            # each distinct context's row argmax, -1 until a restart forms it
-            argmaxes = np.full(firsts.size, -1, dtype=np.int64)
         for i, r in enumerate(live):
-            dirty = dirties[i]
+            # a dependent needs its context's whole subproblem; a free
+            # candidate needs only its context's argmax
+            need = ids[i, dependents[i] | (argmaxes[ids[i]] < 0)]
             keyed = slot = None
-            if dirty.any():
-                # a dependent needs its context's whole subproblem; a free
-                # column needs only its argmax, which an earlier restart may
-                # have taken
-                need = ids[i, dirty]
+            if need.size:
                 formed = np.zeros(firsts.size, dtype=bool)
-                formed[need[dependents[i, dirty] | (argmaxes[need] < 0)]] = True
+                formed[need] = True
                 sel = formed.nonzero()[0]
-                if sel.size:
-                    cells = _subproblems(lead_t, trail, alphas[:, firsts[sel]], cells_buf)
-                    keyed = key_values(cells, key,
-                                       out=keyed_buf[:cells.size].reshape(cells.shape))
-                    argmaxes[sel] = keyed.argmax(axis=1)
-                    keyed, slot = keyed.T, (formed.cumsum() - 1)[ids[i]]
-                w.lins[r, dirty] = argmaxes[need]
+                cells = _subproblems(lead_t, trail, alphas[:, firsts[sel]], cells_buf)
+                keyed = key_values(cells, key,
+                                   out=keyed_buf[:cells.size].reshape(cells.shape))
+                argmaxes[sel] = keyed.argmax(axis=1)
+                keyed, slot = keyed.T, (formed.cumsum() - 1)[ids[i]]
                 counts["contracted_columns"] += sel.size
-                counts["shared_columns"] += need.size - sel.size
             else:
                 counts["clean_blocks"] += 1
             passed = _block_pass(tuples[r], values[r], w, keyed, betas[i], key,
-                                 stacked, offsets, picks=(w.lins[r], slot, dependents[i]))
+                                 stacked, offsets, picks=(argmaxes[ids[i]], slot, dependents[i]))
             for name, n in zip(_PASS_COUNTS, passed):
                 counts[name] += n
+        # the live contexts are those whose first holder is a live row
+        held = firsts < rows
+        w.contexts, w.argmaxes = contexts[firsts[held]], argmaxes[held]
 
 
 # Largest accepted `_magnitude_bound`; the factor of 2 leaves headroom for
@@ -559,7 +549,7 @@ def solve(A, cfg):
     # k + extra candidates, fewer on tiny tensors
     m = min(cfg.k + cfg.extra, total)
     n = cfg.restarts
-    windows = [_Window(A.dims, block, n, m) for block in schedule]
+    windows = [_Window(A.dims, block) for block in schedule]
     max_vol = max(w.vol for w in windows)
     if max_vol > SUBPROBLEM_CAP:
         raise CapacityError(
@@ -582,7 +572,7 @@ def solve(A, cfg):
                        for r in range(n)])
     values = kernels.eval_elements(stacked, offsets, tuples.reshape(n * m, -1)).reshape(n, m)
     counts = dict.fromkeys(
-        ("contracted_columns", "shared_columns", "clean_blocks", "expansions",
+        ("contracted_columns", "clean_blocks", "expansions",
          "free_picks", "dependent_picks") + _PASS_COUNTS, 0)
     traces = [[b] for b in key_values(values, cfg.key).max(axis=1).tolist()]
     restart_sweeps = np.zeros(n, dtype=np.int64)

