@@ -13,10 +13,12 @@ so write/read round-trips are bit-exact for float64.  JSON has no NaN or
 infinity, so the writer refuses a tensor holding one before it touches the
 file, and the reader rejects them.  The writer streams: it formats and
 writes each factor in bounded chunks, so its memory does not grow with the
-file.  It replaces an existing regular file with a new one rather than
-truncating it: the new file's mode comes from the umask, and other hard
-links to the old file keep the old content.  The reader accepts only JSON
-numbers (not booleans, strings or null) as entries.
+file.  A chunk at most half of whose values are distinct, as in the first
+factors of a QFT state, has each distinct value formatted once.  It
+replaces an existing regular file with a new one rather than truncating
+it: the new file's mode comes from the umask, and other hard links to the
+old file keep the old content.  The reader accepts only JSON numbers (not
+booleans, strings or null) as entries.
 
 The reader holds the file's text plus one factor's Python objects: it walks
 the top-level object member by member, and parses each element of
@@ -42,7 +44,7 @@ from .errors import CptFormatError
 
 # float64 values formatted per write call; bounds the writer's string memory.
 # Even, so the (re, im) pair of a complex entry never straddles two chunks.
-_WRITE_CHUNK = 1 << 16
+_WRITE_CHUNK = 1 << 14
 
 
 # "%.17g" prints digits only (no '.', no exponent) exactly for the integral
@@ -54,18 +56,41 @@ _PAIR_FMT = np.array(["[%s, %s]" % (a, b) for a in _REAL_FMT for b in _REAL_FMT]
                      dtype=object)
 
 
+def _needs_point(values):
+    """1 where "%.17g" prints ``values`` as bare digits, 0 elsewhere (int8)."""
+    return ((values == np.trunc(values)) & (np.abs(values) < 1e17)).view(np.int8)
+
+
 def _format_chunk(chunk, is_complex):
     """Text of a float64 chunk, formatted through one "%" template.
 
     Entries are joined by ", "; a complex chunk holds interleaved (re, im)
-    values and comes out as "[re, im]" pairs.
+    values and comes out as "[re, im]" pairs.  When at most half of the
+    chunk's values are distinct, each distinct bit pattern is formatted once
+    and the text is built from those strings; grouping by bits keeps -0.0
+    apart from 0.0.
     """
-    integral = ((chunk == np.trunc(chunk)) & (np.abs(chunk) < 1e17)).view(np.int8)
+    bits = chunk.view(np.int64)
+    ordered = np.sort(bits)
+    starts = np.ones(chunk.size, dtype=bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    distinct = ordered[starts]
+    if 2 * distinct.size > chunk.size:
+        point = _needs_point(chunk)
+        if is_complex:
+            fmts = _PAIR_FMT[2 * point[0::2] + point[1::2]]
+        else:
+            fmts = _REAL_FMT[point]
+        return ", ".join(fmts.tolist()) % tuple(chunk.tolist())
+    values = distinct.view(np.float64)
+    # "%.17g" prints no newline, so one template formats every distinct value
+    texts = ("\n".join(_REAL_FMT[_needs_point(values)].tolist())
+             % tuple(values.tolist())).split("\n")
+    ids = np.searchsorted(distinct, bits)
     if is_complex:
-        fmts = _PAIR_FMT[2 * integral[0::2] + integral[1::2]]
-    else:
-        fmts = _REAL_FMT[integral]
-    return ", ".join(fmts.tolist()) % tuple(chunk.tolist())
+        texts = ["[" + t for t in texts] + [t + "]" for t in texts]
+        ids[1::2] += values.size
+    return ", ".join(np.array(texts, dtype=object)[ids].tolist())
 
 
 def write_cpt(A, path):

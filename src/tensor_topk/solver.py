@@ -41,21 +41,22 @@ arrays with one row per restart, the tuples (restarts, m, order) and their
 values (restarts, m).  At each window the live rows of the tuples are
 gathered once; their contexts are numbered together with the window's
 record (`_context_ids`), and the collision masks (equal numbers) and the
-dependent masks come from those numbers.  The window's rank weights (one
-`compute_alpha` over every live candidate) and its halves are built once,
-before the restarts run, and dropped when the sweep moves to the next
-window.  Each restart then, in order, forms the contexts it needs, each
-from the rank weights of the first candidate that holds it, and runs its
-block pass on its own rows.  A subproblem's cells depend only on the window
-and the context, whatever candidates share the `compute_alpha` and matmul
-calls, so every restart sees the same bits as it would alone, and the
-output does not depend on the lockstep or the record.  The cell and key
-buffers stay one per solve: a restart's block pass uses up its subproblems
-before the next restart overwrites them.  A block pass evaluates an entry
-only where a candidate moves: a rechecked move keeps the recheck's value,
-and a forced move (the incumbent cell taken by an earlier candidate) is
-evaluated once.  A restart leaves the live set at its fixed point or after
-``max_sweeps`` sweeps.
+dependent masks come from those numbers.  The window's rank weights and
+its halves are built once, before the restarts run, and dropped when the
+sweep moves to the next window: one `compute_alpha` weighs each context
+that some restart forms at the visit, once, from the first candidate that
+holds it.  Each restart then, in order, forms the contexts it needs from
+their columns of those weights, and runs its block pass on its own rows.
+A subproblem's cells depend only on the window and the context, whatever
+candidates share the `compute_alpha` and matmul calls, so every restart
+sees the same bits as it would alone, and the output does not depend on
+the lockstep or the record.  The cell and key buffers stay one per solve:
+a restart's block pass uses up its subproblems before the next restart
+overwrites them.  A block pass evaluates an entry only where a candidate
+moves: a rechecked move keeps the recheck's value, and a forced move (the
+incumbent cell taken by an earlier candidate) is evaluated once.  A
+restart leaves the live set at its fixed point or after ``max_sweeps``
+sweeps.
 """
 
 from __future__ import annotations
@@ -434,14 +435,15 @@ def _sweep(A, tuples, values, live, key, windows, counts, stacked, offsets, work
     come from those numbers, and each context's argmax starts from the
     record, -1 for one not seen before.  A restart's rows of the copy are
     its tuples as it enters the window, since only its own block pass
-    changes them.  When a live restart has a dependent candidate or a
-    context without an argmax, one `compute_alpha` over the copy and the
+    changes them.  The contexts some restart forms at the visit are those
+    of the dependents and those with no argmax; when there are any, one
+    `compute_alpha` over their first holders, one row per context, and the
     window's two halves (`kernels.expand_halves`) are built before the
     restarts run.
 
     Then each live restart r, in order, forms (`_subproblems`) the contexts
     of its dependents and those of its free candidates that still have no
-    argmax, each from its first holder's column of alpha, stores their row
+    argmax, each from its context's column of alpha, stores their row
     argmaxes, and runs its block pass on the row views ``tuples[r]`` and
     ``values[r]``, where a dependent reads its context's subproblem through
     ``slot``.  A block pass changes only the window's modes, so the visit's
@@ -473,10 +475,15 @@ def _sweep(A, tuples, values, live, key, windows, counts, stacked, offsets, work
         n_dependent = int(np.count_nonzero(dependents))
         counts["dependent_picks"] += n_dependent
         counts["free_picks"] += dependents.size - n_dependent
-        if n_dependent or (argmaxes[ids] < 0).any():
+        # the contexts some restart forms at this visit, each weighed once,
+        # from its first holder
+        weighed = np.zeros(firsts.size, dtype=bool)
+        weighed[ids[dependents | (argmaxes[ids] < 0)]] = True
+        if weighed.any():
             # compute_alpha comes right before the expansions it pairs with,
             # so a tracer wrapping both can pair them
-            alphas = compute_alpha(A, stack.reshape(-1, A.order), w.block)
+            alphas = compute_alpha(A, stack.reshape(-1, A.order)[firsts[weighed]], w.block)
+            column = weighed.cumsum() - 1
             lead, trail = kernels.expand_halves(stacked, offsets, w.modes, w.sizes)
             lead_t = np.ascontiguousarray(lead.T)
             counts["expansions"] += 1
@@ -489,7 +496,7 @@ def _sweep(A, tuples, values, live, key, windows, counts, stacked, offsets, work
                 formed = np.zeros(firsts.size, dtype=bool)
                 formed[need] = True
                 sel = formed.nonzero()[0]
-                cells = _subproblems(lead_t, trail, alphas[:, firsts[sel]], cells_buf)
+                cells = _subproblems(lead_t, trail, alphas[:, column[sel]], cells_buf)
                 keyed = key_values(cells, key,
                                    out=keyed_buf[:cells.size].reshape(cells.shape))
                 argmaxes[sel] = keyed.argmax(axis=1)

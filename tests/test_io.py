@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import random_factors
-from tensor_topk import cp, cpt_io
+from tensor_topk import cp, cpt_io, qft
 from tensor_topk.cli import main
 from tensor_topk.cpt_io import read_cpt, write_cpt
 from tensor_topk.errors import CptFormatError
@@ -269,6 +269,84 @@ def test_writer_bytes_match_reference(tmp_path, rng, complex_):
     _reference_write_cpt(A, want)
     assert got.read_bytes() == want.read_bytes()
     B = read_cpt(got)
+    for fa, fb in zip(A.factors, B.factors):
+        assert fa.tobytes() == fb.tobytes()
+
+
+def _chunk_paths(A):
+    """Which of the writer's two paths the chunks of A take: "dedupe" for a
+    chunk at most half of whose values are distinct, "direct" otherwise."""
+    paths = set()
+    for f in A.factors:
+        flat = f.reshape(-1).view(np.float64)
+        for c0 in range(0, flat.size, cpt_io._WRITE_CHUNK):
+            chunk = flat[c0:c0 + cpt_io._WRITE_CHUNK]
+            distinct = np.unique(chunk.view(np.int64)).size
+            paths.add("dedupe" if 2 * distinct <= chunk.size else "direct")
+    return paths
+
+
+def _assert_reference_bytes(tmp_path, A):
+    got, want = tmp_path / "new.cpt", tmp_path / "ref.cpt"
+    write_cpt(A, got)
+    _reference_write_cpt(A, want)
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("chunk", [None, 8])
+@pytest.mark.parametrize("complex_", [False, True])
+def test_writer_bytes_match_reference_on_repeats(tmp_path, rng, monkeypatch, complex_,
+                                                 chunk):
+    # -0.0 next to 0.0, integral values on both sides of 1e17 and "%.17g"'s
+    # digits-only range, a subnormal and a 17-digit fraction
+    special = np.array([-0.0, 0.0, 1.0, -7.0, 1e16, 99999999999999984.0, 1e17, 5e-324,
+                        1 / 3])
+    if chunk is not None:
+        # small even chunks, which the runs of 7 repeats below straddle
+        monkeypatch.setattr(cpt_io, "_WRITE_CHUNK", chunk)
+    rows = cpt_io._WRITE_CHUNK + 5
+    # runs of repeats within and across chunks; then a mostly-distinct factor
+    f0 = np.resize(np.repeat(special, 7), (rows, 2))
+    f1 = rng.uniform(-3.0, 3.0, size=(rows, 2))
+    f1.flat[::7] = special[rng.integers(0, special.size, size=f1.flat[::7].size)]
+    if complex_:
+        # set part by part: re + 1j * im would turn every -0.0 into 0.0
+        f0, f1 = f0.astype(complex), f1.astype(complex)
+        f0.imag = np.resize(np.repeat(special[::-1], 7), (rows, 2))
+        f1.imag = rng.uniform(-3.0, 3.0, size=(rows, 2))
+    A = cp.CpTensor([f0, f1])
+    assert _chunk_paths(A) == {"dedupe", "direct"}
+    _assert_reference_bytes(tmp_path, A)
+
+
+def test_writer_bytes_match_reference_on_a_qft_state(tmp_path):
+    layout = qft.square_layout(9)
+    psi0 = qft.random_product_state(layout, np.random.default_rng(11))
+    A = qft.run_qft(psi0, layout)
+    assert "dedupe" in _chunk_paths(A)
+    _assert_reference_bytes(tmp_path, A)
+
+
+def test_writer_memory_is_bounded(tmp_path):
+    # a 4x16x4096 complex state, 11.5 MB of text: three factors of QFT-like
+    # phases (16 to 1024 distinct angles) and one of distinct values.  The
+    # writer holds one 2^14-value chunk's strings at a time, about 1.4 MB;
+    # formatting 2^16 values per chunk with no deduplication peaks at 4.6 MB
+    rng = np.random.default_rng(9)
+    fs = [np.exp(2j * np.pi * rng.integers(0, 4 ** (p + 2), size=(16, 4096)) / 4 ** (p + 2))
+          / 4 for p in range(3)]
+    fs.append(rng.standard_normal((16, 4096)) + 1j * rng.standard_normal((16, 4096)))
+    A = cp.CpTensor(fs)
+    assert _chunk_paths(A) == {"dedupe", "direct"}
+    path = tmp_path / "state.cpt"
+    tracemalloc.start()
+    try:
+        write_cpt(A, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
+    B = read_cpt(path)
     for fa, fb in zip(A.factors, B.factors):
         assert fa.tobytes() == fb.tobytes()
 

@@ -542,13 +542,16 @@ class TestSweepReference(unittest.TestCase):
 
     def _compare(self, A, cfg):
         """Returns the contracted columns, clean blocks, blocks and
-        expansions summed over restarts, and each restart's sweep count.
+        expansions summed over restarts, each restart's sweep count, and the
+        rows of every `compute_alpha` call.
 
         At each window the known contexts are those of every restart live
         at the window's last visit; the live restarts in order form the
         contexts of their dependents and those of their columns not yet
         known, and what they form becomes known.  A block pass that forms
-        nothing is clean."""
+        nothing is clean.  Each visit that forms a context makes one
+        `compute_alpha` call, with one row for each context that some
+        restart forms there."""
         s = solver._resolve_block_size(A, cfg)
         schedule = solver.block_schedule(A.order, s)
         stacked, offsets = kernels.stack_factors(A.factors)
@@ -562,12 +565,22 @@ class TestSweepReference(unittest.TestCase):
         windows = [solver._Window(A.dims, block) for block in schedule]
         counts = collections.Counter()
         live = list(range(cfg.restarts))
-        blocks = formed = clean = 0
+        blocks = formed = clean = weighed = 0
         sweeps = [0] * cfg.restarts
         last_visit = [set() for _ in schedule]
         for sweep in range(cfg.max_sweeps):
-            solver._sweep(A, got_t, got_v, live, cfg.key, windows, counts, stacked, offsets,
-                          work)
+            with mock.patch.object(solver, "compute_alpha",
+                                   wraps=solver.compute_alpha) as alpha:
+                solver._sweep(A, got_t, got_v, live, cfg.key, windows, counts, stacked,
+                              offsets, work)
+            rows = []
+            for call in alpha.call_args_list:
+                tuples, block = call.args[1], call.args[2]
+                rest = [q for q in range(A.order) if q not in block]
+                # no two rows of a call hold the same context
+                self.assertEqual(len({tuple(t) for t in tuples[:, rest].tolist()}),
+                                 len(tuples))
+                rows.append(len(tuples))
             converged = []
             needs = []
             for r in live:
@@ -581,29 +594,36 @@ class TestSweepReference(unittest.TestCase):
                 sweeps[r] += 1
                 if np.array_equal(before, ref_t[r]):
                     converged.append(r)
+            visits = []
             for b in range(len(schedule)):
                 known, last_visit[b] = last_visit[b], set()
+                visit = set()
                 for r_needs in needs:
                     dependent, free = r_needs[b]
                     new = dependent | (free - known)
                     formed += len(new)
                     clean += not new
                     known |= new
+                    visit |= new
                     last_visit[b] |= free
+                if visit:
+                    visits.append(len(visit))
+            self.assertEqual(rows, visits, msg=f"sweep {sweep}")
+            weighed += sum(rows)
             live = [r for r in live if r not in converged]
             if not live:
                 break
         self.assertEqual(counts["contracted_columns"], formed)
         self.assertEqual(counts["clean_blocks"], clean)
         return (counts["contracted_columns"], counts["clean_blocks"], blocks,
-                counts["expansions"], sweeps)
+                counts["expansions"], sweeps, weighed)
 
     def test_real_subset_path(self):
         # window (0, 1) has 25,600 cells; blocks contract fewer than all 50
         # columns there
         A = cp.CpTensor(random_factors(np.random.default_rng(201), (160, 160, 4, 4), 20))
         cfg = SolverConfig(k=10, extra=40, block_size=2, restarts=2, seed=11)
-        contracted, clean, blocks, _, _ = self._compare(A, cfg)
+        contracted, clean, blocks, _, _, _ = self._compare(A, cfg)
         self.assertLess(contracted, 50 * (blocks - clean))
 
     def test_real_clean_blocks_only(self):
@@ -612,7 +632,7 @@ class TestSweepReference(unittest.TestCase):
         A = cp.CpTensor(random_factors(np.random.default_rng(202), (6, 5, 7, 6, 5, 6), 3))
         for s in (1, 2):
             cfg = SolverConfig(k=3, extra=5, block_size=s, restarts=3, seed=12)
-            contracted, clean, blocks, _, _ = self._compare(A, cfg)
+            contracted, clean, blocks, _, _, _ = self._compare(A, cfg)
             self.assertGreater(clean, 0)
             self.assertLessEqual(blocks - clean, contracted)
             self.assertLess(contracted, 8 * (blocks - clean))
@@ -622,7 +642,7 @@ class TestSweepReference(unittest.TestCase):
         # each window's expansion
         A = cp.CpTensor(random_factors(np.random.default_rng(205), (6, 5, 7, 6, 5, 6), 3))
         cfg = SolverConfig(k=3, extra=5, block_size=2, restarts=4, seed=15)
-        _, clean, blocks, expansions, sweeps = self._compare(A, cfg)
+        _, clean, blocks, expansions, sweeps, _ = self._compare(A, cfg)
         self.assertGreater(len(set(sweeps)), 1)
         self.assertLess(expansions, blocks - clean)
         self.assertLessEqual(expansions, len(A.dims) * max(sweeps))
@@ -633,10 +653,21 @@ class TestSweepReference(unittest.TestCase):
         for s in (1, 2, 4):
             cfg = SolverConfig(k=3, extra=6, block_size=s, key=OrderingKey.MAX_ABS,
                                restarts=2, seed=13)
-            contracted, clean, blocks, _, _ = self._compare(A, cfg)
+            contracted, clean, blocks, _, _, _ = self._compare(A, cfg)
             # complex tensors form just the contexts they need too
             self.assertLessEqual(blocks - clean, contracted)
             self.assertLess(contracted, 9 * (blocks - clean))
+
+    def test_rank_weights_cover_only_formed_contexts(self):
+        # four restarts of a complex solve on a small tensor: their
+        # dependents share contexts at a visit, and each shared context is
+        # weighed once
+        A = cp.CpTensor(random_factors(np.random.default_rng(206), (4, 3, 5, 3), 3,
+                                       complex_=True))
+        cfg = SolverConfig(k=3, extra=6, block_size=1, key=OrderingKey.MAX_ABS,
+                           restarts=4, seed=16)
+        contracted, _, _, _, _, weighed = self._compare(A, cfg)
+        self.assertLess(weighed, contracted)
 
     def test_min_key_and_block_sizes(self):
         rng = np.random.default_rng(204)
@@ -751,11 +782,12 @@ def test_rank_weights_do_not_depend_on_their_batch():
 
 
 def test_rank_weights_live_one_window_at_a_time():
-    """A window's rank weights, R x restarts x m complex values, are dropped
-    before the next window builds its own.
+    """A window's rank weights, R x (contexts formed at the visit) complex
+    values, are dropped before the next window builds its own.
 
+    A window's first visit forms every context, restarts x m of them here.
     The peak holds the stacked factors plus, while compute_alpha runs, its
-    result and its temporaries: about 2.2 times one window's weights here.
+    result and its temporaries: about 2.2 times such a visit's weights.
     Keeping the last window's weights alive adds one more and breaks the
     bound.  One-mode windows keep the scaled halves, m x R values per
     restart, and the halves themselves below that peak.
