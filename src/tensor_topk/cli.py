@@ -80,9 +80,8 @@ def _add_topk(sub):
 
 # the TopKResult.diagnostics entries that `topk --output json` prints
 JSON_DIAGNOSTICS = ("block_size", "exhausted", "pool_size", "contracted_columns",
-                    "clean_blocks", "expansions", "free_picks", "dependent_picks",
-                    "moves", "rechecks", "reverted", "forced_moves", "restart_sweeps",
-                    "restart_converged")
+                    "expansions", "free_picks", "dependent_picks", "moves", "rechecks",
+                    "reverted", "forced_moves", "restart_sweeps", "restart_converged")
 
 
 def _run_topk(args):

@@ -83,7 +83,10 @@ def masked_argmax(keyed, forbidden):
     """Index of the largest keyed value outside ``forbidden``.
 
     Ties resolve to the smallest index.  Values are assumed finite, and at
-    least one index must be left outside ``forbidden``.
+    least one index must be left outside ``forbidden``.  The solver lists a
+    subproblem's top cells with it: each entry after the argmax is the
+    masked argmax outside the entries before it, so the list runs in key
+    order with ties to the smaller index.
     """
     keyed = np.array(keyed, dtype=np.float64)
     keyed[np.asarray(forbidden, dtype=np.int64)] = -np.inf

@@ -20,19 +20,20 @@ CP tensor sum_r alpha[r] * (x)_{q in block} U_q[:, r] on the window's modes.
 `kernels.expand_halves` splits the window's modes as `cp.materialize` splits
 a tensor's, into a leading and a trailing half, and expands each, so a
 candidate's subproblem is one small GEMM of the two halves, one of them
-scaled by its rank weights (see `_subproblems`).  The candidates of a
-restart go through one stacked matmul, one BLAS call per candidate on
-slices of one shape, so a candidate's keys do not depend on which other
-candidates share the call.
+scaled by its rank weights (see `_subproblems`).  A batch of subproblems
+goes through one stacked matmul, one BLAS call per subproblem on slices of
+one shape, so a subproblem's keys do not depend on which others share the
+call.
 
 A candidate's subproblem depends only on the window and on its
-out-of-block coordinates, its context, and so does its argmax.  So each
-`_Window` records the distinct contexts of its last visit and their
-argmaxes.  A visit forms only the subproblems of contexts that a dependent
-candidate needs whole (its masked selection reads every cell) and of
-contexts with no argmax yet; a block pass that forms none skips the
-contraction, and a visit where no live restart forms one skips building
-the halves too.
+out-of-block coordinates, its context.  A candidate may not take a cell
+that an earlier candidate of its restart and context holds, so it takes the
+first of its context's cells, in key order with ties to the smaller index,
+that none of them holds: with c earlier holders, one of the context's top
+c + 1 cells.  So each `_Window` records the distinct contexts of its last
+visit and each one's list of top cells, and a visit forms only the contexts
+whose recorded list is shorter than their most holders in a live restart.
+A visit that forms none builds neither rank weights nor halves.
 
 The halves depend only on the window and the factors, not on the candidates
 or the restart.  So `solve` runs its restarts in lockstep: each sweep
@@ -40,23 +41,21 @@ visits a window once for all live restarts.  The restarts' state is two
 arrays with one row per restart, the tuples (restarts, m, order) and their
 values (restarts, m).  At each window the live rows of the tuples are
 gathered once; their contexts are numbered together with the window's
-record (`_context_ids`), and the collision masks (equal numbers) and the
-dependent masks come from those numbers.  The window's rank weights and
-its halves are built once, before the restarts run, and dropped when the
-sweep moves to the next window: one `compute_alpha` weighs each context
-that some restart forms at the visit, once, from the first candidate that
-holds it.  Each restart then, in order, forms the contexts it needs from
-their columns of those weights, and runs its block pass on its own rows.
-A subproblem's cells depend only on the window and the context, whatever
-candidates share the `compute_alpha` and matmul calls, so every restart
-sees the same bits as it would alone, and the output does not depend on
-the lockstep or the record.  The cell and key buffers stay one per solve:
-a restart's block pass uses up its subproblems before the next restart
-overwrites them.  A block pass evaluates an entry only where a candidate
-moves: a rechecked move keeps the recheck's value, and a forced move (the
-incumbent cell taken by an earlier candidate) is evaluated once.  A
-restart leaves the live set at its fixed point or after ``max_sweeps``
-sweeps.
+record (`_context_ids`), and each candidate's rank in its context, and so
+each context's need, come from those numbers.  The contexts to form are
+formed once, before the restarts run: one `compute_alpha` weighs each from
+its first holder, the window's halves are built, and the subproblems are
+formed in batches in one cell buffer per solve.  The weights and halves are
+dropped when the sweep moves to the next window.  A subproblem's cells
+depend only on the window and the context, whatever contexts share the
+`compute_alpha` and matmul calls, so a context's list is the same at every
+visit, and the output does not depend on the lockstep or the record.  Each
+restart then, in order, runs its block pass on its own rows, and each
+candidate reads its cell from its context's list.  A block pass evaluates
+an entry only where a candidate moves: a rechecked move keeps the recheck's
+value, and a forced move (the incumbent cell taken by an earlier candidate)
+is evaluated once.  A restart leaves the live set at its fixed point or
+after ``max_sweeps`` sweeps.
 """
 
 from __future__ import annotations
@@ -206,13 +205,16 @@ def auto_block_size(dims, cap):
 
 
 class _Window:
-    """One schedule window of a solve: its constants and its argmax record.
+    """One schedule window of a solve: its constants and its record.
 
     The constants are the block tuple, its modes and their sizes (int64
     arrays), the strides of its cells (first block mode fastest), the
     out-of-block modes and the volume.  The record holds the distinct
     contexts of the window's last visit, ``contexts`` (n, |rest|), and each
-    one's subproblem argmax, ``argmaxes`` (n,).
+    one's top cells, ``tops`` (n, L): row d lists the first cells of
+    context d's subproblem in key order, ties to the smaller index (the
+    order `kernels.masked_argmax` breaks ties in), and is padded with -1
+    past its length.
     """
 
     def __init__(self, dims, block):
@@ -224,7 +226,7 @@ class _Window:
                              dtype=np.int64)
         self.vol = math.prod(dims[q] for q in block)
         self.contexts = np.empty((0, self.rest.size), dtype=np.int64)
-        self.argmaxes = np.empty(0, dtype=np.int64)
+        self.tops = np.empty((0, 0), dtype=np.int64)
 
 
 def init_candidates(dims, m, rng):
@@ -269,15 +271,6 @@ def compute_alpha(A, tuples, block):
     return alpha[:, :n]
 
 
-def _collision_mask(context):
-    """beta[i, j]: candidates i and j agree on every out-of-block coordinate,
-    from each candidate's ``context`` (one row per candidate, possibly no
-    columns, so all True for an all-mode block).  A stack of contexts,
-    (n, m, c), gives a stack of masks, (n, m, m).  `_sweep` gets the same
-    masks by comparing `_context_ids` numbers."""
-    return np.all(context[..., :, None, :] == context[..., None, :, :], axis=-1)
-
-
 _PASS_COUNTS = ("moves", "rechecks", "reverted", "forced_moves")
 
 
@@ -299,47 +292,34 @@ def _context_ids(contexts):
     return ids, order[starts]
 
 
-def _dependent(beta):
-    """Candidates with an earlier candidate in their context; for a stack of
-    `_collision_mask` masks, one row per mask.
-
-    beta's diagonal is True, so a column's first True row is below the
-    diagonal exactly when an earlier candidate shares the context.
-    """
-    return beta.argmax(axis=-2) < np.arange(beta.shape[-1])
-
-
-def _block_pass(tuples, values, window, keyed, beta, key, stacked, offsets,
-                picks):
+def _block_pass(tuples, values, window, ids, tops, key, stacked, offsets):
     """Update every candidate's block coordinates against one `_Window`.
 
-    keyed is the (vol, m) key-mapped subproblem for the entering candidate
-    state: column j scores every cell of the block for candidate j.  The
-    rule is sequential greedy: in candidate order, each candidate takes its
-    best cell not already taken by an earlier candidate with the same
-    out-of-block coordinates (beta), and a roundoff recheck keeps the
-    incumbent unless the move truly beats it.  It runs in two phases that
-    give exactly the sequential result:
+    ids numbers each candidate's context, its out-of-block coordinates, and
+    row j of tops lists the top cells of candidate j's subproblem in key
+    order, ties to the smaller index: at least one more than the earlier
+    candidates that share its context.  The rule is sequential greedy: in
+    candidate order, each candidate takes its best cell not already taken
+    by an earlier candidate with the same context, and a roundoff recheck
+    keeps the incumbent unless the move truly beats it.  It runs in two
+    phases that give exactly the sequential result:
 
     1. Free candidates, those with no earlier candidate in their context,
        have an empty forbidden set whatever the others pick, so each takes
-       its column's argmax.  All are picked at once and rechecked in one
-       batched ``eval_elements`` call.
-    2. The remaining (dependent) candidates are walked in order with
-       ``masked_argmax``.  Every earlier candidate's final cell is known by
-       then (free ones from phase 1, dependent ones from earlier steps), so
-       each forbidden set is the one the sequential rule sees.
+       its list's first cell, its subproblem's argmax.  All are picked at
+       once and rechecked in one batched ``eval_elements`` call.
+    2. The remaining (dependent) candidates are walked in order.  Every
+       earlier candidate's final cell is known by then (free ones from
+       phase 1, dependent ones from earlier steps), so each forbidden set
+       is the one the sequential rule sees.  It holds fewer cells than the
+       candidate's list, so the list's first cell outside it is the best
+       allowed cell, the one ``masked_argmax`` would pick from the whole
+       subproblem.
 
     Keys are finite (`solve` bounds the factors) and the entering tuples
     are pairwise distinct, so at most vol - 1 earlier candidates share a
-    dependent candidate's context: ``masked_argmax`` always finds an allowed
-    cell, and the tuples stay pairwise distinct.
-
-    picks is (lins, slot, dependent): every column's argmax, for candidate
-    j the column of keyed that holds it, and the `_dependent` mask of beta.
-    Only dependent candidates read keyed and slot, so keyed may hold just a
-    subset of the columns, and both may be None when no candidate is
-    dependent.
+    dependent candidate's context: its list always holds an allowed cell,
+    and the tuples stay pairwise distinct.
 
     Only a candidate that moves gets a new value: a move that survives its
     recheck keeps the recheck's value, and a forced move, a dependent
@@ -352,8 +332,9 @@ def _block_pass(tuples, values, window, keyed, beta, key, stacked, offsets,
     """
     modes, sizes, strides = window.modes, window.sizes, window.strides
     inc_lins = (tuples[:, modes] * strides).sum(axis=1)
-    lins, slot, dependent = picks
-    new_lins = lins.copy()
+    new_lins = tops[:, 0].copy()
+    # a candidate is dependent when an earlier one shares its context
+    dependent = np.triu(ids[:, None] == ids[None, :], 1).any(axis=0)
     moved = np.flatnonzero(~dependent & (new_lins != inc_lins))
     rechecks, reverted, forced = moved.size, 0, 0
     if moved.size:
@@ -369,8 +350,8 @@ def _block_pass(tuples, values, window, keyed, beta, key, stacked, offsets,
         reverted = int(np.count_nonzero(worse))
 
     for j in np.flatnonzero(dependent):
-        forbidden = new_lins[:j][beta[:j, j]]
-        lin = kernels.masked_argmax(keyed[:, slot[j]], forbidden)
+        forbidden = set(new_lins[:j][ids[:j] == ids[j]].tolist())
+        lin = next(cell for cell in tops[j].tolist() if cell not in forbidden)
         if lin != inc_lins[j]:
             trial = tuples[j].copy()
             trial[modes] = lin // strides % sizes
@@ -390,16 +371,16 @@ def _block_pass(tuples, values, window, keyed, beta, key, stacked, offsets,
 
 
 def _subproblems(lead_t, trail, alpha, out):
-    """The dense subproblems of the candidates whose rank weights are alpha's
+    """The dense subproblems of the contexts whose rank weights are alpha's
     columns, (R, w): row c of the (w, vol) result holds every cell of
-    candidate c's subproblem, sum_r alpha[r, c] * lead[:, r] (x) trail[:, r],
+    context c's subproblem, sum_r alpha[r, c] * lead[:, r] (x) trail[:, r],
     the leading half's cells fastest.  lead_t is the leading half transposed,
     a C-contiguous (R, vol_lead) array, and trail the trailing half.
 
     The half with fewer cells, the trailing one on a tie, is scaled by each
-    candidate's weights, and one stacked matmul forms all w subproblems into
+    context's weights, and one stacked matmul forms all w subproblems into
     a prefix of the flat buffer out.  numpy makes one BLAS call per stacked
-    slice, and every slice has the same shape, so a candidate's cells do not
+    slice, and every slice has the same shape, so a context's cells do not
     depend on which or how many columns share the call.
     """
     n = alpha.shape[1]
@@ -412,8 +393,8 @@ def _subproblems(lead_t, trail, alpha, out):
         half, weights = trail, alpha.T[:, None, :]
     if half.size == 1 == n:
         # a one-cell half of rank 1 is scaled in one loop over the
-        # candidates, and numpy rounds a lone complex product apart from
-        # that loop: a lone candidate is scaled as two copies of itself
+        # contexts, and numpy rounds a lone complex product apart from
+        # that loop: a lone context is scaled as two copies of itself
         weights = np.repeat(weights, 2, axis=0)
     scaled = (half * weights)[:n]
     if scale_lead:
@@ -421,6 +402,9 @@ def _subproblems(lead_t, trail, alpha, out):
     else:
         np.matmul(scaled, lead_t, out=cells)
     return cells.reshape(n, -1)
+
+
+FORM_CELLS = 1 << 17  # most cells one `_subproblems` batch of a visit forms
 
 
 def _sweep(A, tuples, values, live, key, windows, counts, stacked, offsets, work):
@@ -431,28 +415,28 @@ def _sweep(A, tuples, values, live, key, windows, counts, stacked, offsets, work
     windows the solve's `_Window` list, and counts the solve's counts, to
     which the sweep adds.  At each window the live tuples are gathered once,
     ``tuples[live]``, and one `_context_ids` call numbers their contexts
-    together with the window's record; the collision and dependent masks
-    come from those numbers, and each context's argmax starts from the
-    record, -1 for one not seen before.  A restart's rows of the copy are
-    its tuples as it enters the window, since only its own block pass
-    changes them.  The contexts some restart forms at the visit are those
-    of the dependents and those with no argmax; when there are any, one
-    `compute_alpha` over their first holders, one row per context, and the
-    window's two halves (`kernels.expand_halves`) are built before the
-    restarts run.
+    together with the window's record, so each context's list of top cells
+    starts from the record, empty for one not seen before.  A restart's rows
+    of the copy are its tuples as it enters the window, since only its own
+    block pass changes them.  A candidate's rank is the number of earlier
+    candidates of its restart in its context, and a context needs a list one
+    longer than its holders' largest rank, its most holders in a live
+    restart.
 
-    Then each live restart r, in order, forms (`_subproblems`) the contexts
-    of its dependents and those of its free candidates that still have no
-    argmax, each from its context's column of alpha, stores their row
-    argmaxes, and runs its block pass on the row views ``tuples[r]`` and
-    ``values[r]``, where a dependent reads its context's subproblem through
-    ``slot``.  A block pass changes only the window's modes, so the visit's
-    contexts and their argmaxes become the window's record.
-    ``contracted_columns`` counts the subproblems formed and
-    ``clean_blocks`` the block passes that formed none.  work holds the flat
-    cell and key buffers that `solve` allocates once, m times the largest
-    window's volume each; a restart uses a prefix of each, so no block
-    allocates an array proportional to its volume.
+    The contexts whose list is shorter than that are formed once, before the
+    restarts run: one `compute_alpha` over their first holders, one row per
+    context, the window's two halves (`kernels.expand_halves`), and
+    `_subproblems` in batches of at most m contexts and ``FORM_CELLS``
+    cells.  A list's entry 0 is its row's argmax, and each later entry the
+    `kernels.masked_argmax` of the row outside the entries before it.  Then
+    each live restart r, in order, runs its block pass on the row views
+    ``tuples[r]`` and ``values[r]``, each candidate with its context's list.
+    A block pass changes only the window's modes, so the visit's contexts
+    and their lists become the window's record.  ``contracted_columns``
+    counts the subproblems formed and ``expansions`` the visits that form
+    any.  work holds the flat cell and key buffers that `solve` allocates
+    once, m times the largest window's volume each; a batch uses a prefix
+    of each, so no block allocates an array proportional to its volume.
     """
     cells_buf, keyed_buf = work
     m = tuples.shape[1]
@@ -466,51 +450,49 @@ def _sweep(A, tuples, values, live, key, windows, counts, stacked, offsets, work
         # the live rows first: a context's first holder is a live candidate
         # whenever one holds it
         ids, firsts = _context_ids(np.concatenate((contexts, w.contexts)))
-        argmaxes = np.full(firsts.size, -1, dtype=np.int64)
-        argmaxes[ids[rows:]] = w.argmaxes
-        ids = ids[:rows].reshape(len(live), m)
-        # two candidates collide exactly when their contexts share a number
-        betas = ids[:, :, None] == ids[:, None, :]
-        dependents = _dependent(betas)
-        n_dependent = int(np.count_nonzero(dependents))
+        recorded, ids = ids[rows:], ids[:rows].reshape(len(live), m)
+        # a candidate's rank: the earlier candidates of its restart that
+        # share its context, so a dependent is one of rank > 0
+        ranks = np.triu(ids[:, :, None] == ids[:, None, :], 1).sum(axis=1)
+        n_dependent = int(np.count_nonzero(ranks))
         counts["dependent_picks"] += n_dependent
-        counts["free_picks"] += dependents.size - n_dependent
-        # the contexts some restart forms at this visit, each weighed once,
-        # from its first holder
-        weighed = np.zeros(firsts.size, dtype=bool)
-        weighed[ids[dependents | (argmaxes[ids] < 0)]] = True
-        if weighed.any():
+        counts["free_picks"] += ranks.size - n_dependent
+        # a context's need: its most holders in one live restart
+        need = np.zeros(firsts.size, dtype=np.int64)
+        np.maximum.at(need, ids, ranks + 1)
+        tops = np.full((firsts.size, max(need.max(), w.tops.shape[1])), -1, dtype=np.int64)
+        tops[recorded, :w.tops.shape[1]] = w.tops
+        short = np.flatnonzero((tops >= 0).sum(axis=1) < need)
+        if short.size:
             # compute_alpha comes right before the expansions it pairs with,
             # so a tracer wrapping both can pair them
-            alphas = compute_alpha(A, stack.reshape(-1, A.order)[firsts[weighed]], w.block)
-            column = weighed.cumsum() - 1
+            alphas = compute_alpha(A, stack.reshape(-1, A.order)[firsts[short]], w.block)
             lead, trail = kernels.expand_halves(stacked, offsets, w.modes, w.sizes)
             lead_t = np.ascontiguousarray(lead.T)
             counts["expansions"] += 1
-        for i, r in enumerate(live):
-            # a dependent needs its context's whole subproblem; a free
-            # candidate needs only its context's argmax
-            need = ids[i, dependents[i] | (argmaxes[ids[i]] < 0)]
-            keyed = slot = None
-            if need.size:
-                formed = np.zeros(firsts.size, dtype=bool)
-                formed[need] = True
-                sel = formed.nonzero()[0]
-                cells = _subproblems(lead_t, trail, alphas[:, column[sel]], cells_buf)
+            counts["contracted_columns"] += short.size
+            batch = max(1, min(m, FORM_CELLS // w.vol))
+            for start in range(0, short.size, batch):
+                # a fancy index copies the batch's weights into one
+                # contiguous block, as the batch-independence tests take them
+                part = np.arange(start, min(start + batch, short.size))
+                cells = _subproblems(lead_t, trail, alphas[:, part], cells_buf)
                 keyed = key_values(cells, key,
                                    out=keyed_buf[:cells.size].reshape(cells.shape))
-                argmaxes[sel] = keyed.argmax(axis=1)
-                keyed, slot = keyed.T, (formed.cumsum() - 1)[ids[i]]
-                counts["contracted_columns"] += sel.size
-            else:
-                counts["clean_blocks"] += 1
-            passed = _block_pass(tuples[r], values[r], w, keyed, betas[i], key,
-                                 stacked, offsets, picks=(argmaxes[ids[i]], slot, dependents[i]))
+                formed = short[part]
+                tops[formed, 0] = keyed.argmax(axis=1)
+                for j in np.flatnonzero(need[formed] > 1):
+                    d = formed[j]
+                    for n in range(1, need[d]):
+                        tops[d, n] = kernels.masked_argmax(keyed[j], tops[d, :n])
+        for i, r in enumerate(live):
+            passed = _block_pass(tuples[r], values[r], w, ids[i], tops[ids[i]], key,
+                                 stacked, offsets)
             for name, n in zip(_PASS_COUNTS, passed):
                 counts[name] += n
         # the live contexts are those whose first holder is a live row
         held = firsts < rows
-        w.contexts, w.argmaxes = contexts[firsts[held]], argmaxes[held]
+        w.contexts, w.tops = contexts[firsts[held]], tops[held]
 
 
 # Largest accepted `_magnitude_bound`; the factor of 2 leaves headroom for
@@ -579,8 +561,8 @@ def solve(A, cfg):
                        for r in range(n)])
     values = kernels.eval_elements(stacked, offsets, tuples.reshape(n * m, -1)).reshape(n, m)
     counts = dict.fromkeys(
-        ("contracted_columns", "clean_blocks", "expansions",
-         "free_picks", "dependent_picks") + _PASS_COUNTS, 0)
+        ("contracted_columns", "expansions", "free_picks", "dependent_picks")
+        + _PASS_COUNTS, 0)
     traces = [[b] for b in key_values(values, cfg.key).max(axis=1).tolist()]
     restart_sweeps = np.zeros(n, dtype=np.int64)
     restart_converged = np.zeros(n, dtype=bool)

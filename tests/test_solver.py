@@ -6,6 +6,7 @@ get direct hand-computed cases.
 """
 
 import collections
+import itertools
 import math
 import tracemalloc
 import unittest
@@ -165,6 +166,15 @@ class TestCandidates(unittest.TestCase):
             solver.solve(nan, SolverConfig(k=5))
 
 
+def _collision_mask(context):
+    """beta[i, j]: candidates i and j agree on every out-of-block coordinate,
+    from each candidate's ``context`` (one row per candidate, possibly no
+    columns, so all True for an all-mode block).  A stack of contexts,
+    (n, m, c), gives a stack of masks, (n, m, m).  The reference for the
+    context numbers that `solver._sweep` takes from `solver._context_ids`."""
+    return np.all(context[..., :, None, :] == context[..., None, :, :], axis=-1)
+
+
 class TestAlphaBeta(unittest.TestCase):
 
     def test_hand_case(self):
@@ -175,7 +185,7 @@ class TestAlphaBeta(unittest.TestCase):
         A = cp.CpTensor(fs)
         tuples = np.array([[0, 1, 0]])
         alpha = solver.compute_alpha(A, tuples, (0,))
-        beta = solver._collision_mask(tuples[:, [1, 2]])
+        beta = _collision_mask(tuples[:, [1, 2]])
         self.assertEqual(alpha.shape, (1, 1))
         self.assertEqual(alpha[0, 0], 4.0 * 5.0)
         self.assertTrue(beta[0, 0])
@@ -198,13 +208,13 @@ class TestAlphaBeta(unittest.TestCase):
     def test_beta_tracks_outside_agreement(self):
         tuples = np.array([[0, 1, 2], [0, 2, 2], [1, 1, 2]])
         # outside coords are modes 0 and 2
-        beta = solver._collision_mask(tuples[:, [0, 2]])
+        beta = _collision_mask(tuples[:, [0, 2]])
         self.assertTrue(beta[0, 1])
         self.assertFalse(beta[0, 2])
         self.assertFalse(beta[1, 2])
 
     def test_context_ids_number_the_collision_classes(self):
-        # _sweep compares context numbers in place of _collision_mask, and
+        # _sweep compares context numbers in place of collision masks, and
         # takes each context's rank weights from its first holder
         rng = np.random.default_rng(4)
         for c in (0, 1, 3):
@@ -217,14 +227,14 @@ class TestAlphaBeta(unittest.TestCase):
                 self.assertEqual(firsts[ids[j]], first)
             stacked = ids.reshape(3, 8)
             np.testing.assert_array_equal(stacked[:, :, None] == stacked[:, None, :],
-                                          solver._collision_mask(contexts))
+                                          _collision_mask(contexts))
 
     def test_all_mode_block(self):
         fs = random_factors(np.random.default_rng(2), (3, 4), 5)
         A = cp.CpTensor(fs)
         tuples = np.array([[0, 0], [1, 2]])
         alpha = solver.compute_alpha(A, tuples, (0, 1))
-        beta = solver._collision_mask(tuples[:, []])
+        beta = _collision_mask(tuples[:, []])
         self.assertTrue(np.all(alpha == 1.0))
         self.assertTrue(np.all(beta))
 
@@ -372,11 +382,19 @@ def _reference_block_pass(A, tuples, values, block, keyed, key_name):
     return out, cp.elements_at(A, out), exhausted
 
 
-def _full_picks(keyed, beta):
-    # every column of keyed contracted: the argmaxes, identity slots and the
-    # dependent mask
-    return (keyed.argmax(axis=0), np.arange(keyed.shape[1]),
-            solver._dependent(beta))
+def _pass_inputs(keyed, beta):
+    # `_block_pass`'s inputs from a (vol, m) keyed subproblem, one column per
+    # candidate, and the collision mask beta: each candidate's context
+    # number, its first collider, and its column's top cells in key order,
+    # ties to the smaller index, as many as its context has holders
+    ids = beta.argmax(axis=0)
+    masked = np.array(keyed, dtype=float)
+    tops = []
+    for _ in range(np.bincount(ids).max()):
+        top = masked.argmax(axis=0)
+        tops.append(top)
+        masked[top, np.arange(masked.shape[1])] = -np.inf
+    return ids, np.stack(tops, axis=1)
 
 
 class TestBlockPassReference(unittest.TestCase):
@@ -411,14 +429,14 @@ class TestBlockPassReference(unittest.TestCase):
             tuples = self._tuples(rng, dims, block, pattern, 12)
             values = cp.elements_at(A, tuples)
             alpha = solver.compute_alpha(A, tuples, block)
-            beta = solver._collision_mask(
+            beta = _collision_mask(
                 tuples[:, [q for q in range(A.order) if q not in block]])
             keyed = make_keyed(A, block, alpha, key)
             want_t, want_v, want_x = _reference_block_pass(
                 A, tuples, values, block, keyed, key_name)
             got_t, got_v = tuples.copy(), values.copy()
-            solver._block_pass(got_t, got_v, solver._Window(dims, block), keyed,
-                               beta, key, stacked, offsets, _full_picks(keyed, beta))
+            solver._block_pass(got_t, got_v, solver._Window(dims, block),
+                               *_pass_inputs(keyed, beta), key, stacked, offsets)
             msg = f"{pattern} {key_name}"
             np.testing.assert_array_equal(got_t, want_t, err_msg=msg)
             self.assertEqual(got_v.tobytes(), want_v.tobytes(), msg=msg)
@@ -479,12 +497,12 @@ class TestBlockPassMoves(unittest.TestCase):
                           [5.0, 0.0, 5.0]])
         self.assertLess(cp.element(A, (2, 0)), values[0])
         self.assertGreater(cp.element(A, (1, 1)), values[1])
-        beta = solver._collision_mask(tuples[:, [1]])
+        beta = _collision_mask(tuples[:, [1]])
         want_t, want_v, _ = _reference_block_pass(A, tuples, values, (0,), keyed, "max")
         got_t, got_v = tuples.copy(), values.copy()
-        counts = solver._block_pass(got_t, got_v, solver._Window(A.dims, (0,)), keyed,
-                                    beta, OrderingKey.MAX, stacked, offsets,
-                                    _full_picks(keyed, beta))
+        counts = solver._block_pass(got_t, got_v, solver._Window(A.dims, (0,)),
+                                    *_pass_inputs(keyed, beta), OrderingKey.MAX, stacked,
+                                    offsets)
         # candidate 0 keeps (0, 0); 1 moves to (1, 1) and forces 2 to (2, 1)
         self.assertEqual(got_t.tolist(), [[0, 0], [1, 1], [2, 1]])
         np.testing.assert_array_equal(got_t, want_t)
@@ -494,35 +512,92 @@ class TestBlockPassMoves(unittest.TestCase):
         self.assertEqual(counts, (2, 2, 1, 1))
 
 
+class TestTopCells(unittest.TestCase):
+    """A window's record lists each context's top cells, and a dependent
+    takes the first one that no earlier holder of its context took."""
+
+    def test_first_allowed_cell_of_a_list_is_the_masked_argmax(self):
+        # tie-heavy rows of rounded values and signed zeros: for every
+        # forbidden set smaller than the list, the list's first allowed
+        # cell is the masked argmax of the whole row
+        rng = np.random.default_rng(209)
+        for _ in range(40):
+            vol = int(rng.integers(1, 8))
+            row = np.round(rng.uniform(-1.5, 1.5, size=vol), 0)
+            zeros = rng.random(vol) < 0.3
+            row[zeros] = np.copysign(0.0, rng.uniform(-1, 1, size=int(zeros.sum())))
+            top = [int(row.argmax())]
+            while len(top) < vol:
+                top.append(kernels.masked_argmax(row, np.array(top)))
+            self.assertEqual(sorted(top), list(range(vol)))
+            for size in range(vol):
+                for forbidden in itertools.combinations(range(vol), size):
+                    first = next(cell for cell in top if cell not in forbidden)
+                    self.assertEqual(first, kernels.masked_argmax(
+                        row, np.array(forbidden, dtype=np.int64)), msg=(row, forbidden))
+
+    def test_records_hold_each_contexts_top_cells(self):
+        # half-integer factors keep every entry exact, so the dense tensor's
+        # keys are the subproblems' keys bit for bit, ties included; each
+        # recorded list must be a prefix of its context's cells in key
+        # order, ties to the smaller index
+        made = []
+
+        class Recorded(solver._Window):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        rng = np.random.default_rng(210)
+        longest = 0
+        for dims, complex_, key, name in (((3, 4, 3), False, OrderingKey.MAX, "max"),
+                                          ((4, 2, 3, 2), False, OrderingKey.MIN, "min"),
+                                          ((3, 3, 4), True, OrderingKey.MAX_ABS, "maxabs")):
+            fs = [rng.integers(-3, 4, size=(n, 3)) / 2 for n in dims]
+            if complex_:
+                fs = [f + 1j * rng.integers(-3, 4, size=f.shape) / 2 for f in fs]
+            keyed = keyed_dense(dense_from_factors(fs), name)
+            for s in (1, 2, len(dims)):
+                for sweeps in (1, 2, 50):
+                    made.clear()
+                    with mock.patch.object(solver, "_Window", Recorded):
+                        solver.solve(cp.CpTensor(fs), SolverConfig(
+                            k=3, extra=9, block_size=s, key=key, max_sweeps=sweeps,
+                            restarts=3, seed=s))
+                    for w in made:
+                        # the window's modes first, the first one fastest
+                        sub = np.moveaxis(keyed, w.block, range(s))
+                        for context, top in zip(w.contexts, w.tops):
+                            cells = sub[(Ellipsis,) + tuple(context)].ravel(order="F")
+                            order = np.lexsort((np.arange(cells.size), -cells))
+                            n = int(np.count_nonzero(top >= 0))
+                            np.testing.assert_array_equal(top[:n], order[:n])
+                            longest = max(longest, n)
+        self.assertGreater(longest, 1)
+
+
 def _reference_sweep(A, tuples, values, key, schedule, stacked, offsets, work):
     """The sweep as it was before windows kept a record: every block builds
     its halves and forms all m subproblems, then runs the two-phase block
     pass.
 
-    Also returns, for each block, the contexts of its dependent columns and
-    those of all its columns, as two sets of tuples.  A column is dependent
-    when an earlier candidate shares its context.
+    Also returns, for each block, how many candidates hold each context, as
+    a Counter of context tuples.
     """
     cells_buf, keyed_buf = work
-    needs = []
+    holders = []
     for block in schedule:
         context = tuples[:, [q for q in range(A.order) if q not in block]]
-        dependent, free = set(), set()
-        for ctx in context:
-            ctx_t = tuple(ctx.tolist())
-            (dependent if ctx_t in free else free).add(ctx_t)
-        needs.append((dependent, free))
+        holders.append(collections.Counter(map(tuple, context.tolist())))
         alpha = solver.compute_alpha(A, tuples, block)
-        beta = solver._collision_mask(context)
+        beta = _collision_mask(context)
         lead, trail = kernels.expand_halves(stacked, offsets, block,
                                             [A.dims[q] for q in block])
         cells = solver._subproblems(np.ascontiguousarray(lead.T), trail, alpha, cells_buf)
         keyed = solver.key_values(cells, key, out=keyed_buf[:cells.size].reshape(cells.shape)).T
-        solver._block_pass(
-            tuples, values, solver._Window(A.dims, block), keyed, beta,
-            key, stacked, offsets, _full_picks(keyed, beta),
-        )
-    return needs
+        solver._block_pass(tuples, values, solver._Window(A.dims, block),
+                           *_pass_inputs(keyed, beta), key, stacked, offsets)
+    return holders
 
 
 def _work_buffers(A, schedule, m):
@@ -541,17 +616,21 @@ class TestSweepReference(unittest.TestCase):
     """
 
     def _compare(self, A, cfg):
-        """Returns the contracted columns, clean blocks, blocks and
-        expansions summed over restarts, each restart's sweep count, and the
-        rows of every `compute_alpha` call.
+        """Returns a dict of the subproblems formed (``contracted``), the
+        block passes (``blocks``) and the ``expansions``, summed over
+        restarts; each restart's sweep count (``sweeps``); the rows of every
+        `compute_alpha` call (``weighed``); the subproblems the restarts
+        would form if each formed its own short contexts at a visit
+        (``alone``); and the visits with a dependent candidate that formed
+        nothing (``served``).
 
-        At each window the known contexts are those of every restart live
-        at the window's last visit; the live restarts in order form the
-        contexts of their dependents and those of their columns not yet
-        known, and what they form becomes known.  A block pass that forms
-        nothing is clean.  Each visit that forms a context makes one
-        `compute_alpha` call, with one row for each context that some
-        restart forms there."""
+        At each window the record holds a list length for each context of
+        the restarts live at the window's last visit.  A visit forms every
+        context whose recorded length is less than its most holders in a
+        live restart, and records the larger of the two; a context that no
+        live restart holds leaves the record.  Each visit that forms a
+        context builds the halves once and makes one `compute_alpha` call,
+        with one row for each context it forms."""
         s = solver._resolve_block_size(A, cfg)
         schedule = solver.block_schedule(A.order, s)
         stacked, offsets = kernels.stack_factors(A.factors)
@@ -565,9 +644,10 @@ class TestSweepReference(unittest.TestCase):
         windows = [solver._Window(A.dims, block) for block in schedule]
         counts = collections.Counter()
         live = list(range(cfg.restarts))
-        blocks = formed = clean = weighed = 0
+        stats = dict.fromkeys(("contracted", "blocks", "expansions", "weighed", "alone",
+                               "served"), 0)
         sweeps = [0] * cfg.restarts
-        last_visit = [set() for _ in schedule]
+        records = [{} for _ in schedule]
         for sweep in range(cfg.max_sweeps):
             with mock.patch.object(solver, "compute_alpha",
                                    wraps=solver.compute_alpha) as alpha:
@@ -582,70 +662,73 @@ class TestSweepReference(unittest.TestCase):
                                  len(tuples))
                 rows.append(len(tuples))
             converged = []
-            needs = []
+            holders = []
             for r in live:
                 before = ref_t[r].copy()
-                needs.append(_reference_sweep(A, ref_t[r], ref_v[r], cfg.key, schedule,
-                                              stacked, offsets, work_ref))
+                holders.append(_reference_sweep(A, ref_t[r], ref_v[r], cfg.key, schedule,
+                                                stacked, offsets, work_ref))
                 msg = f"restart {r} sweep {sweep}"
                 np.testing.assert_array_equal(got_t[r], ref_t[r], err_msg=msg)
                 self.assertEqual(got_v[r].tobytes(), ref_v[r].tobytes(), msg=msg)
-                blocks += len(schedule)
+                stats["blocks"] += len(schedule)
                 sweeps[r] += 1
                 if np.array_equal(before, ref_t[r]):
                     converged.append(r)
             visits = []
-            for b in range(len(schedule)):
-                known, last_visit[b] = last_visit[b], set()
-                visit = set()
-                for r_needs in needs:
-                    dependent, free = r_needs[b]
-                    new = dependent | (free - known)
-                    formed += len(new)
-                    clean += not new
-                    known |= new
-                    visit |= new
-                    last_visit[b] |= free
-                if visit:
-                    visits.append(len(visit))
+            for b, record in enumerate(records):
+                need = collections.Counter()
+                for r_holders in holders:
+                    need |= r_holders[b]  # the most holders in one restart
+                    stats["alone"] += sum(record.get(ctx, 0) < n
+                                          for ctx, n in r_holders[b].items())
+                new = [ctx for ctx, n in need.items() if record.get(ctx, 0) < n]
+                if new:
+                    visits.append(len(new))
+                elif max(need.values()) > 1:
+                    stats["served"] += 1
+                records[b] = {ctx: max(n, record.get(ctx, 0)) for ctx, n in need.items()}
             self.assertEqual(rows, visits, msg=f"sweep {sweep}")
-            weighed += sum(rows)
+            stats["weighed"] += sum(rows)
+            stats["contracted"] += sum(visits)
+            stats["expansions"] += len(visits)
             live = [r for r in live if r not in converged]
             if not live:
                 break
-        self.assertEqual(counts["contracted_columns"], formed)
-        self.assertEqual(counts["clean_blocks"], clean)
-        return (counts["contracted_columns"], counts["clean_blocks"], blocks,
-                counts["expansions"], sweeps, weighed)
+        self.assertEqual(counts["contracted_columns"], stats["contracted"])
+        self.assertEqual(counts["expansions"], stats["expansions"])
+        stats["sweeps"] = sweeps
+        return stats
 
     def test_real_subset_path(self):
-        # window (0, 1) has 25,600 cells; blocks contract fewer than all 50
-        # columns there
+        # window (0, 1) has 25,600 cells; a visit forms fewer subproblems
+        # than the 50 candidates of one restart
         A = cp.CpTensor(random_factors(np.random.default_rng(201), (160, 160, 4, 4), 20))
         cfg = SolverConfig(k=10, extra=40, block_size=2, restarts=2, seed=11)
-        contracted, clean, blocks, _, _, _ = self._compare(A, cfg)
-        self.assertLess(contracted, 50 * (blocks - clean))
+        st = self._compare(A, cfg)
+        self.assertLess(st["contracted"], 50 * st["expansions"])
 
-    def test_real_clean_blocks_only(self):
-        # however small the window, a block pass forms just the contexts it
-        # needs: at least one of the 8, or, when every argmax is known, none
+    def test_real_visits_form_only_short_lists(self):
+        # however small the window, a visit forms just the contexts whose
+        # lists are short: at least one, or, when every list is long
+        # enough, none
         A = cp.CpTensor(random_factors(np.random.default_rng(202), (6, 5, 7, 6, 5, 6), 3))
         for s in (1, 2):
             cfg = SolverConfig(k=3, extra=5, block_size=s, restarts=3, seed=12)
-            contracted, clean, blocks, _, _, _ = self._compare(A, cfg)
-            self.assertGreater(clean, 0)
-            self.assertLessEqual(blocks - clean, contracted)
-            self.assertLess(contracted, 8 * (blocks - clean))
+            st = self._compare(A, cfg)
+            self.assertLess(st["expansions"], len(A.dims) * max(st["sweeps"]))
+            self.assertLessEqual(st["expansions"], st["contracted"])
+            # fewer than the contexts of all 3 x 8 live candidates
+            self.assertLess(st["contracted"], 24 * st["expansions"])
 
     def test_restarts_leave_at_different_sweeps(self):
         # the live set shrinks mid-run, and the live restarts still share
         # each window's expansion
         A = cp.CpTensor(random_factors(np.random.default_rng(205), (6, 5, 7, 6, 5, 6), 3))
         cfg = SolverConfig(k=3, extra=5, block_size=2, restarts=4, seed=15)
-        _, clean, blocks, expansions, sweeps, _ = self._compare(A, cfg)
-        self.assertGreater(len(set(sweeps)), 1)
-        self.assertLess(expansions, blocks - clean)
-        self.assertLessEqual(expansions, len(A.dims) * max(sweeps))
+        st = self._compare(A, cfg)
+        self.assertGreater(len(set(st["sweeps"])), 1)
+        self.assertLess(st["contracted"], st["alone"])
+        self.assertLessEqual(st["expansions"], len(A.dims) * max(st["sweeps"]))
 
     def test_complex_maxabs(self):
         A = cp.CpTensor(random_factors(np.random.default_rng(203), (4, 3, 5, 3), 3,
@@ -653,10 +736,11 @@ class TestSweepReference(unittest.TestCase):
         for s in (1, 2, 4):
             cfg = SolverConfig(k=3, extra=6, block_size=s, key=OrderingKey.MAX_ABS,
                                restarts=2, seed=13)
-            contracted, clean, blocks, _, _, _ = self._compare(A, cfg)
-            # complex tensors form just the contexts they need too
-            self.assertLessEqual(blocks - clean, contracted)
-            self.assertLess(contracted, 9 * (blocks - clean))
+            st = self._compare(A, cfg)
+            # complex tensors form just the contexts whose lists are short
+            # too, fewer than the contexts of all 2 x 9 live candidates
+            self.assertLessEqual(st["expansions"], st["contracted"])
+            self.assertLess(st["contracted"], 18 * st["expansions"])
 
     def test_rank_weights_cover_only_formed_contexts(self):
         # four restarts of a complex solve on a small tensor: their
@@ -666,8 +750,19 @@ class TestSweepReference(unittest.TestCase):
                                        complex_=True))
         cfg = SolverConfig(k=3, extra=6, block_size=1, key=OrderingKey.MAX_ABS,
                            restarts=4, seed=16)
-        contracted, _, _, _, _, weighed = self._compare(A, cfg)
-        self.assertLess(weighed, contracted)
+        st = self._compare(A, cfg)
+        self.assertEqual(st["weighed"], st["contracted"])
+        self.assertLess(st["contracted"], st["alone"])
+
+    def test_dependents_read_lists_formed_at_earlier_visits(self):
+        # 27 cells and 15 candidates per restart crowd the contexts: some
+        # visits have dependents and form nothing, so their dependents take
+        # cells from lists that an earlier visit formed
+        A = cp.CpTensor(random_factors(np.random.default_rng(204), (3, 3, 3), 3))
+        for s in (1, 2, 3):
+            cfg = SolverConfig(k=3, extra=12, block_size=s, restarts=2, seed=14)
+            st = self._compare(A, cfg)
+            self.assertGreater(st["served"], 0, msg=f"s={s}")
 
     def test_min_key_and_block_sizes(self):
         rng = np.random.default_rng(204)
@@ -762,7 +857,7 @@ def test_subproblem_keys_do_not_depend_on_their_batch():
 def test_rank_weights_do_not_depend_on_their_batch():
     """A candidate's `compute_alpha` column is bit-equal alone and in any
     batch, real and complex, rank 1 included: `_sweep` forms a context from
-    its column of one call, and a window's record keeps that argmax for
+    its column of one call, and a window's record keeps its top cells for
     later visits, whose calls hold other candidates."""
     rng = np.random.default_rng(302)
     n = 12
@@ -790,7 +885,7 @@ def test_rank_weights_live_one_window_at_a_time():
     result and its temporaries: about 2.2 times such a visit's weights.
     Keeping the last window's weights alive adds one more and breaks the
     bound.  One-mode windows keep the scaled halves, m x R values per
-    restart, and the halves themselves below that peak.
+    batch, and the halves themselves below that peak.
     """
     dims, rank = (16, 16, 16, 16), 1024
     A = cp.CpTensor(random_factors(np.random.default_rng(7), dims, rank, complex_=True))
@@ -812,9 +907,9 @@ def test_rank_weights_live_one_window_at_a_time():
 def test_solve_holds_no_expansion_sized_array():
     """No array of one window's volume times the rank is built.
 
-    The solve holds its (m x vol) cell buffer and, while a restart forms its
-    subproblems, one scaled half of at most m x min(vol_lead, vol_trail) x R
-    values; the rest (factors, rank weights, halves, candidates) is well
+    The solve holds its (m x vol) cell buffer and, while a visit forms a
+    batch of subproblems, one scaled half of at most m x min(vol_lead,
+    vol_trail) x R values; the rest (factors, rank weights, halves, candidates) is well
     under half of one (vol x R) expansion, which would break the bound.
     """
     dims, rank = (100,) * 4, 20
@@ -845,13 +940,12 @@ class TestDiagnostics(unittest.TestCase):
         self.assertEqual(len(d["restart_sweeps"]), cfg.restarts)
         self.assertEqual(sum(d["restart_sweeps"]), res.sweeps_used)
         self.assertEqual(any(d["restart_converged"]), res.converged)
-        self.assertLessEqual(d["clean_blocks"], blocks)
         # every block pass picks each of the m candidates once, free or
-        # dependent; each context formed has one free holder in its restart,
-        # and a block pass that is not clean forms at least one
+        # dependent; each context formed has a free holder at its visit,
+        # and a visit that builds the halves forms at least one
         self.assertEqual(d["free_picks"] + d["dependent_picks"], m * blocks)
+        self.assertLessEqual(d["expansions"], d["contracted_columns"])
         self.assertLessEqual(d["contracted_columns"], d["free_picks"])
-        self.assertLessEqual(blocks - d["clean_blocks"], d["contracted_columns"])
         # a window builds at most one expansion per lockstep sweep
         self.assertLessEqual(d["expansions"],
                              len(d["schedule"]) * max(d["restart_sweeps"]))
@@ -862,40 +956,40 @@ class TestDiagnostics(unittest.TestCase):
 
     def test_real_counts(self):
         A = cp.CpTensor(random_factors(np.random.default_rng(202), (6, 5, 7, 6, 5, 6), 3))
-        res, m, blocks = self._check(A, SolverConfig(k=3, extra=5, block_size=1,
-                                                     seed=12))
+        cfg = SolverConfig(k=3, extra=5, block_size=1, seed=12)
+        res, m, blocks = self._check(A, cfg)
         d = res.diagnostics
-        self.assertGreater(d["clean_blocks"], 0)
-        # a block pass that is not clean forms at least one subproblem, and
-        # here fewer than m in some
-        self.assertLessEqual(blocks - d["clean_blocks"], d["contracted_columns"])
-        self.assertLess(d["contracted_columns"], m * (blocks - d["clean_blocks"]))
+        # some visits form nothing, and the visits that form form fewer
+        # subproblems than the contexts of all restarts x m live candidates
+        self.assertLess(d["expansions"], len(d["schedule"]) * max(d["restart_sweeps"]))
+        self.assertLess(d["contracted_columns"], cfg.restarts * m * d["expansions"])
 
-    def test_complex_without_clean_blocks_contracts_every_column(self):
-        # a whole-tensor window puts every candidate but the first in one
-        # context, so each block has dependent columns and none is clean:
-        # every block pass forms the one empty context's subproblem once
+    def test_whole_tensor_window_forms_its_context_once(self):
+        # a whole-tensor window puts every candidate in one context, so each
+        # block pass has m - 1 dependent candidates; the first visit lists
+        # the one empty context's top m cells, and every later visit reads
+        # that list and forms nothing
         A = _pinned_tensor(108, (3, 4, 3), 3, True)
         cfg = SolverConfig(k=2, extra=5, block_size=3, key=OrderingKey.MAX_REAL, seed=8)
         res, m, blocks = self._check(A, cfg)
         d = res.diagnostics
-        self.assertEqual(d["clean_blocks"], 0)
+        self.assertGreater(res.sweeps_used, 1)
         self.assertEqual(d["dependent_picks"], (m - 1) * blocks)
-        self.assertEqual(d["contracted_columns"], blocks)
+        self.assertEqual((d["contracted_columns"], d["expansions"]), (1, 1))
 
     def test_window_without_context_columns(self):
         # a whole-tensor window: every context has no columns, so there is
-        # one context, and its argmax is known once formed.  The first
-        # restart forms it in sweep 1, with the one expansion; every other
-        # block pass, the converged sweep 2 included, is clean.
+        # one context, and its argmax is known once formed.  The first visit
+        # forms it once for every restart, with the one expansion; every
+        # other visit, the converged sweep 2 included, forms nothing.
         rng = np.random.default_rng(5)
         A = cp.CpTensor([rng.uniform(-1, 1, size=(4, 3)) for _ in range(3)])
-        for restarts, want in ((1, (2, 1, 1, 1)), (3, (6, 1, 5, 1))):
+        for restarts, want in ((1, (2, 1, 1)), (3, (6, 1, 1))):
             res, _, blocks = self._check(A, SolverConfig(k=1, extra=0, block_size=3,
                                                          restarts=restarts))
             d = res.diagnostics
-            self.assertEqual((res.sweeps_used, d["contracted_columns"], d["clean_blocks"],
-                              d["expansions"]), want)
+            self.assertEqual((res.sweeps_used, d["contracted_columns"], d["expansions"]),
+                             want)
             self.assertEqual((d["free_picks"], d["dependent_picks"]), (blocks, 0))
         # every candidate shares the empty context, so each block pass picks
         # one free candidate and m - 1 dependent ones
@@ -912,12 +1006,21 @@ class TestDiagnostics(unittest.TestCase):
         self.assertTrue(all(1 <= n <= 2 for n in res.diagnostics["restart_sweeps"]))
 
     def test_one_restart_expands_every_dirty_block(self):
+        # a visit that forms builds the halves and weighs its contexts once,
+        # and one that forms nothing builds neither; here some visits of the
+        # one restart form nothing
         A = cp.CpTensor(random_factors(np.random.default_rng(202), (6, 5, 7, 6, 5, 6), 3))
         for s in (1, 2):
-            res, _, blocks = self._check(A, SolverConfig(k=3, extra=5, block_size=s,
-                                                         restarts=1, seed=12))
+            with mock.patch.object(solver, "compute_alpha",
+                                   wraps=solver.compute_alpha) as alpha, \
+                    mock.patch.object(kernels, "expand_halves",
+                                      wraps=kernels.expand_halves) as halves:
+                res, _, blocks = self._check(A, SolverConfig(k=3, extra=5, block_size=s,
+                                                             restarts=1, seed=12))
             d = res.diagnostics
-            self.assertEqual(d["expansions"], blocks - d["clean_blocks"])
+            self.assertEqual(alpha.call_count, d["expansions"])
+            self.assertEqual(halves.call_count, d["expansions"])
+            self.assertLess(d["expansions"], blocks)
 
     def test_restarts_share_expansions(self):
         # restarts that would each expand a window alone share one
@@ -930,9 +1033,11 @@ class TestDiagnostics(unittest.TestCase):
             res, _, blocks = self._check(A, cfg)
             singles = [solver.solve(A, replace(cfg, restarts=1, seed=cfg.seed + r))
                        for r in range(cfg.restarts)]
-            alone = sum(one.diagnostics["expansions"] for one in singles)
-            self.assertLessEqual(blocks - res.diagnostics["clean_blocks"], alone)
-            self.assertLess(res.diagnostics["expansions"], alone)
+            def alone(name):
+                return sum(one.diagnostics[name] for one in singles)
+            self.assertLessEqual(res.diagnostics["contracted_columns"],
+                                 alone("contracted_columns"))
+            self.assertLess(res.diagnostics["expansions"], alone("expansions"))
 
     def test_move_counts_on_random_solves(self):
         rng = np.random.default_rng(207)
