@@ -39,23 +39,27 @@ The halves depend only on the window and the factors, not on the candidates
 or the restart.  So `solve` runs its restarts in lockstep: each sweep
 visits a window once for all live restarts.  The restarts' state is two
 arrays with one row per restart, the tuples (restarts, m, order) and their
-values (restarts, m).  At each window the live rows of the tuples are
-gathered once; their contexts are numbered together with the window's
-record (`_context_ids`), and each candidate's rank in its context, and so
-each context's need, come from those numbers.  The contexts to form are
-formed once, before the restarts run: one `compute_alpha` weighs each from
-its first holder, the window's halves are built, and the subproblems are
-formed in batches in one cell buffer per solve.  The weights and halves are
-dropped when the sweep moves to the next window.  A subproblem's cells
-depend only on the window and the context, whatever contexts share the
-`compute_alpha` and matmul calls, so a context's list is the same at every
-visit, and the output does not depend on the lockstep or the record.  Each
-restart then, in order, runs its block pass on its own rows, and each
-candidate reads its cell from its context's list.  A block pass evaluates
-an entry only where a candidate moves: a rechecked move keeps the recheck's
-value, and a forced move (the incumbent cell taken by an earlier candidate)
-is evaluated once.  A restart leaves the live set at its fixed point or
-after ``max_sweeps`` sweeps.
+values (restarts, m).  At each window the live rows are gathered once,
+flat, one row per candidate; their contexts are numbered together with the
+window's record (`_context_ids`).  A group is one context's holders in one
+live restart, and each context's need, its most holders in one group, comes
+from one count of the groups.  The contexts to form are formed once, before
+the block pass: one `compute_alpha` weighs each from its first holder, the
+window's halves are built, and the subproblems are formed in batches in one
+cell buffer per solve.  The weights and halves are dropped as soon as the
+lists are made.  A subproblem's cells depend only on the window and the
+context, whatever contexts share the `compute_alpha` and matmul calls, so a
+context's list is the same at every visit, and the output does not depend
+on the lockstep or the record.  Then one block pass runs over every live
+row, with the groups as its context numbers: candidates of different
+restarts never collide, so rows of different groups never interact, and
+each candidate reads its cell from its context's list.  A block pass
+evaluates an entry only where a candidate moves: a rechecked move keeps the
+recheck's value, and a forced move (the incumbent cell taken by an earlier
+candidate) is evaluated once.  ``eval_elements`` gives each row the same
+bits whatever rows share its call, so the one pass gives every restart the
+bits it would get alone.  A restart leaves the live set at its fixed point
+or after ``max_sweeps`` sweeps.
 """
 
 from __future__ import annotations
@@ -295,16 +299,19 @@ def _context_ids(contexts):
 def _block_pass(tuples, values, window, ids, tops, key, stacked, offsets):
     """Update every candidate's block coordinates against one `_Window`.
 
-    ids numbers each candidate's context, its out-of-block coordinates, and
-    row j of tops lists the top cells of candidate j's subproblem in key
-    order, ties to the smaller index: at least one more than the earlier
-    candidates that share its context.  The rule is sequential greedy: in
-    candidate order, each candidate takes its best cell not already taken
-    by an earlier candidate with the same context, and a roundoff recheck
-    keeps the incumbent unless the move truly beats it.  It runs in two
-    phases that give exactly the sequential result:
+    ids numbers each candidate's group.  The candidates of a group share
+    their context, their out-of-block coordinates, and rows of different
+    groups never interact: `_sweep` passes every live restart's rows in one
+    call, each group one restart's holders of one context.  Row j of
+    tops lists the top cells of candidate j's subproblem in key order, ties
+    to the smaller index: at least one more than the earlier candidates of
+    its group.  The rule is sequential greedy: in candidate order, each
+    candidate takes its best cell not already taken by an earlier candidate
+    of its group, and a roundoff recheck keeps the incumbent unless the
+    move truly beats it.  It runs in two phases that give exactly the
+    sequential result:
 
-    1. Free candidates, those with no earlier candidate in their context,
+    1. Free candidates, the first of their group, with no earlier candidate,
        have an empty forbidden set whatever the others pick, so each takes
        its list's first cell, its subproblem's argmax.  All are picked at
        once and rechecked in one batched ``eval_elements`` call.
@@ -317,9 +324,9 @@ def _block_pass(tuples, values, window, ids, tops, key, stacked, offsets):
        subproblem.
 
     Keys are finite (`solve` bounds the factors) and the entering tuples
-    are pairwise distinct, so at most vol - 1 earlier candidates share a
-    dependent candidate's context: its list always holds an allowed cell,
-    and the tuples stay pairwise distinct.
+    of a group are pairwise distinct, so at most vol - 1 earlier candidates
+    share a dependent candidate's group: its list always holds an allowed
+    cell, and each group's tuples stay pairwise distinct.
 
     Only a candidate that moves gets a new value: a move that survives its
     recheck keeps the recheck's value, and a forced move, a dependent
@@ -333,8 +340,8 @@ def _block_pass(tuples, values, window, ids, tops, key, stacked, offsets):
     modes, sizes, strides = window.modes, window.sizes, window.strides
     inc_lins = (tuples[:, modes] * strides).sum(axis=1)
     new_lins = tops[:, 0].copy()
-    # a candidate is dependent when an earlier one shares its context
-    dependent = np.triu(ids[:, None] == ids[None, :], 1).any(axis=0)
+    # a candidate is dependent unless it is the first of its group
+    dependent = np.bincount(np.unique(ids, return_index=True)[1], minlength=ids.size) == 0
     moved = np.flatnonzero(~dependent & (new_lins != inc_lins))
     rechecks, reverted, forced = moved.size, 0, 0
     if moved.size:
@@ -413,60 +420,61 @@ def _sweep(A, tuples, values, live, key, windows, counts, stacked, offsets, work
     tuples (restarts, m, order) and values (restarts, m) hold one row per
     restart, live the indices of the restarts still sweeping, in order,
     windows the solve's `_Window` list, and counts the solve's counts, to
-    which the sweep adds.  At each window the live tuples are gathered once,
-    ``tuples[live]``, and one `_context_ids` call numbers their contexts
-    together with the window's record, so each context's list of top cells
-    starts from the record, empty for one not seen before.  A restart's rows
-    of the copy are its tuples as it enters the window, since only its own
-    block pass changes them.  A candidate's rank is the number of earlier
-    candidates of its restart in its context, and a context needs a list one
-    longer than its holders' largest rank, its most holders in a live
-    restart.
+    which the sweep adds.  At each window the live tuples and values are
+    gathered once into flat copies, one row per candidate, restart by
+    restart, and one `_context_ids` call numbers the rows' contexts together
+    with the window's record, so each context's list of top cells starts
+    from the record, empty for one not seen before.  A group is one
+    context's holders in one live restart, numbered restart position times
+    the number of contexts plus the context's number; its first holder is a
+    free pick and the others are dependent picks.  One sort-based count of
+    the groups gives each group's holders, and a context needs a list as
+    long as its largest group.
 
     The contexts whose list is shorter than that are formed once, before the
-    restarts run: one `compute_alpha` over their first holders, one row per
+    block pass: one `compute_alpha` over their first holders, one row per
     context, the window's two halves (`kernels.expand_halves`), and
     `_subproblems` in batches of at most m contexts and ``FORM_CELLS``
     cells.  A list's entry 0 is its row's argmax, and each later entry the
-    `kernels.masked_argmax` of the row outside the entries before it.  Then
-    each live restart r, in order, runs its block pass on the row views
-    ``tuples[r]`` and ``values[r]``, each candidate with its context's list.
-    A block pass changes only the window's modes, so the visit's contexts
-    and their lists become the window's record.  ``contracted_columns``
-    counts the subproblems formed and ``expansions`` the visits that form
-    any.  work holds the flat cell and key buffers that `solve` allocates
-    once, m times the largest window's volume each; a batch uses a prefix
-    of each, so no block allocates an array proportional to its volume.
+    `kernels.masked_argmax` of the row outside the entries before it.  The
+    weights and halves are dropped then, before the pass's recheck.  One
+    block pass runs over every live row, with the groups as its ``ids`` and
+    each row's context's list, and its rows are written back to ``tuples``
+    and ``values``.  A block pass changes only the window's modes, so the
+    visit's contexts and their lists become the window's record.
+    ``contracted_columns`` counts the subproblems formed and ``expansions``
+    the visits that form any.  work holds the flat cell and key buffers that
+    `solve` allocates once, m times the largest window's volume each; a
+    batch uses a prefix of each, so no block allocates an array proportional
+    to its volume.
     """
     cells_buf, keyed_buf = work
     m = tuples.shape[1]
     for w in windows:
-        # drop the last window's rank weights and halves before this one
-        # builds its own
-        alphas = lead = lead_t = trail = None
-        stack = tuples[live]
-        rows = len(live) * m
-        contexts = stack[:, :, w.rest].reshape(rows, -1)
+        stack = tuples[live].reshape(-1, A.order)
+        vals = values[live].reshape(-1)
+        rows = stack.shape[0]
+        contexts = stack[:, w.rest]
         # the live rows first: a context's first holder is a live candidate
         # whenever one holds it
         ids, firsts = _context_ids(np.concatenate((contexts, w.contexts)))
-        recorded, ids = ids[rows:], ids[:rows].reshape(len(live), m)
-        # a candidate's rank: the earlier candidates of its restart that
-        # share its context, so a dependent is one of rank > 0
-        ranks = np.triu(ids[:, :, None] == ids[:, None, :], 1).sum(axis=1)
-        n_dependent = int(np.count_nonzero(ranks))
-        counts["dependent_picks"] += n_dependent
-        counts["free_picks"] += ranks.size - n_dependent
+        recorded, ids = ids[rows:], ids[:rows]
+        # a group: the holders of one context in one live restart; its first
+        # holder is free and the others are dependent
+        groups = np.arange(rows) // m * firsts.size + ids
+        held, holders = np.unique(groups, return_counts=True)
+        counts["free_picks"] += held.size
+        counts["dependent_picks"] += rows - held.size
         # a context's need: its most holders in one live restart
         need = np.zeros(firsts.size, dtype=np.int64)
-        np.maximum.at(need, ids, ranks + 1)
+        np.maximum.at(need, held % firsts.size, holders)
         tops = np.full((firsts.size, max(need.max(), w.tops.shape[1])), -1, dtype=np.int64)
         tops[recorded, :w.tops.shape[1]] = w.tops
         short = np.flatnonzero((tops >= 0).sum(axis=1) < need)
         if short.size:
             # compute_alpha comes right before the expansions it pairs with,
             # so a tracer wrapping both can pair them
-            alphas = compute_alpha(A, stack.reshape(-1, A.order)[firsts[short]], w.block)
+            alphas = compute_alpha(A, stack[firsts[short]], w.block)
             lead, trail = kernels.expand_halves(stacked, offsets, w.modes, w.sizes)
             lead_t = np.ascontiguousarray(lead.T)
             counts["expansions"] += 1
@@ -485,14 +493,16 @@ def _sweep(A, tuples, values, live, key, windows, counts, stacked, offsets, work
                     d = formed[j]
                     for n in range(1, need[d]):
                         tops[d, n] = kernels.masked_argmax(keyed[j], tops[d, :n])
-        for i, r in enumerate(live):
-            passed = _block_pass(tuples[r], values[r], w, ids[i], tops[ids[i]], key,
-                                 stacked, offsets)
-            for name, n in zip(_PASS_COUNTS, passed):
-                counts[name] += n
+            # drop the rank weights and halves before the pass's recheck
+            # evaluates its moves
+            alphas = lead = lead_t = trail = None
+        passed = _block_pass(stack, vals, w, groups, tops[ids], key, stacked, offsets)
+        for name, n in zip(_PASS_COUNTS, passed):
+            counts[name] += n
+        tuples[live], values[live] = stack.reshape(-1, m, A.order), vals.reshape(-1, m)
         # the live contexts are those whose first holder is a live row
-        held = firsts < rows
-        w.contexts, w.tops = contexts[firsts[held]], tops[held]
+        alive = firsts < rows
+        w.contexts, w.tops = contexts[firsts[alive]], tops[alive]
 
 
 # Largest accepted `_magnitude_bound`; the factor of 2 leaves headroom for
@@ -506,7 +516,8 @@ def _magnitude_bound(stacked, offsets):
     B bounds the magnitude of every product of factor entries over any
     subset of the modes, taken in any order, and of every sum of such
     products over the rank: the entries, alpha, the window halves, their
-    scaled copies and the subproblems formed from them.  NaN or infinite factors give a NaN or infinite B.
+    scaled copies and the subproblems formed from them.  NaN or infinite
+    factors give a NaN or infinite B.
     """
     with np.errstate(over="ignore"):
         peaks = np.maximum.reduceat(np.abs(stacked), offsets[:-1], axis=0)

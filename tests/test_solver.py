@@ -476,6 +476,52 @@ class TestBlockPassReference(unittest.TestCase):
             self._run(rng, False, OrderingKey.MAX, "max", self._exact_keyed)
             self._run(rng, True, OrderingKey.MAX_REAL, "maxreal", self._exact_keyed)
 
+    def test_stacked_restarts_match_one_call_each(self):
+        # `_sweep` runs one block pass over every live restart's rows, each
+        # group one restart's holders of one context.  Restarts drawn from
+        # the same cells share contexts, and their rows must not interact:
+        # one call over the stacked rows gives the tuples, the value bytes
+        # and the summed counts of one call per restart
+        rng = np.random.default_rng(2027)
+        dims, m = (4, 5, 3), 12
+        for trial in range(6):
+            complex_ = trial % 2 == 1
+            key = OrderingKey.MAX_ABS if complex_ else OrderingKey.MAX
+            make = self._exact_keyed if trial % 3 == 0 else self._random_keyed(rng)
+            A = cp.CpTensor(random_factors(rng, dims, 3, complex_=complex_))
+            stacked, offsets = kernels.stack_factors(A.factors)
+            for block in ((0,), (0, 1), (2, 0)):
+                rest = [q for q in range(A.order) if q not in block]
+                restarts = int(rng.integers(3, 5))
+                tuples = [self._tuples(rng, dims, block, "mixed", m) for _ in range(restarts)]
+                values = [cp.elements_at(A, t) for t in tuples]
+                inputs = [_pass_inputs(make(A, block, solver.compute_alpha(A, t, block), key),
+                                       _collision_mask(t[:, rest])) for t in tuples]
+                window = solver._Window(dims, block)
+                want_t, want_v = [t.copy() for t in tuples], [v.copy() for v in values]
+                want_counts = np.zeros(4, dtype=np.int64)
+                for t, v, (ids, tops) in zip(want_t, want_v, inputs):
+                    want_counts += solver._block_pass(t, v, window, ids, tops, key, stacked,
+                                                      offsets)
+                # restart-distinct group numbers, and the lists padded with
+                # -1 to one width, as `_sweep` pads them
+                groups = np.concatenate([r * m + ids for r, (ids, _) in enumerate(inputs)])
+                width = max(tops.shape[1] for _, tops in inputs)
+                lists = np.concatenate([np.pad(tops, ((0, 0), (0, width - tops.shape[1])),
+                                               constant_values=-1) for _, tops in inputs])
+                got_t, got_v = np.concatenate(tuples), np.concatenate(values)
+                got_counts = solver._block_pass(got_t, got_v, window, groups, lists, key,
+                                                stacked, offsets)
+                msg = f"trial {trial} block {block}"
+                np.testing.assert_array_equal(got_t, np.concatenate(want_t), err_msg=msg)
+                self.assertEqual(got_v.tobytes(), np.concatenate(want_v).tobytes(), msg=msg)
+                self.assertEqual(list(got_counts), want_counts.tolist(), msg=msg)
+                # the rows did share contexts across restarts
+                contexts = np.concatenate(tuples)[:, rest]
+                self.assertLess(len(set(map(tuple, contexts.tolist()))),
+                                sum(len(set(map(tuple, t[:, rest].tolist()))) for t in tuples),
+                                msg=msg)
+
 
 class TestBlockPassMoves(unittest.TestCase):
     """A block pass stores a value only where a candidate moves."""
@@ -884,8 +930,11 @@ def test_rank_weights_live_one_window_at_a_time():
     The peak holds the stacked factors plus, while compute_alpha runs, its
     result and its temporaries: about 2.2 times such a visit's weights.
     Keeping the last window's weights alive adds one more and breaks the
-    bound.  One-mode windows keep the scaled halves, m x R values per
-    batch, and the halves themselves below that peak.
+    bound, and so does keeping a visit's weights through its one block
+    pass, whose recheck evaluates every live restart's moved rows at once,
+    a (rows x R) product of up to a visit's weights.  One-mode windows keep
+    the scaled halves, m x R values per batch, and the halves themselves
+    below that peak.
     """
     dims, rank = (16, 16, 16, 16), 1024
     A = cp.CpTensor(random_factors(np.random.default_rng(7), dims, rank, complex_=True))
@@ -930,6 +979,31 @@ def test_solve_holds_no_expansion_sized_array():
     assert peak < cells + scaled + expansion // 2
 
 
+def test_sweep_holds_no_table_quadratic_in_candidates():
+    """A visit's bookkeeping is linear in its restarts x m candidate rows.
+
+    The groups, the holder counts and the dependents come from sorts of the
+    rows, so no (m x m) or (restarts x m x m) collision table is built.
+    With m = 1,000 such a table is 1 MB per restart, and it breaks the
+    bound: the (m x vol) cell buffer plus 1 KB per candidate row, which
+    covers the rows' tuples, values, context and group numbers, their lists
+    of top cells and the pool.
+    """
+    dims, rank = (30,) * 4, 8
+    A = cp.CpTensor(random_factors(np.random.default_rng(9), dims, rank))
+    cfg = SolverConfig(k=1000, block_size=1, restarts=4, max_sweeps=1, seed=5)
+    tracemalloc.start()
+    try:
+        res = solver.solve(A, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.diagnostics["dependent_picks"] > 0
+    rows = cfg.restarts * cfg.k
+    cells = cfg.k * dims[0] * np.dtype(float).itemsize
+    assert peak < cells + 1024 * rows
+
+
 class TestDiagnostics(unittest.TestCase):
 
     def _check(self, A, cfg):
@@ -940,9 +1014,10 @@ class TestDiagnostics(unittest.TestCase):
         self.assertEqual(len(d["restart_sweeps"]), cfg.restarts)
         self.assertEqual(sum(d["restart_sweeps"]), res.sweeps_used)
         self.assertEqual(any(d["restart_converged"]), res.converged)
-        # every block pass picks each of the m candidates once, free or
-        # dependent; each context formed has a free holder at its visit,
-        # and a visit that builds the halves forms at least one
+        # each window visit's one block pass picks each of the m candidates
+        # of every live restart once, free or dependent; each context
+        # formed has a free holder at its visit, and a visit that builds
+        # the halves forms at least one
         self.assertEqual(d["free_picks"] + d["dependent_picks"], m * blocks)
         self.assertLessEqual(d["expansions"], d["contracted_columns"])
         self.assertLessEqual(d["contracted_columns"], d["free_picks"])
@@ -966,7 +1041,7 @@ class TestDiagnostics(unittest.TestCase):
 
     def test_whole_tensor_window_forms_its_context_once(self):
         # a whole-tensor window puts every candidate in one context, so each
-        # block pass has m - 1 dependent candidates; the first visit lists
+        # restart has m - 1 dependent candidates at a visit; the first visit lists
         # the one empty context's top m cells, and every later visit reads
         # that list and forms nothing
         A = _pinned_tensor(108, (3, 4, 3), 3, True)
@@ -991,8 +1066,8 @@ class TestDiagnostics(unittest.TestCase):
             self.assertEqual((res.sweeps_used, d["contracted_columns"], d["expansions"]),
                              want)
             self.assertEqual((d["free_picks"], d["dependent_picks"]), (blocks, 0))
-        # every candidate shares the empty context, so each block pass picks
-        # one free candidate and m - 1 dependent ones
+        # every candidate shares the empty context, so at each visit a
+        # restart has one free candidate and m - 1 dependent ones
         for extra in (1, 4):
             res, m, blocks = self._check(A, SolverConfig(k=2, extra=extra, block_size=3))
             d = res.diagnostics
