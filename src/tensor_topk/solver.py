@@ -289,8 +289,7 @@ def _context_ids(contexts):
     n = contexts.shape[0]
     order = np.lexsort((np.arange(n),) + tuple(contexts.T))
     ordered = contexts[order]
-    starts = np.ones(n, dtype=bool)
-    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    starts = np.concatenate(([True], (ordered[1:] != ordered[:-1]).any(axis=1)))
     ids = np.empty(n, dtype=np.int64)
     ids[order] = starts.cumsum() - 1
     return ids, order[starts]
@@ -299,17 +298,18 @@ def _context_ids(contexts):
 def _block_pass(tuples, values, window, ids, tops, key, stacked, offsets):
     """Update every candidate's block coordinates against one `_Window`.
 
-    ids numbers each candidate's group.  The candidates of a group share
-    their context, their out-of-block coordinates, and rows of different
-    groups never interact: `_sweep` passes every live restart's rows in one
-    call, each group one restart's holders of one context.  Row j of
-    tops lists the top cells of candidate j's subproblem in key order, ties
-    to the smaller index: at least one more than the earlier candidates of
-    its group.  The rule is sequential greedy: in candidate order, each
-    candidate takes its best cell not already taken by an earlier candidate
-    of its group, and a roundoff recheck keeps the incumbent unless the
-    move truly beats it.  It runs in two phases that give exactly the
-    sequential result:
+    ids[j] numbers candidate j's group, from 0 to len(tops) - 1.  The
+    candidates of a group share their context, their out-of-block
+    coordinates, and rows of different groups never interact: `_sweep`
+    passes every live restart's rows in one call, each group one restart's
+    holders of one context.  Row g of tops lists the top cells of group g's
+    subproblem in key order, ties to the smaller index, padded with -1: at
+    least as many as the group has candidates.  So tops has one row per
+    group, not per candidate.  The rule is sequential greedy: in candidate
+    order, each candidate takes its best cell not already taken by an
+    earlier candidate of its group, and a roundoff recheck keeps the
+    incumbent unless the move truly beats it.  It runs in two phases that
+    give exactly the sequential result:
 
     1. Free candidates, the first of their group, with no earlier candidate,
        have an empty forbidden set whatever the others pick, so each takes
@@ -317,11 +317,12 @@ def _block_pass(tuples, values, window, ids, tops, key, stacked, offsets):
        once and rechecked in one batched ``eval_elements`` call.
     2. The remaining (dependent) candidates are walked in order.  Every
        earlier candidate's final cell is known by then (free ones from
-       phase 1, dependent ones from earlier steps), so each forbidden set
-       is the one the sequential rule sees.  It holds fewer cells than the
-       candidate's list, so the list's first cell outside it is the best
-       allowed cell, the one ``masked_argmax`` would pick from the whole
-       subproblem.
+       phase 1, dependent ones from earlier steps), and each group keeps
+       the set of its candidates' cells so far, so each forbidden set is
+       the one the sequential rule sees.  With c earlier candidates it
+       holds c cells, so the first of the list's top c + 1 cells outside
+       it is the best allowed cell, the one ``masked_argmax`` would pick
+       from the whole subproblem.
 
     Keys are finite (`solve` bounds the factors) and the entering tuples
     of a group are pairwise distinct, so at most vol - 1 earlier candidates
@@ -339,9 +340,11 @@ def _block_pass(tuples, values, window, ids, tops, key, stacked, offsets):
     """
     modes, sizes, strides = window.modes, window.sizes, window.strides
     inc_lins = (tuples[:, modes] * strides).sum(axis=1)
-    new_lins = tops[:, 0].copy()
-    # a candidate is dependent unless it is the first of its group
-    dependent = np.bincount(np.unique(ids, return_index=True)[1], minlength=ids.size) == 0
+    new_lins = tops[ids, 0]
+    # a candidate is dependent unless it is the first row of its group
+    first = np.full(tops.shape[0], ids.size)
+    np.minimum.at(first, ids, np.arange(ids.size))
+    dependent = first[ids] != np.arange(ids.size)
     moved = np.flatnonzero(~dependent & (new_lins != inc_lins))
     rechecks, reverted, forced = moved.size, 0, 0
     if moved.size:
@@ -356,9 +359,10 @@ def _block_pass(tuples, values, window, ids, tops, key, stacked, offsets):
         values[moved[~worse]] = tv[~worse]
         reverted = int(np.count_nonzero(worse))
 
-    for j in np.flatnonzero(dependent):
-        forbidden = set(new_lins[:j][ids[:j] == ids[j]].tolist())
-        lin = next(cell for cell in tops[j].tolist() if cell not in forbidden)
+    taken = {}  # the cells of each group with dependents, so far
+    for j, g in zip(np.flatnonzero(dependent).tolist(), ids[dependent].tolist()):
+        forbidden = taken.setdefault(g, {int(new_lins[first[g]])})
+        lin = next(cell for cell in tops[g, :len(forbidden) + 1].tolist() if cell not in forbidden)
         if lin != inc_lins[j]:
             trial = tuples[j].copy()
             trial[modes] = lin // strides % sizes
@@ -366,13 +370,13 @@ def _block_pass(tuples, values, window, ids, tops, key, stacked, offsets):
             forced_move = int(inc_lins[j]) in forbidden
             forced += forced_move
             rechecks += not forced_move
-            if (not forced_move
-                    and key_values(tv, key)[0] < key_values(values[j:j + 1], key)[0]):
+            if not forced_move and key_values(tv, key)[0] < key_values(values[j:j + 1], key)[0]:
                 reverted += 1
                 lin = int(inc_lins[j])
             else:
                 values[j] = tv[0]
         new_lins[j] = lin
+        forbidden.add(lin)
     tuples[:, modes] = new_lins[:, None] // strides % sizes
     return int(np.count_nonzero(new_lins != inc_lins)), rechecks, reverted, forced
 
@@ -425,11 +429,10 @@ def _sweep(A, tuples, values, live, key, windows, counts, stacked, offsets, work
     restart, and one `_context_ids` call numbers the rows' contexts together
     with the window's record, so each context's list of top cells starts
     from the record, empty for one not seen before.  A group is one
-    context's holders in one live restart, numbered restart position times
-    the number of contexts plus the context's number; its first holder is a
-    free pick and the others are dependent picks.  One sort-based count of
-    the groups gives each group's holders, and a context needs a list as
-    long as its largest group.
+    context's holders in one live restart; its first holder is a free pick
+    and the others are dependent picks.  One ``np.unique`` over the rows'
+    (restart position, context) keys numbers the groups and counts each
+    one's holders, and a context needs a list as long as its largest group.
 
     The contexts whose list is shorter than that are formed once, before the
     block pass: one `compute_alpha` over their first holders, one row per
@@ -438,9 +441,10 @@ def _sweep(A, tuples, values, live, key, windows, counts, stacked, offsets, work
     cells.  A list's entry 0 is its row's argmax, and each later entry the
     `kernels.masked_argmax` of the row outside the entries before it.  The
     weights and halves are dropped then, before the pass's recheck.  One
-    block pass runs over every live row, with the groups as its ``ids`` and
-    each row's context's list, and its rows are written back to ``tuples``
-    and ``values``.  A block pass changes only the window's modes, so the
+    block pass runs over every live row, with the group numbers as its
+    ``ids`` and one list per group, its context's, so the lists it reads
+    grow with the groups, not the rows.  Its rows are written back to
+    ``tuples`` and ``values``.  A block pass changes only the window's modes, so the
     visit's contexts and their lists become the window's record.
     ``contracted_columns`` counts the subproblems formed and ``expansions``
     the visits that form any.  work holds the flat cell and key buffers that
@@ -459,12 +463,12 @@ def _sweep(A, tuples, values, live, key, windows, counts, stacked, offsets, work
         # whenever one holds it
         ids, firsts = _context_ids(np.concatenate((contexts, w.contexts)))
         recorded, ids = ids[rows:], ids[:rows]
-        # a group: the holders of one context in one live restart; its first
-        # holder is free and the others are dependent
+        # a group: the holders of one context in one live restart; held
+        # lists the groups, (restart position, context) in order, and
+        # groups numbers each row's group by its place in held
         groups = np.arange(rows) // m * firsts.size + ids
         held, holders = np.unique(groups, return_counts=True)
-        counts["free_picks"] += held.size
-        counts["dependent_picks"] += rows - held.size
+        groups = np.searchsorted(held, groups)
         # a context's need: its most holders in one live restart
         need = np.zeros(firsts.size, dtype=np.int64)
         np.maximum.at(need, held % firsts.size, holders)
@@ -485,8 +489,7 @@ def _sweep(A, tuples, values, live, key, windows, counts, stacked, offsets, work
                 # contiguous block, as the batch-independence tests take them
                 part = np.arange(start, min(start + batch, short.size))
                 cells = _subproblems(lead_t, trail, alphas[:, part], cells_buf)
-                keyed = key_values(cells, key,
-                                   out=keyed_buf[:cells.size].reshape(cells.shape))
+                keyed = key_values(cells, key, out=keyed_buf[:cells.size].reshape(cells.shape))
                 formed = short[part]
                 tops[formed, 0] = keyed.argmax(axis=1)
                 for j in np.flatnonzero(need[formed] > 1):
@@ -496,8 +499,10 @@ def _sweep(A, tuples, values, live, key, windows, counts, stacked, offsets, work
             # drop the rank weights and halves before the pass's recheck
             # evaluates its moves
             alphas = lead = lead_t = trail = None
-        passed = _block_pass(stack, vals, w, groups, tops[ids], key, stacked, offsets)
-        for name, n in zip(_PASS_COUNTS, passed):
+        # each group's first holder is a free pick and the others dependent
+        passed = (held.size, rows - held.size) + _block_pass(
+            stack, vals, w, groups, tops[held % firsts.size], key, stacked, offsets)
+        for name, n in zip(("free_picks", "dependent_picks") + _PASS_COUNTS, passed):
             counts[name] += n
         tuples[live], values[live] = stack.reshape(-1, m, A.order), vals.reshape(-1, m)
         # the live contexts are those whose first holder is a live row
@@ -603,8 +608,7 @@ def solve(A, cfg):
     keyed = key_values(pvalues, cfg.key)
     # order: key descending, then smallest linear index (mode 0 fastest, so
     # later modes are more significant in the comparison)
-    sort_keys = tuple(ptuples[:, q] for q in range(A.order)) + (-keyed,)
-    order = np.lexsort(sort_keys)[:cfg.k]
+    order = np.lexsort(tuple(ptuples.T) + (-keyed,))[:cfg.k]
     return TopKResult(
         values=pvalues[order],
         indices=ptuples[order],

@@ -384,11 +384,12 @@ def _reference_block_pass(A, tuples, values, block, keyed, key_name):
 
 def _pass_inputs(keyed, beta):
     # `_block_pass`'s inputs from a (vol, m) keyed subproblem, one column per
-    # candidate, and the collision mask beta: each candidate's context
-    # number, its first collider, and its column's top cells in key order,
-    # ties to the smaller index, as many as its context has holders
-    ids = beta.argmax(axis=0)
-    masked = np.array(keyed, dtype=float)
+    # candidate, and the collision mask beta: each candidate's group number,
+    # 0, 1, ... in the order of the groups' first holders, and each group's
+    # top cells in key order, ties to the smaller index, from its first
+    # holder's column, as many as the group has holders
+    firsts, ids = np.unique(beta.argmax(axis=0), return_inverse=True)
+    masked = np.array(keyed[:, firsts], dtype=float)
     tops = []
     for _ in range(np.bincount(ids).max()):
         top = masked.argmax(axis=0)
@@ -431,7 +432,9 @@ class TestBlockPassReference(unittest.TestCase):
             alpha = solver.compute_alpha(A, tuples, block)
             beta = _collision_mask(
                 tuples[:, [q for q in range(A.order) if q not in block]])
-            keyed = make_keyed(A, block, alpha, key)
+            # a context has one subproblem: each holder reads its first
+            # holder's column, as `_sweep` forms a context once
+            keyed = make_keyed(A, block, alpha, key)[:, beta.argmax(axis=0)]
             want_t, want_v, want_x = _reference_block_pass(
                 A, tuples, values, block, keyed, key_name)
             got_t, got_v = tuples.copy(), values.copy()
@@ -503,9 +506,11 @@ class TestBlockPassReference(unittest.TestCase):
                 for t, v, (ids, tops) in zip(want_t, want_v, inputs):
                     want_counts += solver._block_pass(t, v, window, ids, tops, key, stacked,
                                                       offsets)
-                # restart-distinct group numbers, and the lists padded with
-                # -1 to one width, as `_sweep` pads them
-                groups = np.concatenate([r * m + ids for r, (ids, _) in enumerate(inputs)])
+                # restart-distinct group numbers, each restart's after the
+                # earlier restarts' groups, and the groups' lists stacked and
+                # padded with -1 to one width, as `_sweep` pads them
+                starts = np.cumsum([0] + [len(tops) for _, tops in inputs])
+                groups = np.concatenate([start + ids for start, (ids, _) in zip(starts, inputs)])
                 width = max(tops.shape[1] for _, tops in inputs)
                 lists = np.concatenate([np.pad(tops, ((0, 0), (0, width - tops.shape[1])),
                                                constant_values=-1) for _, tops in inputs])
@@ -536,11 +541,12 @@ class TestBlockPassMoves(unittest.TestCase):
         tuples = np.array([[0, 0], [0, 1], [1, 1]])
         values = cp.elements_at(A, tuples)
         # columns: 0 points at cell 2, which the recheck finds worse than its
-        # incumbent; 1 at cell 1, candidate 2's incumbent, which it truly
-        # beats; 2 prefers cell 2 once cell 1 is taken
+        # incumbent; context 1's column, which candidates 1 and 2 share,
+        # points at cell 1, candidate 2's incumbent, which candidate 1 truly
+        # beats, and then at cell 2
         keyed = np.array([[0.0, 0.0, 0.0],
-                          [0.0, 5.0, 1.0],
-                          [5.0, 0.0, 5.0]])
+                          [0.0, 5.0, 5.0],
+                          [5.0, 1.0, 1.0]])
         self.assertLess(cp.element(A, (2, 0)), values[0])
         self.assertGreater(cp.element(A, (1, 1)), values[1])
         beta = _collision_mask(tuples[:, [1]])
@@ -982,26 +988,32 @@ def test_solve_holds_no_expansion_sized_array():
 def test_sweep_holds_no_table_quadratic_in_candidates():
     """A visit's bookkeeping is linear in its restarts x m candidate rows.
 
-    The groups, the holder counts and the dependents come from sorts of the
-    rows, so no (m x m) or (restarts x m x m) collision table is built.
-    With m = 1,000 such a table is 1 MB per restart, and it breaks the
-    bound: the (m x vol) cell buffer plus 1 KB per candidate row, which
-    covers the rows' tuples, values, context and group numbers, their lists
-    of top cells and the pool.
+    The groups, their holder counts and the dependents come from one sort
+    and linear passes over the rows, and the block pass reads one list of
+    top cells per group, so no (m x m) or (restarts x m x m) table is built.
+    Two cases: block size 1 on a 4-way tensor, where contexts seldom repeat,
+    and a matrix at the default block size, one whole-tensor window where
+    every candidate of a restart holds the one empty context, so its group
+    has m holders and its list m cells.  Such a table is m^2 cells per
+    restart, and it breaks the bound: the (m x vol) cell buffer plus 1 KB
+    per candidate row, which covers the rows' tuples, values, context and
+    group numbers, the groups' lists and the pool.
     """
-    dims, rank = (30,) * 4, 8
-    A = cp.CpTensor(random_factors(np.random.default_rng(9), dims, rank))
-    cfg = SolverConfig(k=1000, block_size=1, restarts=4, max_sweeps=1, seed=5)
-    tracemalloc.start()
-    try:
-        res = solver.solve(A, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert res.diagnostics["dependent_picks"] > 0
-    rows = cfg.restarts * cfg.k
-    cells = cfg.k * dims[0] * np.dtype(float).itemsize
-    assert peak < cells + 1024 * rows
+    for dims, cfg in (((30,) * 4, SolverConfig(k=1000, block_size=1, restarts=4,
+                                                max_sweeps=1, seed=5)),
+                      ((24, 24), SolverConfig(k=400, restarts=4, max_sweeps=1, seed=6))):
+        A = cp.CpTensor(random_factors(np.random.default_rng(9), dims, 8))
+        tracemalloc.start()
+        try:
+            res = solver.solve(A, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.diagnostics["dependent_picks"] > 0
+        rows = cfg.restarts * cfg.k
+        vol = math.prod(dims[q] for q in res.diagnostics["schedule"][0])
+        cells = cfg.k * vol * np.dtype(float).itemsize
+        assert peak < cells + 1024 * rows, (dims, peak)
 
 
 class TestDiagnostics(unittest.TestCase):
