@@ -26,6 +26,12 @@ the top-level object member by member, and parses each element of
 unknown keys are skipped; a ``factors`` that comes before field, dims and
 rank is decoded whole.  A key given twice, and a file that is not UTF-8,
 raise CptFormatError (the CLI's exit 1), like every other malformed input.
+
+A streamed factor whose text is exactly what the writer prints, and whose
+last tokens are at most half distinct, is parsed once per distinct token
+instead of through ``json``; the bits are the same.  Any other factor, and
+every malformed one, goes through ``json``, so results and error messages do
+not depend on which path a factor takes.
 """
 
 from __future__ import annotations
@@ -61,6 +67,13 @@ def _needs_point(values):
     return ((values == np.trunc(values)) & (np.abs(values) < 1e17)).view(np.int8)
 
 
+def _format_values(values):
+    """The text of each float64 in ``values``, one str per value."""
+    # "%.17g" prints no newline, so one template formats every value
+    return ("\n".join(_REAL_FMT[_needs_point(values)].tolist())
+            % tuple(values.tolist())).split("\n")
+
+
 def _format_chunk(chunk, is_complex):
     """Text of a float64 chunk, formatted through one "%" template.
 
@@ -83,9 +96,7 @@ def _format_chunk(chunk, is_complex):
             fmts = _REAL_FMT[point]
         return ", ".join(fmts.tolist()) % tuple(chunk.tolist())
     values = distinct.view(np.float64)
-    # "%.17g" prints no newline, so one template formats every distinct value
-    texts = ("\n".join(_REAL_FMT[_needs_point(values)].tolist())
-             % tuple(values.tolist())).split("\n")
+    texts = _format_values(values)
     ids = np.searchsorted(distinct, bits)
     if is_complex:
         texts = ["[" + t for t in texts] + [t + "]" for t in texts]
@@ -160,6 +171,87 @@ def _parse_factor(raw, n, rank, is_complex, p):
     if is_complex:
         out = out.view(np.complex128)
     return out.reshape(n, rank)
+
+
+# Tokens per slice of a factor's text on the reader's fast path, and in the
+# sample that decides it: bounds the str objects alive at once.  Even, so
+# every slice of a complex factor starts on a pair's "[re" token.
+_READ_CHUNK = 1 << 10
+# Characters per token the writer never exceeds: a token, a bracket and ", "
+# ("-4.9406564584124654e-324" is the longest "%.17g" output, 24 characters).
+_TOKEN_SPAN = 27
+# Characters per token the writer never goes below: "0.0" and ", ".
+_TOKEN_MIN = 5
+
+
+def _parse_canonical(text, idx, n, rank, is_complex):
+    """(factor, index past it) when the list at ``idx`` is repeat-dominated
+    writer output, else None.
+
+    The writer puts each factor on a line of its own, which ends with the
+    list's "]" and, when another factor follows, a ",".  So the list is taken
+    to end there, and its text is split on ", " in slices of at most
+    _READ_CHUNK tokens; each token is mapped to a small id, and only the
+    distinct tokens are parsed.  A token is taken only if it is exactly what
+    the writer prints for its finite value ("[" + re and im + "]" in a
+    complex list), so no bracket but a pair's can sit inside the list.  An
+    accepted list is thus one that `_parse_factor` reads to the same bits,
+    and anything else is declined for the JSON path to read or report.
+    Whether to try is decided from the list's last _READ_CHUNK tokens: a QFT
+    state's later factors repeat within their first rows, not further on.
+    """
+    count = n * rank * (2 if is_complex else 1)
+    line_end = text.find("\n", idx)
+    if line_end < 0:
+        line_end = len(text)
+    tail = line_end - 1 if text.startswith(",", line_end - 1) else line_end
+    if not (text.startswith("[", idx) and text.endswith("]", idx + 1, tail)
+            and _TOKEN_MIN * count <= line_end - idx <= (count + 1) * _TOKEN_SPAN):
+        return None
+    start, stop = idx + 1, tail - 1  # the list's inside: "[re, im], ..." when complex
+    span = _READ_CHUNK * _TOKEN_SPAN
+    sample = text[max(start, stop - span):stop].rsplit(", ", _READ_CHUNK)
+    if 2 * len(set(sample)) > len(sample):
+        return None
+    del sample  # not alive next to the first slice
+    ids = np.empty(count, dtype=np.int32)
+    lookup = {}  # token -> id, in id order
+    got, pos = 0, start
+    while True:
+        part = text[pos:min(pos + span, stop)]
+        tokens = part.split(", ", _READ_CHUNK)
+        last = len(tokens) <= _READ_CHUNK
+        if not last:
+            pos += len(part) - len(tokens.pop())
+        elif pos + len(part) != stop:
+            return None  # a token longer than any the writer prints
+        if got + len(tokens) > count:
+            return None
+        lookup.update(zip(set(tokens).difference(lookup), itertools.count(len(lookup))))
+        ids[got:got + len(tokens)] = np.fromiter(map(lookup.__getitem__, tokens),
+                                                 np.int32, len(tokens))
+        got += len(tokens)
+        if last:
+            break
+    if got != count:
+        return None
+    distinct = list(lookup)
+    if is_complex:
+        opens = np.array([t.startswith("[") for t in distinct])
+        if (not opens[ids[0::2]].all() or opens[ids[1::2]].any()
+                or not all(t.endswith("]") for t, o in zip(distinct, opens) if not o)):
+            return None
+        distinct = [t[1:] if o else t[:-1] for t, o in zip(distinct, opens)]
+    try:
+        values = np.array(list(map(float, distinct)), dtype=np.float64)
+    except ValueError:
+        return None
+    if not np.isfinite(values).all() or _format_values(values) != distinct:
+        return None
+    out = values[ids]
+    if is_complex:
+        out = out.view(np.complex128)
+    return out.reshape(n, rank), tail
 
 
 def _check_header(header):
@@ -256,14 +348,20 @@ class _Walk:
         if text.startswith("]", idx):
             return idx + 1
         while True:
-            raw, idx = _decode_at(text, idx)
             p = self.n_streamed
-            if self.error is None and p < len(dims):
-                try:
-                    self.mats.append(_parse_factor(raw, dims[p], rank, is_complex, p))
-                except CptFormatError as exc:
-                    self.error = exc
-            del raw  # before the next element is decoded
+            parse = self.error is None and p < len(dims)
+            fast = _parse_canonical(text, idx, dims[p], rank, is_complex) if parse else None
+            if fast is not None:
+                mat, idx = fast
+                self.mats.append(mat)
+            else:
+                raw, idx = _decode_at(text, idx)
+                if parse:
+                    try:
+                        self.mats.append(_parse_factor(raw, dims[p], rank, is_complex, p))
+                    except CptFormatError as exc:
+                        self.error = exc
+                del raw  # before the next element is decoded
             self.n_streamed += 1
             idx = _skip_ws(text, idx)
             if not text.startswith(",", idx):

@@ -128,28 +128,29 @@ def _scale_mode_rows(state, mode, diag):
 def _controlled_phase(state, cmode, tmode, cbit, tdiag):
     """Cross-mode controlled phase by the control support rule.
 
-    The products are the ones the two-branch sum would form (projected
-    control factor, phased target factor), so the kept entries are
-    bit-identical to it; only whole zero terms are left out.
+    Branch b keeps the columns with a nonzero entry among the control
+    factor's ``cbit == b`` rows, read from those rows directly.  The
+    projected control factor and the phased target factor are then formed
+    on the kept columns only.  They are the same elementwise products the
+    two-branch sum forms, so the kept entries are bit-identical to it; only
+    whole zero terms are left out.
     """
     mask0 = (cbit == 0).astype(np.complex128)
     mask1 = (cbit == 1).astype(np.complex128)
     ctrl = state.factors[cmode]
-    zero = ctrl * mask0[:, None]
-    one = ctrl * mask1[:, None]
-    keep0 = np.flatnonzero((zero != 0).any(axis=0))
-    keep1 = np.flatnonzero((one != 0).any(axis=0))
+    keep0 = np.flatnonzero((ctrl[cbit == 0] != 0).any(axis=0))
+    keep1 = np.flatnonzero((ctrl[cbit == 1] != 0).any(axis=0))
     if keep0.size + keep1.size == 0:
         return cp.drop_zero_columns(_scale_mode_rows(state, cmode, mask0))
     # take(axis=1) gathers into C order; f[:, cols] would give Fortran order
     cols = np.concatenate((keep0, keep1))
     out = [None if p in (cmode, tmode) else f.take(cols, axis=1)
            for p, f in enumerate(state.factors)]
-    out[cmode] = np.concatenate((zero.take(keep0, axis=1), one.take(keep1, axis=1)),
-                                axis=1)
+    out[cmode] = np.concatenate((ctrl.take(keep0, axis=1) * mask0[:, None],
+                                 ctrl.take(keep1, axis=1) * mask1[:, None]), axis=1)
     target = state.factors[tmode]
     out[tmode] = np.concatenate(
-        (target.take(keep0, axis=1), (target * tdiag[:, None]).take(keep1, axis=1)),
+        (target.take(keep0, axis=1), target.take(keep1, axis=1) * tdiag[:, None]),
         axis=1)
     return cp._wrap(out)
 

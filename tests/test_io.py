@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -445,5 +446,217 @@ def test_reader_holds_one_factor_at_a_time(tmp_path, rng):
     finally:
         tracemalloc.stop()
     assert peak < 2.6 * path.stat().st_size
+    for fa, fb in zip(A.factors, B.factors):
+        assert fa.tobytes() == fb.tobytes()
+
+
+# values the writer prints in each of its ways: "%.17g" alone, with ".0"
+# (integral values below 1e17, signed zeros), in exponent form (1e17 and
+# up, subnormals), and 17-digit fractions
+_SPECIAL = np.array([-0.0, 0.0, 0.5, -2.5, 1.0, -7.0, 1e16, 99999999999999984.0, 1e17,
+                     -1e17, 5e-324, 2.2250738585072014e-308 / 3, 1 / 3, 1e308])
+
+
+def _complexify(f, imag):
+    # set part by part: re + 1j * im would turn every -0.0 into 0.0
+    out = f.astype(complex)
+    out.imag = imag
+    return out
+
+
+def _decline(*args):
+    return None
+
+
+def _count_fast_path(monkeypatch):
+    """Record, per factor the reader tries, whether the fast path took it."""
+    taken = []
+    fast = cpt_io._parse_canonical
+
+    def counted(*args):
+        out = fast(*args)
+        taken.append(out is not None)
+        return out
+
+    monkeypatch.setattr(cpt_io, "_parse_canonical", counted)
+    return taken
+
+
+def _outcome(path):
+    """The tensor's bytes, or the exception's type and message."""
+    try:
+        B = read_cpt(path)
+    except Exception as exc:  # compared across the two paths, whatever it is
+        return type(exc), str(exc)
+    return B.dims, B.is_complex, [f.tobytes() for f in B.factors]
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_fast_path_reads_writer_output_like_json(tmp_path, rng, monkeypatch, complex_):
+    # repeat-dominated factors of special values and of half-integers, one
+    # spanning more than one slice, and a factor of distinct values
+    rows = cpt_io._READ_CHUNK // 2 + 7
+    fs = [_SPECIAL[rng.integers(0, _SPECIAL.size, size=(40, 3))],
+          rng.integers(-8, 9, size=(rows, 3)) / 2,
+          rng.uniform(-3.0, 3.0, size=(30, 3)),
+          np.resize(_SPECIAL, (16, 3))]
+    fs[2].flat[::5] = np.resize(_SPECIAL, 18)
+    if complex_:
+        fs = [_complexify(f, _SPECIAL[rng.integers(0, _SPECIAL.size, size=f.shape)])
+              for f in fs]
+        fs[2].imag = rng.uniform(-3.0, 3.0, size=(30, 3))
+    A = cp.CpTensor(fs)
+    path = tmp_path / "t.cpt"
+    write_cpt(A, path)
+    taken = _count_fast_path(monkeypatch)
+    fast = _outcome(path)
+    assert taken == [True, True, False, True]
+    monkeypatch.setattr(cpt_io, "_parse_canonical", _decline)
+    assert _outcome(path) == fast
+    assert fast[2] == [f.tobytes() for f in A.factors]
+
+
+def test_fast_path_takes_a_qft_states_repeated_factors(tmp_path, monkeypatch):
+    # factors 0 and 1 of a d=16 state hold 244 and 5,736 distinct values
+    # among 131,072; factors 2 and 3 are mostly distinct and go to json
+    layout = qft.square_layout(16)
+    A = qft.run_qft(qft.random_product_state(layout, np.random.default_rng([31, 0])),
+                    layout)
+    path = tmp_path / "state.cpt"
+    write_cpt(A, path)
+    text = path.read_text()
+    starts = [m.start() + 2 for m in re.finditer(r"^  \[", text, re.M)]
+    assert len(starts) == 4
+    decoded = []
+    decode = cpt_io._decode_at
+
+    def counted(text, idx):
+        decoded.append(idx)
+        return decode(text, idx)
+
+    monkeypatch.setattr(cpt_io, "_decode_at", counted)
+    B = read_cpt(path)
+    assert [starts.index(i) for i in decoded if i in starts] == [2, 3]
+    assert len(decoded) == 5  # field, dims and rank, then factors 2 and 3
+    for fa, fb in zip(A.factors, B.factors):
+        assert fa.tobytes() == fb.tobytes()
+
+
+@pytest.mark.parametrize("dims,entries", [
+    ([10 ** 15], "0.5, 0.5, 0.5, 0.5"),  # the header claims far more entries
+    ([8], "0.5, 0.5, 0.5, 0.5"),
+    ([2], "0.5, 0.5, 0.5, 0.5"),
+    ([4], "0.5, 0.5, 0.5, 0.5, "),
+    ([4], "0.5, 0.5, 0.5, 0.5]"),
+])
+def test_fast_path_declines_lists_of_the_wrong_length(tmp_path, monkeypatch, dims, entries):
+    path = tmp_path / "t.cpt"
+    path.write_text('{"field": "real", "dims": %s, "rank": 1, "factors": [\n  [%s]\n]}\n'
+                    % (dims, entries))
+    fast = _outcome(path)
+    monkeypatch.setattr(cpt_io, "_parse_canonical", _decline)
+    assert _outcome(path) == fast
+    assert fast[0] is CptFormatError
+
+
+def _token_mutants(base, rng):
+    """Bad tokens put in for numbers of the factors, "]]" after one and one
+    pair's brackets swapped, at a few places; and in each factor's line, one
+    ", "-separated token dropped, repeated, or swapped with its neighbor (in
+    a complex file, across a pair boundary: "b], [c" -> "[c, b]")."""
+    body = base.index(b'"factors"')
+    numbers = [m.span() for m in re.finditer(rb"-?\d+\.\d+", base[body:])]
+    picks = sorted(set(rng.choice(len(numbers), size=8, replace=False).tolist())
+                   | {0, len(numbers) // 2, len(numbers) - 1})
+    out = []
+    for t in picks:
+        a, b = (body + i for i in numbers[t])
+        for bad in (b"NaN", b"Infinity", b"nan", b"-inf", b"1_0", b"+1.0", b" 1.0",
+                    b"1.", b".5", b"-0", b"1e400"):
+            out.append(base[:a] + bad + base[b:])
+        out.append(base[:b] + b"]]" + base[b:])
+        opener = base.rfind(b"[", 0, a)
+        closer = base.index(b"]", b)
+        out.append(base[:opener] + b"]" + base[opener + 1:closer] + b"[" + base[closer + 1:])
+    lines = base.split(b"\n")
+    for i, line in enumerate(lines):
+        if not line.startswith(b"  ["):
+            continue
+        tokens = line.split(b", ")
+        j = 1 + 2 * int(rng.integers((len(tokens) - 3) // 2))  # odd, inside the line
+        for edit in (tokens[:j] + tokens[j + 1:], tokens[:j] + tokens[j - 1:],
+                     tokens[:j] + [tokens[j + 1], tokens[j]] + tokens[j + 2:]):
+            out.append(b"\n".join(lines[:i] + [b", ".join(edit)] + lines[i + 1:]))
+    return out
+
+
+def _byte_mutants(base, rng, count):
+    """``count`` copies of ``base``, each with 1-3 random byte substitutions,
+    deletions or insertions."""
+    alphabet = b'0123456789.-+eE[], \n"NIa_'
+    out = []
+    for _ in range(count):
+        data = bytearray(base)
+        for _ in range(int(rng.integers(1, 4))):
+            at = int(rng.integers(len(data)))
+            byte = (alphabet[int(rng.integers(len(alphabet)))] if rng.integers(2)
+                    else int(rng.integers(256)))
+            op = rng.integers(3)
+            if op == 0:
+                data[at] = byte
+            elif op == 1:
+                del data[at]
+            else:
+                data.insert(at, byte)
+        out.append(bytes(data))
+    return out
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_fast_path_mutants_read_like_json(tmp_path, monkeypatch, complex_):
+    rng = np.random.default_rng(40 + complex_)
+    fs = [rng.integers(-2, 3, size=(n, 3)) / 2 for n in (6, 8, 10)]
+    if complex_:
+        fs = [_complexify(f, rng.integers(-2, 3, size=f.shape) / 2) for f in fs]
+    path = tmp_path / "t.cpt"
+    write_cpt(cp.CpTensor(fs), path)
+    base = path.read_bytes()
+    mutants = _token_mutants(base, rng) + _byte_mutants(base, rng, 250)
+    taken = _count_fast_path(monkeypatch)
+    fast = []
+    for data in mutants:
+        path.write_bytes(data)
+        fast.append(_outcome(path))
+    monkeypatch.setattr(cpt_io, "_parse_canonical", _decline)
+    for data, want in zip(mutants, fast):
+        path.write_bytes(data)
+        assert _outcome(path) == want, data
+    # the fast path took some factors and declined others; some mutants read
+    assert any(taken) and not all(taken)
+    assert any(not isinstance(out[0], type) for out in fast)
+
+
+@pytest.mark.parametrize("complex_,parent_ratio", [(False, 4.02), (True, 5.40)])
+def test_reader_memory_on_repeated_values(tmp_path, complex_, parent_ratio):
+    # half-integer factors, each read on the fast path; json plus
+    # _parse_factor peaked at parent_ratio times the file size here
+    rng = np.random.default_rng(5)
+    fs = [rng.integers(-8, 9, size=(16, 256)) / 2 for _ in range(4)]
+    if complex_:
+        fs = [f + 1j * rng.integers(-8, 9, size=(16, 256)) / 2 for f in fs]
+    A = cp.CpTensor(fs)
+    path = tmp_path / "half.cpt"
+    write_cpt(A, path)
+    text = path.read_text()
+    starts = [m.start() + 2 for m in re.finditer(r"^  \[", text, re.M)]
+    assert all(cpt_io._parse_canonical(text, i, 16, 256, complex_) for i in starts)
+    del text
+    tracemalloc.start()
+    try:
+        B = read_cpt(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (parent_ratio + 0.3) * path.stat().st_size
     for fa, fb in zip(A.factors, B.factors):
         assert fa.tobytes() == fb.tobytes()

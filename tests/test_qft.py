@@ -259,3 +259,45 @@ def test_cross_cphase_drops_zero_branches(gate):
         got = apply_gate(state, gate, lay)
         assert_bit_equal(got, reference_cross_cphase(state, gate, lay))
     assert got.rank == 1
+
+
+def _edge_case_factors(case, factors, cmode, tmode, cbit):
+    """Edit a state's control and target factors in place for one edge case."""
+    ctrl, target = factors[cmode], factors[tmode]
+    if case == "signed_zeros":
+        # +-0.0 in either part of scattered entries of both factors, and
+        # control columns whose cbit == 1 rows (column 1) or cbit == 0 rows
+        # (column 2) are signed zeros only
+        for f in (ctrl, target):
+            f.real[::2, 0] = -0.0
+            f.imag[1::2, 0] = -0.0
+            f.real[0, 3] = 0.0
+            f.imag[0, 3] = -0.0
+        ctrl[cbit == 1, 1] = complex(-0.0, 0.0)
+        ctrl.imag[cbit == 1, 1] = -0.0
+        ctrl[cbit == 0, 2] = complex(0.0, -0.0)
+        ctrl.real[cbit == 0, 2] = -0.0
+    elif case == "empty_keep0":
+        ctrl[cbit == 0] = 0.0
+    elif case == "empty_keep1":
+        ctrl.real[cbit == 1] = -0.0
+        ctrl.imag[cbit == 1] = 0.0
+    else:  # the all-zero control factor
+        ctrl[:] = 0.0
+        ctrl.real[::2] = -0.0
+
+
+@pytest.mark.parametrize("case", ["signed_zeros", "empty_keep0", "empty_keep1", "all_zero"])
+@pytest.mark.parametrize("gate", [GateOp("cphase", 4, 0, 0.31), GateOp("cphase", 1, 5, 0.52)])
+def test_cross_cphase_edge_cases_match_two_branch_reference(case, gate):
+    lay = QubitLayout(6, 3, 2)
+    state = random_cp_state(lay, np.random.default_rng(12), rank=5)
+    cmode, tmode = lay.mode_of(gate.a), lay.mode_of(gate.b)
+    cbit = qft._bit_mask(lay.per_mode, lay.pos_of(gate.a))
+    factors = [np.array(f) for f in state.factors]
+    _edge_case_factors(case, factors, cmode, tmode, cbit)
+    state = cp.CpTensor(factors)
+    got = apply_gate(state, gate, lay)
+    assert_bit_equal(got, reference_cross_cphase(state, gate, lay))
+    expected_rank = {"signed_zeros": 8, "empty_keep0": 5, "empty_keep1": 5, "all_zero": 1}
+    assert got.rank == expected_rank[case]
