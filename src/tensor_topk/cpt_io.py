@@ -23,9 +23,11 @@ booleans, strings or null) as entries.
 The reader holds the file's text plus one factor's Python objects: it walks
 the top-level object member by member, and parses each element of
 ``factors`` into its array before decoding the next.  Key order is free and
-unknown keys are skipped; a ``factors`` that comes before field, dims and
-rank is decoded whole.  A key given twice, and a file that is not UTF-8,
-raise CptFormatError (the CLI's exit 1), like every other malformed input.
+unknown keys are skipped.  A ``factors`` list that comes before field, dims
+and rank is walked element by element, each element dropped, and streamed
+again once the header is in: it is decoded twice, one factor at a time.  A
+key given twice, and a file that is not UTF-8, raise CptFormatError (the
+CLI's exit 1), like every other malformed input.
 
 A streamed factor whose text is exactly what the writer prints, and whose
 last tokens are at most half distinct, is parsed once per distinct token
@@ -288,11 +290,12 @@ def _expect(text, idx, char, what):
 class _Walk:
     """One pass over the top-level object of a CPT document.
 
-    Members are decoded one at a time.  Once field, dims and rank are in,
-    each element of a ``factors`` list is decoded, parsed and dropped before
-    the next, so one factor's Python objects are alive at a time.  A
-    ``factors`` that comes before the header is decoded whole and parsed
-    after the walk.
+    Members are decoded one at a time, and every element of a ``factors``
+    list is decoded and dropped before the next, so one factor's Python
+    objects are alive at a time.  Once field, dims and rank are in, each
+    element is also parsed into its array.  A ``factors`` list that comes
+    before them is only walked, and its index kept; once the walk is done
+    and the header is in, the list is streamed again from that index.
 
     A format error met on the way is kept, not raised: parsing stops and the
     rest is only decoded.  So a JSON error anywhere still wins, and the
@@ -303,9 +306,10 @@ class _Walk:
     def __init__(self):
         self.seen = set()
         self.duplicate = None   # the first key seen twice
-        self.members = {}       # required members decoded whole (last if repeated)
+        self.members = {}       # the header members (last if repeated)
         self.mats = []          # streamed factors, parsed, in mode order
-        self.n_streamed = None  # element count of a streamed factors list
+        self.n_streamed = None  # element count of a factors list
+        self.pending = None     # index of a factors list met before the header
         self.error = None       # the first format error met while streaming
 
     def run(self, text, idx):
@@ -320,12 +324,11 @@ class _Walk:
                 if key in self.seen and self.duplicate is None:
                     self.duplicate = key
                 self.seen.add(key)
-                if (key == "factors" and text.startswith("[", idx)
-                        and self.seen.issuperset(_MEMBERS[:3])):
+                if key == "factors" and text.startswith("[", idx):
                     idx = self._stream_factors(text, idx)
                 else:
                     value, idx = _decode_at(text, idx)
-                    if key in _MEMBERS:
+                    if key in _MEMBERS[:3]:
                         self.members[key] = value
                     del value  # not kept alive through the next decode
                 idx = _skip_ws(text, idx)
@@ -335,14 +338,20 @@ class _Walk:
         idx = _skip_ws(text, _expect(text, idx, "}", "',' delimiter"))
         if idx != len(text):
             raise json.JSONDecodeError("Extra data", text, idx)
+        if self.pending is not None and self.seen.issuperset(_MEMBERS[:3]):
+            self._stream_factors(text, self.pending)
 
     def _stream_factors(self, text, idx):
-        """Parse the list at ``idx`` element by element; index past its ']'."""
-        try:
-            is_complex, dims, rank = _check_header(self.members)
-        except CptFormatError as exc:
-            self.error = self.error or exc
-            dims = ()
+        """Walk the list at ``idx`` element by element, parsing each once the
+        header is in; index past its ']'."""
+        dims = ()
+        if not self.seen.issuperset(_MEMBERS[:3]):
+            self.pending = idx
+        else:
+            try:
+                is_complex, dims, rank = _check_header(self.members)
+            except CptFormatError as exc:
+                self.error = self.error or exc
         self.n_streamed = 0
         idx = _skip_ws(text, idx + 1)
         if text.startswith("]", idx):
@@ -375,22 +384,14 @@ class _Walk:
         for key in _MEMBERS:
             if key not in self.seen:
                 raise CptFormatError(f"missing required field '{key}'")
-        is_complex, dims, rank = _check_header(self.members)
-        factors = self.members.get("factors")
-        if self.n_streamed is not None:
-            count = self.n_streamed
-        else:
-            count = len(factors) if isinstance(factors, list) else None
-        if count != len(dims):
+        dims = _check_header(self.members)[1]
+        if self.n_streamed != len(dims):
             raise CptFormatError(
                 f"factors must be a list of {len(dims)} arrays (one per mode)"
             )
         if self.error is not None:
             raise self.error
-        if self.n_streamed is not None:
-            return CpTensor(self.mats)
-        return CpTensor([_parse_factor(raw, n, rank, is_complex, p)
-                         for p, (raw, n) in enumerate(zip(factors, dims))])
+        return CpTensor(self.mats)
 
 
 def read_cpt(path):

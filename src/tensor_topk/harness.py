@@ -7,7 +7,9 @@ so adding or removing a method never changes the tensor draws.  Only the
 wall_time column is environmental.
 
 Every driver runs its trials in order, in-process.  A trial of more than a
-fixed ``cp.DENSE_CAP_DEFAULT`` = 2^22 entries gets no dense-oracle check.
+fixed ``cp.DENSE_CAP_DEFAULT`` = 2^22 entries gets no dense-oracle check,
+and an exact QFT whose final factors would hold more entries than that is
+refused before its first gate.
 """
 
 from __future__ import annotations
@@ -258,19 +260,28 @@ def run_qft_trials(d, trials, seed, k=5, extra=5, block=2, rank_cap=None,
     """QFT measurement trials; dense-oracle columns where the size permits.
 
     With ``keep_last_state``, the last record's ``state`` holds that trial's
-    final CP state; no other trial's state is kept.
+    final CP state; no other trial's state is kept.  Without ``rank_cap``,
+    raises CapacityError before any trial when the final factors would hold
+    more than ``cp.DENSE_CAP_DEFAULT`` entries.
     """
     _check_run(trials, seed)
     # a negative count would reach square_layout's sqrt as NaN
     if d < 1:
         raise ValueError(f"the qubit count (--d) must be >= 1, got {d}")
     try:
-        square_layout(d)
+        layout = square_layout(d)
     except ShapeMismatchError as exc:
         raise ValueError(f"{exc} (--d)") from None
     # recompress would reject it only once the first gate passes the cap
     if rank_cap is not None and rank_cap < 1:
         raise ValueError(f"the target rank (--rank-cap) must be >= 1, got {rank_cap}")
+    # the exact QFT of a product state ends at rank 2^(d - q), so its final
+    # factors hold modes * 2^q * 2^(d - q) = modes * 2^d entries
+    entries = layout.modes << d
+    if rank_cap is None and entries > cp.DENSE_CAP_DEFAULT:
+        raise CapacityError(
+            f"an exact d={d} QFT ends at rank {1 << d - layout.per_mode}, {entries} factor"
+            f" entries, past the cap of {cp.DENSE_CAP_DEFAULT}; set --rank-cap")
     # solve would reject it only after the first trial's gates
     if k > 1 << d:
         raise InfeasibleKError(f"k={k} exceeds the tensor size of {1 << d} entries (--k)")

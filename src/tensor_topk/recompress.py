@@ -14,6 +14,7 @@ import numpy as np
 
 from .cp import _wrap, finite_frob_norm
 from .errors import DegenerateInputError
+from .solver import _check_integer
 
 RIDGE_SCALE = 1e-12
 HOPM_ITERS = 100
@@ -93,9 +94,7 @@ def recompress(A, target_rank):
     solve.  Returns the fitted tensor and the number of ALS sweeps run
     (0 for a zero A).
     """
-    # bool is an int subclass, but True is no rank
-    if isinstance(target_rank, bool) or not isinstance(target_rank, (int, np.integer)):
-        raise ValueError(f"target rank must be an integer, got {target_rank!r}")
+    _check_integer("target rank", target_rank)
     if not 1 <= target_rank <= A.rank:
         raise ValueError(f"target rank must be in [1, {A.rank}], got {target_rank}")
     norm_a = finite_frob_norm(A)

@@ -123,6 +123,7 @@ def _check_integer(name, value):
 
 
 SUBPROBLEM_CAP = 1 << 20  # largest block volume, in cells, `solve` accepts
+FORM_CELLS = 1 << 17  # most cells one `_subproblems` batch of a visit forms
 
 
 @dataclass(frozen=True)
@@ -213,7 +214,9 @@ class _Window:
 
     The constants are the block tuple, its modes and their sizes (int64
     arrays), the strides of its cells (first block mode fastest), the
-    out-of-block modes and the volume.  The record holds the distinct
+    out-of-block modes, the volume, and ``batch``, the most contexts one
+    `_subproblems` batch forms: at most m of them and ``FORM_CELLS``
+    cells, but at least one.  The record holds the distinct
     contexts of the window's last visit, ``contexts`` (n, |rest|), and each
     one's top cells, ``tops`` (n, L): row d lists the first cells of
     context d's subproblem in key order, ties to the smaller index (the
@@ -221,7 +224,7 @@ class _Window:
     past its length.
     """
 
-    def __init__(self, dims, block):
+    def __init__(self, dims, block, m):
         self.block = block
         self.modes = np.array(block, dtype=np.int64)
         self.sizes = np.array([dims[q] for q in block], dtype=np.int64)
@@ -229,6 +232,7 @@ class _Window:
         self.rest = np.array([q for q in range(len(dims)) if q not in block],
                              dtype=np.int64)
         self.vol = math.prod(dims[q] for q in block)
+        self.batch = max(1, min(m, FORM_CELLS // self.vol))
         self.contexts = np.empty((0, self.rest.size), dtype=np.int64)
         self.tops = np.empty((0, 0), dtype=np.int64)
 
@@ -415,9 +419,6 @@ def _subproblems(lead_t, trail, alpha, out):
     return cells.reshape(n, -1)
 
 
-FORM_CELLS = 1 << 17  # most cells one `_subproblems` batch of a visit forms
-
-
 def _sweep(A, tuples, values, live, key, windows, counts, stacked, offsets, work):
     """One sweep of the live restarts in lockstep; mutates their candidates.
 
@@ -437,8 +438,8 @@ def _sweep(A, tuples, values, live, key, windows, counts, stacked, offsets, work
     The contexts whose list is shorter than that are formed once, before the
     block pass: one `compute_alpha` over their first holders, one row per
     context, the window's two halves (`kernels.expand_halves`), and
-    `_subproblems` in batches of at most m contexts and ``FORM_CELLS``
-    cells.  A list's entry 0 is its row's argmax, and each later entry the
+    `_subproblems` in batches of the window's ``batch`` contexts.  A list's
+    entry 0 is its row's argmax, and each later entry the
     `kernels.masked_argmax` of the row outside the entries before it.  The
     weights and halves are dropped then, before the pass's recheck.  One
     block pass runs over every live row, with the group numbers as its
@@ -448,9 +449,10 @@ def _sweep(A, tuples, values, live, key, windows, counts, stacked, offsets, work
     visit's contexts and their lists become the window's record.
     ``contracted_columns`` counts the subproblems formed and ``expansions``
     the visits that form any.  work holds the flat cell and key buffers that
-    `solve` allocates once, m times the largest window's volume each; a
-    batch uses a prefix of each, so no block allocates an array proportional
-    to its volume.
+    `solve` allocates once, each as large as the windows' largest ``batch``
+    times ``vol``; a batch uses a prefix of each, so no block allocates an
+    array proportional to its volume, and no buffer grows with m past one
+    batch.
     """
     cells_buf, keyed_buf = work
     m = tuples.shape[1]
@@ -483,11 +485,10 @@ def _sweep(A, tuples, values, live, key, windows, counts, stacked, offsets, work
             lead_t = np.ascontiguousarray(lead.T)
             counts["expansions"] += 1
             counts["contracted_columns"] += short.size
-            batch = max(1, min(m, FORM_CELLS // w.vol))
-            for start in range(0, short.size, batch):
+            for start in range(0, short.size, w.batch):
                 # a fancy index copies the batch's weights into one
                 # contiguous block, as the batch-independence tests take them
-                part = np.arange(start, min(start + batch, short.size))
+                part = np.arange(start, min(start + w.batch, short.size))
                 cells = _subproblems(lead_t, trail, alphas[:, part], cells_buf)
                 keyed = key_values(cells, key, out=keyed_buf[:cells.size].reshape(cells.shape))
                 formed = short[part]
@@ -554,7 +555,7 @@ def solve(A, cfg):
     # k + extra candidates, fewer on tiny tensors
     m = min(cfg.k + cfg.extra, total)
     n = cfg.restarts
-    windows = [_Window(A.dims, block) for block in schedule]
+    windows = [_Window(A.dims, block, m) for block in schedule]
     max_vol = max(w.vol for w in windows)
     if max_vol > SUBPROBLEM_CAP:
         raise CapacityError(
@@ -570,9 +571,9 @@ def solve(A, cfg):
         )
     if total < cfg.k:
         raise InfeasibleKError(f"k={cfg.k} exceeds the tensor size of {total} entries")
-    # a real tensor maps its keys in place in the cell buffer
-    cells_buf = np.empty(max_vol * m, dtype=A.dtype)
-    work = (cells_buf, np.empty(max_vol * m) if A.is_complex else cells_buf)
+    # one formation batch's cells; a real tensor maps its keys in place
+    cells_buf = np.empty(max(w.batch * w.vol for w in windows), dtype=A.dtype)
+    work = (cells_buf, np.empty(cells_buf.size) if A.is_complex else cells_buf)
     tuples = np.stack([init_candidates(A.dims, m, np.random.default_rng(cfg.seed + r))
                        for r in range(n)])
     values = kernels.eval_elements(stacked, offsets, tuples.reshape(n * m, -1)).reshape(n, m)

@@ -199,6 +199,18 @@ class TestTopk(unittest.TestCase):
         self.assertEqual(code, 0)
         self.assertEqual(len(out.strip().splitlines()), 1)
 
+    def test_a_block_at_the_cap_serves_a_large_k(self):
+        # a (1024, 1024) block holds the cap's 2^20 cells; the cell buffer
+        # used to be sized for k of them, and this run asked for 15.6 GiB
+        path = f"{self.dir}/tall.cpt"
+        rng = np.random.default_rng(14)
+        write_cpt(cp.CpTensor([rng.uniform(0.0, 1.0, (n, 1)) for n in (1024, 1024, 2)]),
+                  path)
+        code, out, err = run_cli(["topk", "--input", path, "--k", "2000", "--block", "2",
+                                  "--restarts", "1", "--max-sweeps", "1"])
+        self.assertEqual((code, err), (0, ""))
+        self.assertEqual(len(out.splitlines()), 2000)
+
     def test_invalid_k_exits_4(self):
         code, _, err = run_cli(["topk", "--input", self.file, "--k", "0"])
         self.assertEqual(code, 4)
@@ -348,6 +360,30 @@ class TestQft(unittest.TestCase):
         code, _, err = run_cli(["qft", "--d", "10"])
         self.assertEqual(code, 4)
         self.assertIn("not a square", err)
+
+    def test_oversized_exact_qft_exits_3_before_any_trial(self):
+        # an exact QFT of d qubits in sqrt(d) modes ends at rank 2^(d - sqrt(d)):
+        # at d=25 its final factors hold 5 * 2^25 entries, past the 2^22 cap
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran before the final rank was checked")
+
+        with mock.patch("tensor_topk.harness.simulate_and_measure", no_trial):
+            for d in ("25", "36"):
+                code, out, err = run_cli(["qft", "--d", d])
+                self.assertEqual(code, 3, d)
+                self.assertEqual(out, "")
+                self.assertTrue(err.startswith("error:"), err)
+                self.assertIn(f"exact d={d} QFT", err)
+                self.assertNotIn("Traceback", err)
+
+    def test_rank_capped_qft_reaches_its_trial(self):
+        # d=16 passes the check (4 * 2^16 entries), and a rank cap lifts it
+        for argv in (["--d", "16"], ["--d", "25", "--rank-cap", "64"]):
+            with mock.patch("tensor_topk.harness.simulate_and_measure",
+                            side_effect=RuntimeError("trial reached")) as trial:
+                with self.assertRaisesRegex(RuntimeError, "trial reached"):
+                    run_cli(["qft", *argv])
+            trial.assert_called_once()
 
     def test_qft_dump_state_roundtrips(self):
         import tempfile

@@ -425,6 +425,21 @@ def test_reader_rejects_with_exit_1(tmp_path, data, message):
     ('{"factors": [[1.0]], "field": "real", "dims": [2, 2], "rank": 1}', "list of 2 arrays"),
     ('{"factors": [[1.0], ["x", 2.0]], "field": "real", "dims": [2, 2], "rank": 1}',
      "factor 1 must hold 2 entries"),
+    ('{"factors": [["x"]], "field": "real", "dims": [2], "rank": 0} x', "Extra data"),
+    ('{"factors": [["x"]], "field": "integer", "dims": [2], "factors": [[1.0, 2.0]]}',
+     "duplicate key 'factors'"),
+    ('{"factors": [[1.0, 2.0]], "dims": [2], "field": "real", "rank": 1, "dims": [3]}',
+     "duplicate key 'dims'"),
+    ('{"factors": [["x"]], "field": "integer", "dims": [2]}', "missing required field 'rank'"),
+    ('{"factors": [["x"]], "field": "real", "dims": [2], "rank": 0}', "rank must be"),
+    ('{"factors": [["x"], [1.0, 2.0]], "field": "real", "dims": [2], "rank": 1}',
+     "list of 1 arrays"),
+    ('{"factors": 5, "field": "real", "dims": [2], "rank": 1}', "list of 1 arrays"),
+    ('{"factors": [[1.0, 2.0], [1.0, "x"]], "field": "real", "dims": [2, 2], "rank": 1}',
+     "factor 2 entry 1 is not a real number"),
+    # and with the factors between header members
+    ('{"field": "real", "factors": [[1.0, "x"]], "dims": [2], "rank": 1}',
+     "factor 1 entry 1 is not a real number"),
 ])
 def test_reader_error_order_is_whole_document_order(tmp_path, text, message):
     path = tmp_path / "bad.cpt"
@@ -433,21 +448,31 @@ def test_reader_error_order_is_whole_document_order(tmp_path, text, message):
         read_cpt(path)
 
 
+def _factors_first(text):
+    """The writer's text with the factors member moved before the header."""
+    head, factors = text.split(',\n "factors": ', 1)
+    return '{"factors": ' + factors[:-len("}\n")] + ",\n " + head[1:] + "}\n"
+
+
 def test_reader_holds_one_factor_at_a_time(tmp_path, rng):
     # a whole-document json.load peaks at 4.2x the file size on this file,
-    # and keeping the previous factor's objects through the next decode at 2.9x
+    # and keeping the previous factor's objects through the next decode at
+    # 2.9x; a factors list decoded whole when it came first peaked at 4.9x
     A = cp.CpTensor(random_factors(rng, (16, 16, 16, 16), 256, complex_=True))
     path = tmp_path / "big.cpt"
     write_cpt(A, path)
-    tracemalloc.start()
-    try:
-        B = read_cpt(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.6 * path.stat().st_size
-    for fa, fb in zip(A.factors, B.factors):
-        assert fa.tobytes() == fb.tobytes()
+    header_first = path.read_text()
+    for text in (header_first, _factors_first(header_first)):
+        path.write_text(text)
+        tracemalloc.start()
+        try:
+            B = read_cpt(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.6 * path.stat().st_size
+        for fa, fb in zip(A.factors, B.factors):
+            assert fa.tobytes() == fb.tobytes()
 
 
 # values the writer prints in each of its ways: "%.17g" alone, with ".0"

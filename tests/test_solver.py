@@ -438,7 +438,7 @@ class TestBlockPassReference(unittest.TestCase):
             want_t, want_v, want_x = _reference_block_pass(
                 A, tuples, values, block, keyed, key_name)
             got_t, got_v = tuples.copy(), values.copy()
-            solver._block_pass(got_t, got_v, solver._Window(dims, block),
+            solver._block_pass(got_t, got_v, solver._Window(dims, block, len(tuples)),
                                *_pass_inputs(keyed, beta), key, stacked, offsets)
             msg = f"{pattern} {key_name}"
             np.testing.assert_array_equal(got_t, want_t, err_msg=msg)
@@ -500,7 +500,7 @@ class TestBlockPassReference(unittest.TestCase):
                 values = [cp.elements_at(A, t) for t in tuples]
                 inputs = [_pass_inputs(make(A, block, solver.compute_alpha(A, t, block), key),
                                        _collision_mask(t[:, rest])) for t in tuples]
-                window = solver._Window(dims, block)
+                window = solver._Window(dims, block, m)
                 want_t, want_v = [t.copy() for t in tuples], [v.copy() for v in values]
                 want_counts = np.zeros(4, dtype=np.int64)
                 for t, v, (ids, tops) in zip(want_t, want_v, inputs):
@@ -552,7 +552,7 @@ class TestBlockPassMoves(unittest.TestCase):
         beta = _collision_mask(tuples[:, [1]])
         want_t, want_v, _ = _reference_block_pass(A, tuples, values, (0,), keyed, "max")
         got_t, got_v = tuples.copy(), values.copy()
-        counts = solver._block_pass(got_t, got_v, solver._Window(A.dims, (0,)),
+        counts = solver._block_pass(got_t, got_v, solver._Window(A.dims, (0,), len(tuples)),
                                     *_pass_inputs(keyed, beta), OrderingKey.MAX, stacked,
                                     offsets)
         # candidate 0 keeps (0, 0); 1 moves to (1, 1) and forces 2 to (2, 1)
@@ -647,13 +647,15 @@ def _reference_sweep(A, tuples, values, key, schedule, stacked, offsets, work):
                                             [A.dims[q] for q in block])
         cells = solver._subproblems(np.ascontiguousarray(lead.T), trail, alpha, cells_buf)
         keyed = solver.key_values(cells, key, out=keyed_buf[:cells.size].reshape(cells.shape)).T
-        solver._block_pass(tuples, values, solver._Window(A.dims, block),
+        solver._block_pass(tuples, values, solver._Window(A.dims, block, len(tuples)),
                            *_pass_inputs(keyed, beta), key, stacked, offsets)
     return holders
 
 
 def _work_buffers(A, schedule, m):
-    # the same flat buffers solve allocates, one set per caller
+    # flat buffers for m subproblems of the largest window, one set per
+    # caller: the reference forms all m at once, and the package's batches
+    # use a prefix
     max_vol = max(math.prod(A.dims[q] for q in w) for w in schedule)
     cells = np.empty(max_vol * m, dtype=A.dtype)
     return cells, np.empty(max_vol * m) if A.is_complex else cells
@@ -693,7 +695,7 @@ class TestSweepReference(unittest.TestCase):
                           for r in range(cfg.restarts)])
         ref_v = np.stack([cp.elements_at(A, t) for t in ref_t])
         got_t, got_v = ref_t.copy(), ref_v.copy()
-        windows = [solver._Window(A.dims, block) for block in schedule]
+        windows = [solver._Window(A.dims, block, m) for block in schedule]
         counts = collections.Counter()
         live = list(range(cfg.restarts))
         stats = dict.fromkeys(("contracted", "blocks", "expansions", "weighed", "alone",
@@ -962,10 +964,12 @@ def test_rank_weights_live_one_window_at_a_time():
 def test_solve_holds_no_expansion_sized_array():
     """No array of one window's volume times the rank is built.
 
-    The solve holds its (m x vol) cell buffer and, while a visit forms a
-    batch of subproblems, one scaled half of at most m x min(vol_lead,
-    vol_trail) x R values; the rest (factors, rank weights, halves, candidates) is well
-    under half of one (vol x R) expansion, which would break the bound.
+    The solve holds its batch buffer, one formation batch's cells: at most
+    m subproblems and ``FORM_CELLS`` cells, 13 (vol) subproblems here.
+    While a visit forms a batch, it also holds one scaled half of at most
+    batch x min(vol_lead, vol_trail) x R values; the rest (factors, rank
+    weights, halves, candidates) is well under half of one (vol x R)
+    expansion, which would break the bound.
     """
     dims, rank = (100,) * 4, 20
     A = cp.CpTensor(random_factors(np.random.default_rng(8), dims, rank))
@@ -979,8 +983,9 @@ def test_solve_holds_no_expansion_sized_array():
     assert res.diagnostics["expansions"] > 1
     item = np.dtype(float).itemsize
     m, vol = cfg.k + cfg.extra, 100 * 100
-    cells = m * vol * item
-    scaled = m * 100 * rank * item
+    batch = max(1, min(m, solver.FORM_CELLS // vol))
+    cells = batch * vol * item
+    scaled = batch * 100 * rank * item
     expansion = vol * rank * item
     assert peak < cells + scaled + expansion // 2
 
@@ -995,9 +1000,10 @@ def test_sweep_holds_no_table_quadratic_in_candidates():
     and a matrix at the default block size, one whole-tensor window where
     every candidate of a restart holds the one empty context, so its group
     has m holders and its list m cells.  Such a table is m^2 cells per
-    restart, and it breaks the bound: the (m x vol) cell buffer plus 1 KB
-    per candidate row, which covers the rows' tuples, values, context and
-    group numbers, the groups' lists and the pool.
+    restart, and it breaks the bound: the batch buffer, one formation
+    batch of at most m subproblems and ``FORM_CELLS`` cells, plus 1 KB per
+    candidate row, which covers the rows' tuples, values, context and group
+    numbers, the groups' lists and the pool.
     """
     for dims, cfg in (((30,) * 4, SolverConfig(k=1000, block_size=1, restarts=4,
                                                 max_sweeps=1, seed=5)),
@@ -1012,8 +1018,33 @@ def test_sweep_holds_no_table_quadratic_in_candidates():
         assert res.diagnostics["dependent_picks"] > 0
         rows = cfg.restarts * cfg.k
         vol = math.prod(dims[q] for q in res.diagnostics["schedule"][0])
-        cells = cfg.k * vol * np.dtype(float).itemsize
+        batch = max(1, min(cfg.k, solver.FORM_CELLS // vol))
+        cells = batch * vol * np.dtype(float).itemsize
         assert peak < cells + 1024 * rows, (dims, peak)
+
+
+def test_solve_peak_does_not_grow_with_k():
+    """The cell buffer holds one formation batch, not m subproblems.
+
+    A window of more than half ``FORM_CELLS`` cells forms one subproblem
+    per batch, so the solve holds one subproblem of its largest window,
+    plus one copy of a row while `kernels.masked_argmax` lists a context's
+    later top cells.  Everything else is small next to it.  A buffer of m subproblems, as the
+    solve once allocated, is k times that: 30 MB for each case here.
+    """
+    for dims, k in (((600, 300), 20), ((300, 300, 4), 40)):
+        A = cp.CpTensor(random_factors(np.random.default_rng(11), dims, 2))
+        cfg = SolverConfig(k=k, restarts=2, max_sweeps=2, seed=1)
+        tracemalloc.start()
+        try:
+            res = solver.solve(A, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.diagnostics["dependent_picks"] > 0
+        vol = max(math.prod(dims[q] for q in w) for w in res.diagnostics["schedule"])
+        assert solver.FORM_CELLS < 2 * vol
+        assert peak < 3 * vol * np.dtype(float).itemsize, (dims, peak)
 
 
 class TestDiagnostics(unittest.TestCase):
